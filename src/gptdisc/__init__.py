@@ -1,8 +1,9 @@
 """Optimal minimum-error state discrimination in finitely generated GPTs.
 
-The package solves the measurement (primal) and symmetry-operator
-(dual) problems of minimum-error discrimination over polyhedral state
-and effect cones, certifies optimality through KKT residual reports,
+The package solves the measurement (primal) problem of minimum-error
+discrimination over polyhedral state and effect cones, reads the
+symmetry operator (the dual optimum) off the same solve's multipliers,
+certifies optimality through KKT residual reports,
 exposes the congruent-polytope geometry of optimal solutions, and ships
 the regular-polygon model family with its worked examples.
 """
@@ -12,7 +13,6 @@ from .discrimination import (
     ComplementaryPair,
     DiscriminationSolution,
     KktReport,
-    build_dual,
     build_primal,
     no_measurement_value,
     solve_discrimination,
@@ -66,7 +66,6 @@ __all__ = [
     "ComplementaryPair",
     "DiscriminationSolution",
     "KktReport",
-    "build_dual",
     "build_primal",
     "no_measurement_value",
     "solve_discrimination",

@@ -62,15 +62,11 @@ class CliConfig:
     """Shared command options."""
 
     tolerance: float = 1e-9
-    output_format: str = "json"
     oracle: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.tolerance <= 1e-3:
             raise InvalidInputError("tolerance must lie in (0, 1e-3]")
-        if self.output_format not in ("json", "csv"):
-            raise InvalidInputError(f"unknown output format {self.output_format!r}")
 
 
 def _write_out(out: str, text: str) -> None:
@@ -117,25 +113,28 @@ def _validated_ensemble(source: str, tol: float):
     return ensemble
 
 
-def _solve_payload(ensemble, config: CliConfig):
-    solution = solve_discrimination(ensemble, tol=config.tolerance)
+def _oracle_agreement(ensemble, p_guess: float, context: str = ""):
+    """Run the vertex-enumeration oracle and raise unless it agrees with ``p_guess``."""
+    oracle_result = dual_vertex_enumeration(ensemble)
+    if abs(oracle_result.p_guess - p_guess) > ORACLE_AGREEMENT_TOL:
+        raise OracleDisagreementError(
+            f"{context}solver p_guess {p_guess!r} vs oracle {oracle_result.p_guess!r}"
+        )
+    return oracle_result
+
+
+def _solution_payload(solution, config: CliConfig):
+    """Solution JSON with KKT and congruence reports, oracle-checked when asked."""
+    ensemble = solution.ensemble
     kkt = verify_kkt(ensemble, solution, tol=config.tolerance)
     congruence = congruence_check(solution, tol=config.tolerance)
-    oracle_result = None
-    if config.oracle:
-        oracle_result = dual_vertex_enumeration(ensemble)
-        if abs(oracle_result.p_guess - solution.p_guess) > ORACLE_AGREEMENT_TOL:
-            raise OracleDisagreementError(
-                f"solver p_guess {solution.p_guess!r} vs oracle {oracle_result.p_guess!r}"
-            )
-    return solution, solution_to_dict(solution, kkt, congruence, oracle_result)
+    oracle_result = _oracle_agreement(ensemble, solution.p_guess) if config.oracle else None
+    return solution_to_dict(solution, kkt, congruence, oracle_result)
 
 
 def _config_options(func):
     func = click.option("--tol", "tolerance", type=float, default=1e-9, show_default=True, help="Numeric tolerance.")(func)
-    func = click.option("--format", "output_format", type=click.Choice(["json", "csv"]), default="json", show_default=True, help="Structured output format.")(func)
     func = click.option("--oracle", is_flag=True, help="Cross-check against the vertex-enumeration oracle.")(func)
-    func = click.option("--seed", type=int, default=0, show_default=True, help="Seed for randomized components.")(func)
     func = click.option("--out", default="-", show_default=True, help="Output file, '-' for stdout.")(func)
     return func
 
@@ -148,12 +147,12 @@ def cli():
 @cli.command("solve")
 @click.argument("ensemble_file")
 @_config_options
-def cmd_solve(ensemble_file, tolerance, output_format, oracle, seed, out):
+def cmd_solve(ensemble_file, tolerance, oracle, out):
     """Solve the discrimination instance in ENSEMBLE_FILE."""
-    config = CliConfig(tolerance=tolerance, output_format=output_format, oracle=oracle, seed=seed)
+    config = CliConfig(tolerance=tolerance, oracle=oracle)
     ensemble = _validated_ensemble(ensemble_file, config.tolerance)
-    _, payload = _solve_payload(ensemble, config)
-    _write_out(out, dumps(payload))
+    solution = solve_discrimination(ensemble, tol=config.tolerance)
+    _write_out(out, dumps(_solution_payload(solution, config)))
 
 
 @cli.command("polygon")
@@ -168,17 +167,15 @@ def cmd_polygon(order, out):
 @cli.command("demo")
 @click.argument("name", type=click.Choice(["n3", "n4", "no-measurement"]))
 @_config_options
-def cmd_demo(name, tolerance, output_format, oracle, seed, out):
+def cmd_demo(name, tolerance, oracle, out):
     """Run a worked example: n3, n4, or no-measurement."""
-    config = CliConfig(tolerance=tolerance, output_format=output_format, oracle=True, seed=seed)
+    config = CliConfig(tolerance=tolerance, oracle=True)
     if name == "n3":
-        solution = polygon_mod.demo_n3()
-        payload = _demo_solution_payload(solution, config)
-        _write_out(out, dumps(payload))
+        _write_out(out, dumps(_solution_payload(polygon_mod.demo_n3(), config)))
         return
     if name == "n4":
         result = polygon_mod.demo_n4()
-        payload = _demo_solution_payload(result.solution, config)
+        payload = _solution_payload(result.solution, config)
         payload["alternates"] = [
             {
                 "name": alt_name,
@@ -200,27 +197,11 @@ def _kkt_pass_dict(report, tol):
     return data
 
 
-def _demo_solution_payload(solution, config: CliConfig):
-    ensemble = solution.ensemble
-    kkt = verify_kkt(ensemble, solution, tol=config.tolerance)
-    congruence = congruence_check(solution, tol=config.tolerance)
-    oracle_result = dual_vertex_enumeration(ensemble)
-    if abs(oracle_result.p_guess - solution.p_guess) > ORACLE_AGREEMENT_TOL:
-        raise OracleDisagreementError(
-            f"solver p_guess {solution.p_guess!r} vs oracle {oracle_result.p_guess!r}"
-        )
-    return solution_to_dict(solution, kkt, congruence, oracle_result)
-
-
 def _demo_no_measurement(config: CliConfig, out: str) -> None:
     grid = [round(0.05 * k, 2) for k in range(21)]
     scan = polygon_mod.threshold_scan(grid, tol=config.tolerance)
     for p, p_guess, _ in scan.rows:
-        oracle_result = dual_vertex_enumeration(polygon_mod.no_measurement_ensemble(p))
-        if abs(oracle_result.p_guess - p_guess) > ORACLE_AGREEMENT_TOL:
-            raise OracleDisagreementError(
-                f"at p={p:g}: solver {p_guess!r} vs oracle {oracle_result.p_guess!r}"
-            )
+        _oracle_agreement(polygon_mod.no_measurement_ensemble(p), p_guess, context=f"at p={p:g}: ")
     lines = ["p,p_guess,no_measurement_optimal"]
     for p, p_guess, flag in scan.rows:
         lines.append(f"{format_real(p)},{format_real(p_guess)},{str(flag).lower()}")
@@ -240,9 +221,9 @@ def _demo_no_measurement(config: CliConfig, out: str) -> None:
 @click.argument("ensemble_file")
 @click.argument("solution_file")
 @_config_options
-def cmd_verify(ensemble_file, solution_file, tolerance, output_format, oracle, seed, out):
+def cmd_verify(ensemble_file, solution_file, tolerance, oracle, out):
     """Re-verify a solution certificate against its ensemble."""
-    config = CliConfig(tolerance=tolerance, output_format=output_format, oracle=oracle, seed=seed)
+    config = CliConfig(tolerance=tolerance, oracle=oracle)
     ensemble = _validated_ensemble(ensemble_file, config.tolerance)
     data, path = _read_json_source(solution_file)
     if path is not None:

@@ -1,11 +1,13 @@
-"""Optimal discrimination: primal/dual linear programs and KKT certificates.
+"""Optimal discrimination: the measurement LP and its KKT certificates.
 
 The primal problem maximizes the average success probability
 ``sum_x q_x e_x[w_x]`` over measurements; its dual minimizes ``u[K]``
 over operators ``K`` dominating every ``q_x w_x`` in the effect order.
-Strong duality holds (the uniform measurement ``e_x = u/N`` is strictly
-feasible), so both solves must agree and the dual optimum is the
-guessing probability.
+``K`` is the Lagrange multiplier of the completeness rows
+``sum_x e_x = u``, so one certified solve of the measurement LP yields
+both the optimal measurement and ``K``: dual feasibility of that
+certificate is exactly ``K >= q_x w_x`` on every effect generator, and
+its zero duality gap is strong duality.
 
 The symmetry operator decomposes as ``K = q_x w_x + r_x d_x`` for every
 outcome, with ``r_x = u[K] - q_x`` and the complementary state ``d_x``
@@ -22,7 +24,7 @@ import numpy as np
 
 from .cone import cone_ge, member_of
 from .errors import InternalInconsistencyError, InvalidInputError
-from .lp import OPTIMAL, LpProblem, solve_lp
+from .lp import OPTIMAL, LpProblem, check_certificate, solve_lp
 from .model import DEFAULT_TOL, Ensemble, Measurement, validate_ensemble
 
 
@@ -99,35 +101,11 @@ def build_primal(ensemble: Ensemble) -> LpProblem:
     return LpProblem(objective, eq_matrix, ensemble.model.unit_effect)
 
 
-def build_dual(ensemble: Ensemble) -> LpProblem:
-    """Symmetry-operator LP: minimize ``u[K]`` subject to ``K >= q_x w_x``.
-
-    ``K`` is split into positive and negative parts for standard form;
-    each (state, effect-generator) pair contributes one inequality row
-    ``g_j[K - q_x w_x] >= 0``.
-    """
-    gens = ensemble.model.effect_gens
-    weighted = ensemble.weighted_states()  # (n, d)
-    # g_j[K] >= g_j[q_x w_x]  <=>  -g_j[K] <= -g_j[q_x w_x]; rows ordered x-major.
-    rows = np.concatenate([-gens, gens], axis=1)  # acting on [K+, K-]
-    ub_matrix = np.tile(rows, (ensemble.n_states, 1))
-    ub_rhs = -(weighted @ gens.T).reshape(-1)
-    u = ensemble.model.unit_effect
-    objective = np.concatenate([u, -u])
-    return LpProblem.with_inequalities(objective, ub_matrix=ub_matrix, ub_rhs=ub_rhs)
-
-
 def measurement_from_primal(ensemble: Ensemble, x: np.ndarray) -> Measurement:
     """Reconstruct effect coordinates from primal coefficient values."""
     gens = ensemble.model.effect_gens
     coeffs = np.asarray(x, dtype=float)[: ensemble.n_states * gens.shape[0]]
     return Measurement(coeffs.reshape(ensemble.n_states, gens.shape[0]) @ gens)
-
-
-def symmetry_operator_from_dual(ensemble: Ensemble, x: np.ndarray) -> np.ndarray:
-    """Recombine the split dual variable into ``K``."""
-    d = ensemble.model.dim
-    return np.asarray(x, dtype=float)[:d] - np.asarray(x, dtype=float)[d : 2 * d]
 
 
 def no_measurement_value(ensemble: Ensemble) -> float:
@@ -136,34 +114,36 @@ def no_measurement_value(ensemble: Ensemble) -> float:
 
 
 def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> DiscriminationSolution:
-    """Solve both discrimination problems and assemble the full certificate.
+    """Solve the measurement LP once and assemble the full certificate.
 
-    Raises :class:`InvalidInputError` when the ensemble fails validation
-    and :class:`InternalInconsistencyError` when the two solves disagree
-    beyond ``10 * tol`` (impossible for a correct solver: strong duality
-    holds for every valid ensemble).
+    ``K`` is the negated multiplier vector of the completeness rows, so
+    the primal value is ``-c.x`` and the dual value ``u[K] = -b.y`` of the
+    same certificate.  Raises :class:`InvalidInputError` when the ensemble
+    fails validation and :class:`InternalInconsistencyError` when the LP is
+    not solved optimally, its certificate fails :func:`check_certificate`,
+    or the two values differ beyond ``10 * tol`` (impossible for a correct
+    solver: strong duality holds for every valid ensemble).
     """
     check = validate_ensemble(ensemble, tol=max(tol, 1e-12))
     if not check.valid:
         raise InvalidInputError("; ".join(check.issues))
 
-    primal = solve_lp(build_primal(ensemble), tol=tol)
-    dual = solve_lp(build_dual(ensemble), tol=tol)
-    if primal.status != OPTIMAL or dual.status != OPTIMAL:
-        raise InternalInconsistencyError(
-            f"discrimination LPs must be solvable (primal {primal.status}, dual {dual.status})"
-        )
+    problem = build_primal(ensemble)
+    primal = solve_lp(problem, tol=tol)
+    if primal.status != OPTIMAL:
+        raise InternalInconsistencyError(f"measurement LP must be solvable (status {primal.status})")
+    if not check_certificate(problem, primal, tol):
+        raise InternalInconsistencyError("measurement LP certificate failed re-verification")
     primal_value = -float(primal.objective)
-    dual_value = float(dual.objective)
+    k = -primal.y
+    dual_value = float(problem.eq_rhs @ k)  # u[K]
     if abs(primal_value - dual_value) > 10.0 * tol:
         raise InternalInconsistencyError(
             f"strong duality violated: primal {primal_value!r} vs dual {dual_value!r}"
         )
 
     measurement = measurement_from_primal(ensemble, primal.x)
-    k = symmetry_operator_from_dual(ensemble, dual.x)
-    u = ensemble.model.unit_effect
-    p_guess = float(u @ k)
+    p_guess = dual_value
     if p_guess < no_measurement_value(ensemble) - 10.0 * tol or p_guess > 1.0 + 10.0 * tol:
         raise InternalInconsistencyError(f"guessing probability {p_guess!r} outside sandwich bound")
 
@@ -177,7 +157,6 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
             d_state.setflags(write=False)
             pairs.append(ComplementaryPair(r=r, d=d_state))
 
-    k = k.copy()
     k.setflags(write=False)
     return DiscriminationSolution(
         ensemble=ensemble,

@@ -34,6 +34,11 @@ class CongruenceReport:
     skipped: tuple[int, ...]
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, summed exactly as ``np.linalg.norm`` sums one vector."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
 def congruence_check(solution: DiscriminationSolution, tol: float = DEFAULT_TOL) -> CongruenceReport:
     """Check edge congruence of the given-state and complementary polytopes.
 
@@ -41,24 +46,20 @@ def congruence_check(solution: DiscriminationSolution, tol: float = DEFAULT_TOL)
     skipped; their indices are reported.
     """
     ens = solution.ensemble
-    dim = ens.model.dim
     skipped = tuple(i for i, pair in enumerate(solution.complementary) if pair.degenerate)
-    active = [i for i in range(ens.n_states) if i not in skipped]
-    weighted = ens.weighted_states()
-    max_residual = 0.0
-    ratios = []
-    for x, y in combinations(active, 2):
-        state_edge = weighted[x] - weighted[y]
-        rd_x = solution.complementary[x].scaled(dim)
-        rd_y = solution.complementary[y].scaled(dim)
-        residual = float(np.linalg.norm(state_edge + rd_x - rd_y))
-        max_residual = max(max_residual, residual)
-        d_edge = float(np.linalg.norm(solution.complementary[x].d - solution.complementary[y].d))
-        if d_edge > tol:
-            ratios.append(float(np.linalg.norm(state_edge)) / d_edge)
-    if ratios:
+    active = np.array([i for i in range(ens.n_states) if i not in skipped], dtype=int)
+    weighted = ens.weighted_states()[active]
+    d = np.array([solution.complementary[i].d for i in active]).reshape(len(active), ens.model.dim)
+    rd = np.array([solution.complementary[i].r for i in active])[:, None] * d
+    x, y = np.triu_indices(len(active), k=1)  # the pair order of combinations(active, 2)
+    state_edges = weighted[x] - weighted[y]
+    max_residual = float(_row_norms(state_edges + rd[x] - rd[y]).max(initial=0.0))
+    d_edges = _row_norms(d[x] - d[y])
+    keep = d_edges > tol
+    ratios = _row_norms(state_edges[keep]) / d_edges[keep]
+    if ratios.size:
         ratio = float(np.mean(ratios))
-        spread = float(max(ratios) - min(ratios))
+        spread = float(ratios.max() - ratios.min())
     else:
         ratio = None
         spread = 0.0

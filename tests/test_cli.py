@@ -97,6 +97,22 @@ def test_solve_oracle_disagreement_maps_to_exit_three(square_files, capsys, monk
     assert main(["solve", str(ensemble_path), "--oracle"]) == 3
 
 
+@pytest.mark.parametrize("name", ["n3", "n4", "no-measurement"])
+def test_demo_oracle_disagreement_maps_to_exit_three(name, capsys, monkeypatch):
+    def bogus(ensemble):
+        return OracleResult(p_guess=-1.0, k=np.zeros(3), vertices_examined=1)
+
+    monkeypatch.setattr("gptdisc.cli.dual_vertex_enumeration", bogus)
+    assert main(["demo", name]) == 3
+    assert "oracle disagreement" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--format", "json"]])
+def test_removed_flags_are_rejected(square_files, flag, capsys):
+    _, ensemble_path = square_files
+    assert main(["solve", str(ensemble_path), *flag]) == 1
+
+
 def test_polygon_command_emits_model(tmp_path):
     out = tmp_path / "model.json"
     assert main(["polygon", "--n", "5", "--out", str(out)]) == 0

@@ -8,17 +8,17 @@ from gptdisc import (
     Ensemble,
     InvalidInputError,
     Measurement,
-    build_dual,
     build_primal,
     no_measurement_value,
     polygon_model,
     solve_discrimination,
     solve_lp,
+    symmetric_axis_k,
     verify_kkt,
 )
-from gptdisc.discrimination import measurement_from_primal, symmetry_operator_from_dual
+from gptdisc.discrimination import measurement_from_primal
 from gptdisc.lp import OPTIMAL
-from gptdisc.oracle import dual_vertex_enumeration
+from gptdisc.oracle import MAX_ORACLE_CONSTRAINTS, dual_vertex_enumeration
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
 from conftest import random_polygon_ensemble
@@ -47,8 +47,7 @@ def test_primal_square_value_is_half():
 
 def test_dual_square_minimizer_is_axis_point():
     ensemble = uniform_vertex_ensemble(4)
-    sol = solve_lp(build_dual(ensemble))
-    k = symmetry_operator_from_dual(ensemble, sol.x)
+    k = solve_discrimination(ensemble).symmetry_operator
     assert_allclose(k, [0.0, 0.0, 0.5], atol=1e-9)
     oracle = dual_vertex_enumeration(ensemble)
     assert_allclose(oracle.k, k, atol=1e-9)
@@ -56,8 +55,7 @@ def test_dual_square_minimizer_is_axis_point():
 
 def test_dual_triangle_minimizer_is_unit_axis_point():
     ensemble = uniform_vertex_ensemble(3)
-    sol = solve_lp(build_dual(ensemble))
-    k = symmetry_operator_from_dual(ensemble, sol.x)
+    k = solve_discrimination(ensemble).symmetry_operator
     assert_allclose(k, [0.0, 0.0, 1.0], atol=1e-9)
 
 
@@ -69,7 +67,9 @@ def test_average_state_is_dual_feasible_with_value_one():
     margins = gens @ (k[:, None] - ensemble.weighted_states().T)
     assert margins.min() >= -1e-12
     assert_allclose(float(ensemble.model.unit_effect @ k), 1.0, atol=1e-12)
-    assert solve_lp(build_dual(ensemble)).objective <= 1.0 + 1e-12
+    # The measurement LP's multipliers give the dual value -b.y = u[K].
+    problem = build_primal(ensemble)
+    assert -float(problem.eq_rhs @ solve_lp(problem).y) <= 1.0 + 1e-12
 
 
 def test_triangle_solution_certificate():
@@ -243,3 +243,51 @@ def test_measurement_reconstruction_matches_generators():
     measurement = measurement_from_primal(ensemble, sol.x)
     total = measurement.effects.sum(axis=0)
     assert_allclose(total, ensemble.model.unit_effect, atol=1e-12)
+
+
+def test_uniform_polygons_match_axis_operator_through_order_64():
+    # Orders 13, 15, 18 and 24 broke the former separate dual LP; every
+    # order must now solve with a passing certificate.
+    for n in range(3, 65):
+        ensemble = uniform_vertex_ensemble(n)
+        sol = solve_discrimination(ensemble)
+        axis_value = float(ensemble.model.unit_effect @ symmetric_axis_k(ensemble, (0.0, 0.0, 1.0)))
+        assert sol.p_guess == pytest.approx(axis_value, abs=1e-9), n
+        assert verify_kkt(ensemble, sol).passes(), n
+
+
+def test_random_prior_sweep_up_to_order_16_passes_kkt_and_oracle():
+    rng = np.random.default_rng(2024)
+    oracle_checked = 0
+    for _ in range(100):
+        order = int(rng.integers(3, 17))
+        model = polygon_model(order)
+        n_states = int(rng.integers(2, 7))
+        weights = rng.random((n_states, order))
+        weights /= weights.sum(axis=1, keepdims=True)
+        priors = rng.random(n_states)
+        priors /= priors.sum()
+        ensemble = Ensemble(model=model, states=weights @ model.state_gens, priors=priors)
+        sol = solve_discrimination(ensemble)
+        assert verify_kkt(ensemble, sol).passes(), (order, n_states)
+        if n_states * order <= MAX_ORACLE_CONSTRAINTS:
+            oracle = dual_vertex_enumeration(ensemble)
+            assert sol.p_guess == pytest.approx(oracle.p_guess, abs=1e-9), (order, n_states)
+            oracle_checked += 1
+    assert oracle_checked >= 50
+
+
+def test_solve_discrimination_makes_exactly_one_lp_solve(monkeypatch):
+    import gptdisc.discrimination as discrimination
+
+    calls = []
+
+    def counting_solve_lp(*args, **kwargs):
+        calls.append(args[0].n_rows)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(discrimination, "solve_lp", counting_solve_lp)
+    ensemble = uniform_vertex_ensemble(12)
+    sol = solve_discrimination(ensemble)
+    assert calls == [ensemble.model.dim]
+    assert sol.p_guess == pytest.approx(float(ensemble.model.unit_effect @ sol.symmetry_operator))

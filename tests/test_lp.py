@@ -11,7 +11,7 @@ from gptdisc import (
     solve_lp,
 )
 from gptdisc.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
-from gptdisc.discrimination import build_dual
+from gptdisc.discrimination import build_primal
 from gptdisc.oracle import brute_force_lp
 from gptdisc.polygon import uniform_vertex_ensemble
 
@@ -32,10 +32,12 @@ def test_inequality_converter_adds_slack():
 
 
 def test_square_ensemble_dual_value_is_half():
-    # Uniform four-state instance: the symmetry-operator LP optimum is 1/2.
-    sol = solve_lp(build_dual(uniform_vertex_ensemble(4)))
+    # Uniform four-state instance: the symmetry-operator value -b.y, read
+    # from the measurement LP's multipliers, is 1/2.
+    problem = build_primal(uniform_vertex_ensemble(4))
+    sol = solve_lp(problem)
     assert sol.status == OPTIMAL
-    assert_allclose(sol.objective, 0.5, atol=1e-9)
+    assert_allclose(-float(problem.eq_rhs @ sol.y), 0.5, atol=1e-9)
 
 
 def test_infeasible_reported_by_status():
