@@ -40,7 +40,7 @@ from .model import (
     validate_ensemble,
     validate_model,
 )
-from .oracle import OracleResult, brute_force_lp, dual_vertex_enumeration, primal_random_search
+from .oracle import OracleResult, brute_force_lp, dual_vertex_enumeration
 from .polygon import (
     DemoN4Result,
     ThresholdScan,
@@ -98,7 +98,6 @@ __all__ = [
     "OracleResult",
     "brute_force_lp",
     "dual_vertex_enumeration",
-    "primal_random_search",
     "DemoN4Result",
     "ThresholdScan",
     "demo_n3",

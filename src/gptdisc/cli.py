@@ -26,6 +26,7 @@ from .errors import (
     InternalInconsistencyError,
     InvalidInputError,
     NumericalFailureError,
+    UnsupportedSizeError,
 )
 from .geometry import congruence_check
 from .model import validate_ensemble, validate_model
@@ -124,17 +125,25 @@ def _oracle_agreement(ensemble, p_guess: float, context: str = ""):
 
 
 def _solution_payload(solution, config: CliConfig):
-    """Solution JSON with KKT and congruence reports, oracle-checked when asked."""
+    """Solution JSON with KKT and congruence reports, oracle-checked when asked.
+
+    An ensemble past the oracle's size bounds is not an input fault: the
+    check is skipped with a warning and the payload has no oracle block.
+    """
     ensemble = solution.ensemble
     kkt = verify_kkt(ensemble, solution, tol=config.tolerance)
     congruence = congruence_check(solution, tol=config.tolerance)
-    oracle_result = _oracle_agreement(ensemble, solution.p_guess) if config.oracle else None
+    oracle_result = None
+    if config.oracle:
+        try:
+            oracle_result = _oracle_agreement(ensemble, solution.p_guess)
+        except UnsupportedSizeError as exc:
+            click.echo(f"warning: oracle skipped: {exc}", err=True)
     return solution_to_dict(solution, kkt, congruence, oracle_result)
 
 
 def _config_options(func):
     func = click.option("--tol", "tolerance", type=float, default=1e-9, show_default=True, help="Numeric tolerance.")(func)
-    func = click.option("--oracle", is_flag=True, help="Cross-check against the vertex-enumeration oracle.")(func)
     func = click.option("--out", default="-", show_default=True, help="Output file, '-' for stdout.")(func)
     return func
 
@@ -147,6 +156,7 @@ def cli():
 @cli.command("solve")
 @click.argument("ensemble_file")
 @_config_options
+@click.option("--oracle", is_flag=True, help="Cross-check against the vertex-enumeration oracle.")
 def cmd_solve(ensemble_file, tolerance, oracle, out):
     """Solve the discrimination instance in ENSEMBLE_FILE."""
     config = CliConfig(tolerance=tolerance, oracle=oracle)
@@ -167,7 +177,7 @@ def cmd_polygon(order, out):
 @cli.command("demo")
 @click.argument("name", type=click.Choice(["n3", "n4", "no-measurement"]))
 @_config_options
-def cmd_demo(name, tolerance, oracle, out):
+def cmd_demo(name, tolerance, out):
     """Run a worked example: n3, n4, or no-measurement."""
     config = CliConfig(tolerance=tolerance, oracle=True)
     if name == "n3":
@@ -221,9 +231,9 @@ def _demo_no_measurement(config: CliConfig, out: str) -> None:
 @click.argument("ensemble_file")
 @click.argument("solution_file")
 @_config_options
-def cmd_verify(ensemble_file, solution_file, tolerance, oracle, out):
+def cmd_verify(ensemble_file, solution_file, tolerance, out):
     """Re-verify a solution certificate against its ensemble."""
-    config = CliConfig(tolerance=tolerance, oracle=oracle)
+    config = CliConfig(tolerance=tolerance)
     ensemble = _validated_ensemble(ensemble_file, config.tolerance)
     data, path = _read_json_source(solution_file)
     if path is not None:

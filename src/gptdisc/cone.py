@@ -1,9 +1,10 @@
 """Polyhedral cone utilities: membership, dual cones, and the effect order.
 
-Cones are kept in generator (V-) representation.  Membership is decided
-by an LP feasibility solve, so no facet enumeration is ever required;
-dual cones are computed with the double-description method, which is
-exact in structure at desk dimensions.
+Cones are kept in generator (V-) representation.  Membership and cone
+equality are decided by LP feasibility solves, so no facet enumeration
+is ever required.  Dual cones come from exact double description: ray
+adjacency is decided from the sets of cuts each ray is tight on, by set
+arithmetic alone, so computing a dual solves no LP.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from .lp import feasibility_gap
 MAX_DUAL_DIM = 8
 
 _ZERO_NORM = 1e-12
+#: Products of a unit ray or line with a unit cut normal this small count as zero.
+_TIGHT = 1e-10
 _PARALLEL_COS = 1.0 - 1e-12
 
 
@@ -94,26 +97,18 @@ def cone_ge(v, w, test_cone: PolyhedralCone, tol: float = 1e-9) -> bool:
     return bool(np.min(test_cone.generators @ (a - b)) >= -tol)
 
 
-def _prune_redundant(rays: np.ndarray, dim: int) -> np.ndarray:
-    """Greedily drop rays that are nonnegative combinations of the others."""
-    rays = _dedupe_rays(rays)
-    keep = list(range(rays.shape[0]))
-    i = 0
-    while i < len(keep):
-        others = [k for k in keep if k != keep[i]]
-        if others:
-            sub = PolyhedralCone(dim, rays[others])
-            if member_of(sub, rays[keep[i]], tol=1e-9):
-                keep.pop(i)
-                continue
-        i += 1
-    return rays[keep]
-
-
 def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
     """Generators of ``{y : y . g >= 0 for every generator g}`` via double description.
 
-    Output rays are normalized to unit Euclidean length.  For pointed
+    Starts from all of R^d (a basis of lines, no rays) and intersects one
+    halfspace per generator.  A cut that meets the lineality space turns
+    its best line into a ray and projects the other lines and rays onto
+    the cut's hyperplane.  Any other cut keeps the rays on its
+    nonnegative side and combines a (+, -) ray pair only when the pair
+    is adjacent: no third ray is tight on every cut tight at both
+    (Fukuda & Prodon 1996).  Tight sets are tracked as booleans, so no
+    LP is solved.  Output rays are unit length, and each remaining line
+    ``l`` is returned as the pair ``l, -l``.  For pointed
     full-dimensional cones, applying this twice recovers the original
     generator set up to positive scaling and ordering.
     """
@@ -122,27 +117,42 @@ def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
             f"dual cone computation supports dim <= {MAX_DUAL_DIM}, got {cone.dim}"
         )
     d = cone.dim
-    # Start from all of R^d and cut with one halfspace per generator.
-    rays = np.vstack([np.eye(d), -np.eye(d)])
+    lines = np.eye(d)
+    rays = np.zeros((0, d))
+    tight = np.zeros((0, 0), dtype=bool)  # tight[i, j]: ray i is tight on cut j
     for normal in cone.generators:
-        scale = float(np.linalg.norm(normal))
-        products = rays @ (normal / scale)
-        plus = rays[products > _ZERO_NORM]
-        zero = rays[np.abs(products) <= _ZERO_NORM]
-        minus = rays[products < -_ZERO_NORM]
-        pieces = [plus, zero]
-        if plus.size and minus.size:
-            pp = products[products > _ZERO_NORM]
-            pm = products[products < -_ZERO_NORM]
-            # Combinations p,m with normal.(combo) = 0.
-            combos = pp[:, None, None] * minus[None, :, :] - pm[None, :, None] * plus[:, None, :]
-            pieces.append(combos.reshape(-1, d))
-        rays = np.vstack([p for p in pieces if p.size]) if any(p.size for p in pieces) else np.zeros((0, d))
-        if rays.size:
-            norms = np.linalg.norm(rays, axis=1)
-            rays = rays[norms > _ZERO_NORM] / norms[norms > _ZERO_NORM, None]
-        rays = _prune_redundant(rays, d)
-    return PolyhedralCone(d, rays)
+        cut = normal / np.linalg.norm(normal)
+        line_products = lines @ cut
+        if np.abs(line_products).max(initial=0.0) > _TIGHT:
+            pivot = int(np.argmax(np.abs(line_products)))
+            line = lines[pivot] / line_products[pivot]  # line . cut = 1
+            lines = np.delete(lines - np.outer(line_products, line), pivot, axis=0)
+            rays = np.vstack([rays - np.outer(rays @ cut, line), line])
+            # Lines are tight on every earlier cut; projected rays are now tight on this one.
+            tight = np.vstack([tight, np.ones((1, tight.shape[1]), dtype=bool)])
+            column = np.arange(rays.shape[0]) < rays.shape[0] - 1
+        else:
+            products = rays @ cut
+            plus = np.flatnonzero(products > _TIGHT)
+            minus = np.flatnonzero(products < -_TIGHT)
+            # An adjacent pair spans a 2-face, so at least d - lines - 2 cuts are tight at both.
+            shared = tight[plus].astype(float) @ tight[minus].T.astype(float)
+            pi, mi = np.nonzero(shared >= d - lines.shape[0] - 2)
+            common = tight[plus[pi]] & tight[minus[mi]]
+            # The pair is adjacent when no third ray is tight on every cut in ``common``.
+            covering = common.astype(float) @ tight.T.astype(float)
+            adjacent = (covering == shared[pi, mi, None]).sum(axis=1) == 2
+            pi, mi, common = pi[adjacent], mi[adjacent], common[adjacent]
+            p, m = plus[pi], minus[mi]
+            combos = products[p, None] * rays[m] - products[m, None] * rays[p]
+            keep = products >= -_TIGHT
+            rays = np.vstack([rays[keep], combos])
+            tight = np.vstack([tight[keep], common])
+            column = np.concatenate([np.abs(products[keep]) <= _TIGHT, np.ones(len(p), dtype=bool)])
+        lines /= np.linalg.norm(lines, axis=1, keepdims=True)
+        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+        tight = np.hstack([tight, column[:, None]])
+    return PolyhedralCone(d, np.vstack([rays, lines, -lines]))
 
 
 def cones_equal(a: PolyhedralCone, b: PolyhedralCone, tol: float = 1e-9) -> bool:

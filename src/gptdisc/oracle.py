@@ -2,9 +2,9 @@
 
 Nothing here shares code paths with the simplex engine's pivoting: the
 dual problem is solved by exhaustive vertex enumeration over constraint
-subsets, the primal is lower-bounded by sampling, and small LPs can be
-checked against exhaustive basic-solution enumeration.  These routines
-exist so every solver output is checkable without trusting the solver.
+subsets, and small LPs can be checked against exhaustive basic-solution
+enumeration.  These routines exist so every solver output is checkable
+without trusting the solver.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .discrimination import build_primal, measurement_from_primal, no_measurement_value
-from .errors import NumericalFailureError, InvalidInputError, UnsupportedSizeError
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
+from .errors import NumericalFailureError, UnsupportedSizeError
+from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem
 from .model import Ensemble
 
 #: Hard bounds keeping subset enumeration at desk scale.
@@ -81,35 +80,6 @@ def dual_vertex_enumeration(ensemble: Ensemble) -> OracleResult:
     k_arr = np.array(k)
     k_arr.setflags(write=False)
     return OracleResult(p_guess=best, k=k_arr, vertices_examined=int(vertices.shape[0]))
-
-
-def primal_random_search(ensemble: Ensemble, samples: int, seed: int = 0) -> float:
-    """Sampled lower bound on the guessing probability.
-
-    The first sample is always the trivial measurement (guess the most
-    likely state), so the bound is at least ``max_x q_x``.  Each further
-    sample draws random nonnegative generator coefficients and projects
-    them onto the measurement constraint ``sum_x e_x = u`` by solving the
-    feasibility LP that maximizes alignment with the draw; the projected
-    vertex is scored and the best value is returned.
-    """
-    if samples < 1:
-        raise InvalidInputError("at least one sample is required")
-    best = no_measurement_value(ensemble)
-    template = build_primal(ensemble)
-    rng = np.random.default_rng(seed)
-    n_vars = template.n_vars
-    for _ in range(samples - 1):
-        direction = rng.random(n_vars)
-        sol = solve_lp(LpProblem(-direction, template.eq_matrix, template.eq_rhs))
-        if sol.status != OPTIMAL:
-            continue
-        measurement = measurement_from_primal(ensemble, sol.x)
-        value = float(
-            np.sum(ensemble.priors * np.einsum("xd,xd->x", measurement.effects, ensemble.states))
-        )
-        best = max(best, value)
-    return best
 
 
 def brute_force_lp(problem: LpProblem, tol: float = 1e-9) -> tuple[str, float | None]:

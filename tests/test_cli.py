@@ -6,11 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from gptdisc import polygon_model
+from gptdisc import Ensemble, polygon_model
 from gptdisc.cli import main
 from gptdisc.errors import NumericalFailureError
 from gptdisc.oracle import OracleResult
-from gptdisc.serialize import dumps, model_to_dict
+from gptdisc.serialize import dumps, ensemble_to_dict, model_to_dict
 
 
 @pytest.fixture
@@ -107,10 +107,32 @@ def test_demo_oracle_disagreement_maps_to_exit_three(name, capsys, monkeypatch):
     assert "oracle disagreement" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", [["--seed", "1"], ["--format", "json"]])
-def test_removed_flags_are_rejected(square_files, flag, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["solve", "{ensemble}", "--seed", "1"], id="solve-seed"),
+        pytest.param(["solve", "{ensemble}", "--format", "json"], id="solve-format"),
+        pytest.param(["verify", "{ensemble}", "{ensemble}", "--oracle"], id="verify-oracle"),
+        pytest.param(["demo", "n3", "--oracle"], id="demo-oracle"),
+    ],
+)
+def test_removed_flags_are_rejected(square_files, argv, capsys):
     _, ensemble_path = square_files
-    assert main(["solve", str(ensemble_path), *flag]) == 1
+    assert main([arg.format(ensemble=ensemble_path) for arg in argv]) == 1
+    assert "No such option" in capsys.readouterr().err
+
+
+def test_solve_oracle_past_its_size_bound_is_skipped(tmp_path, capsys):
+    # 5 states on the order-13 polygon give 65 oracle constraints, over the bound of 60.
+    model = polygon_model(13)
+    ensemble = Ensemble(model=model, states=model.state_gens[:5], priors=np.full(5, 0.2))
+    ensemble_path = tmp_path / "e13.json"
+    ensemble_path.write_text(dumps(ensemble_to_dict(ensemble)))
+    solution_path = tmp_path / "solution.json"
+    assert main(["solve", str(ensemble_path), "--oracle", "--out", str(solution_path)]) == 0
+    assert "warning: oracle skipped: 65 constraints exceed" in capsys.readouterr().err
+    assert "oracle" not in json.loads(solution_path.read_text())
+    assert main(["verify", str(ensemble_path), str(solution_path)]) == 0
 
 
 def test_polygon_command_emits_model(tmp_path):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,7 +104,57 @@ def test_order_relation_fails_below_mixture_threshold():
     assert not cone_ge(v, w, model.effect_cone)
 
 
-@pytest.mark.parametrize("order", range(3, 13))
+def test_dual_of_rank_deficient_cone_contains_a_line():
+    # cone(e1, e1 + e2) spans a plane; its dual is {y1 >= 0, y1 + y2 >= 0} + lin(e3).
+    dual = dual_cone(PolyhedralCone(3, [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
+    expected = PolyhedralCone(3, [[1.0, -1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    assert same_generator_set(dual, expected, 1e-12)
+
+
+def test_dual_of_cone_with_a_line_is_rank_deficient():
+    # cone(e1, -e1, e2 + e3, e3) is a wedge around the e1 line; its dual is cone(e2, e3 - e2) in y1 = 0.
+    cone = PolyhedralCone(3, [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+    expected = PolyhedralCone(3, [[0.0, 1.0, 0.0], [0.0, -1.0, 1.0]])
+    assert same_generator_set(dual_cone(cone), expected, 1e-12)
+
+
+def _facet_normals(generators: np.ndarray) -> PolyhedralCone:
+    """Extreme rays of the dual of a pointed full-dimensional cone, by brute force.
+
+    Every (d-1)-subset of generators of full rank spans a hyperplane; its
+    normal, with either sign, is a facet normal when no generator lies
+    strictly on its negative side.
+    """
+    d = generators.shape[1]
+    normals = []
+    for subset in combinations(range(generators.shape[0]), d - 1):
+        rows = generators[list(subset)]
+        if np.linalg.matrix_rank(rows) < d - 1:
+            continue
+        normal = np.linalg.svd(rows)[2][-1]
+        normals.extend(n for n in (normal, -normal) if np.all(generators @ n >= -1e-9))
+    return PolyhedralCone(d, np.array(normals))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_dual_matches_facet_enumeration_of_random_5d_cones(seed):
+    generators = np.random.default_rng(seed).normal(size=(10, 5))
+    generators[:, -1] = np.abs(generators[:, -1]) + 0.5
+    cone = PolyhedralCone(5, generators)
+    assert same_generator_set(dual_cone(cone), _facet_normals(generators), 1e-7)
+
+
+def test_dual_cone_solves_no_lp(monkeypatch):
+    model = polygon_model(24)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dual_cone called the LP solver")
+
+    monkeypatch.setattr("gptdisc.cone.feasibility_gap", forbidden)
+    assert same_generator_set(dual_cone(model.state_cone), model.effect_cone, 1e-9)
+
+
+@pytest.mark.parametrize("order", range(3, 33))
 def test_involution_polygon_cones(order):
     model = polygon_model(order)
     for cone in (model.state_cone, model.effect_cone):

@@ -52,7 +52,7 @@ def test_evaluate_bilinear(e1, e2, a, b):
     assert combined == pytest.approx(a * evaluate(e1, w) + b * evaluate(e2, w), abs=1e-9)
 
 
-@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("order", range(3, 33))
 def test_polygon_models_validate_with_unrestricted_effects(order):
     report = validate_model(polygon_model(order))
     assert report.valid

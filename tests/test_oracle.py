@@ -5,12 +5,9 @@ from numpy.testing import assert_allclose
 from gptdisc import (
     Ensemble,
     GptModel,
-    InvalidInputError,
     UnsupportedSizeError,
     dual_vertex_enumeration,
-    no_measurement_value,
     polygon_model,
-    primal_random_search,
     solve_discrimination,
 )
 from gptdisc.polygon import uniform_vertex_ensemble
@@ -73,41 +70,3 @@ def test_enumeration_deterministic():
     second = dual_vertex_enumeration(ensemble)
     assert first.p_guess == second.p_guess
     assert np.array_equal(first.k, second.k)
-
-
-def test_random_search_single_sample_is_trivial_measurement():
-    ensemble = uniform_vertex_ensemble(4)
-    assert primal_random_search(ensemble, 1, seed=3) == pytest.approx(
-        no_measurement_value(ensemble)
-    )
-
-
-def test_random_search_requires_a_sample():
-    with pytest.raises(InvalidInputError):
-        primal_random_search(uniform_vertex_ensemble(4), 0)
-
-
-def test_random_search_converges_toward_square_optimum():
-    value = primal_random_search(uniform_vertex_ensemble(4), 10_000, seed=0)
-    assert 0.49 <= value <= 0.5 + 1e-9
-
-
-def test_random_search_never_exceeds_optimum():
-    rng = np.random.default_rng(77)
-    for _ in range(5):
-        ensemble = random_polygon_ensemble(rng)
-        oracle = dual_vertex_enumeration(ensemble)
-        value = primal_random_search(ensemble, 50, seed=int(rng.integers(0, 1000)))
-        assert value <= oracle.p_guess + 1e-8
-
-
-def test_random_search_triangle_upper_bound():
-    value = primal_random_search(uniform_vertex_ensemble(3), 500, seed=0)
-    assert value <= 1.0 + 1e-9
-
-
-def test_random_search_deterministic_per_seed():
-    ensemble = uniform_vertex_ensemble(5)
-    a = primal_random_search(ensemble, 40, seed=9)
-    b = primal_random_search(ensemble, 40, seed=9)
-    assert a == b
