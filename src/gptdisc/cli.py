@@ -256,7 +256,7 @@ def cmd_verify(ensemble_file, solution_file, tolerance, out):
         failures.append(f"congruence residual {congruence.max_residual:g} exceeds tolerance")
     if failures:
         raise VerificationFailedError("; ".join(failures))
-    click.echo("verification passed")
+    _write_out(out, "verification passed\n")
 
 
 @cli.command("export-vertices")

@@ -1,15 +1,18 @@
 """Polyhedral cone utilities: membership, dual cones, and the effect order.
 
-Cones are kept in generator (V-) representation.  Membership and cone
-equality are decided by LP feasibility solves, so no facet enumeration
-is ever required.  Dual cones come from exact double description: ray
-adjacency is decided from the sets of cuts each ray is tight on, by set
-arithmetic alone, so computing a dual solves no LP.
+Cones are kept in generator (V-) representation.  Dual cones come from
+exact double description: ray adjacency is decided from the sets of cuts
+each ray is tight on, by set arithmetic alone, so computing a dual
+solves no LP.  The facets of a cone are the generators of its dual,
+computed once per cone object; membership and cone equality are decided
+against them.  Above ``MAX_DUAL_DIM`` no facets are computed and
+membership falls back to one LP feasibility solve per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,21 +29,12 @@ _PARALLEL_COS = 1.0 - 1e-12
 
 
 def _dedupe_rays(rays: np.ndarray) -> np.ndarray:
-    """Drop zero rays and rays that duplicate an earlier one up to positive scale."""
-    kept: list[np.ndarray] = []
-    units: list[np.ndarray] = []
-    for ray in rays:
-        norm = float(np.linalg.norm(ray))
-        if norm <= _ZERO_NORM:
-            continue
-        unit = ray / norm
-        if any(float(unit @ seen) >= _PARALLEL_COS for seen in units):
-            continue
-        kept.append(ray)
-        units.append(unit)
-    if not kept:
-        return np.zeros((0, rays.shape[1]))
-    return np.array(kept)
+    """Drop zero rays and rays parallel to an earlier nonzero ray (equal up to positive scale)."""
+    norms = np.linalg.norm(rays, axis=1)
+    nonzero = norms > _ZERO_NORM
+    units = rays[nonzero] / norms[nonzero, None]
+    parallel = np.triu(units @ units.T >= _PARALLEL_COS, k=1)  # parallel[i, j]: i < j and j repeats i
+    return rays[nonzero][~parallel.any(axis=0)]
 
 
 @dataclass(frozen=True)
@@ -70,20 +64,25 @@ class PolyhedralCone:
     def n_generators(self) -> int:
         return self.generators.shape[0]
 
+    @cached_property
+    def facets(self) -> np.ndarray:
+        """Unit inner normals of the cone: the generators of its dual, each line as ``l, -l``."""
+        return dual_cone(self).generators
+
 
 def member_of(cone: PolyhedralCone, v, tol: float = 1e-9) -> bool:
     """True iff ``v`` is a nonnegative combination of the cone generators within ``tol``.
 
-    Decided by an LP feasibility solve (smallest L1 residual), so it does
-    not require facets of the cone.
+    Up to ``MAX_DUAL_DIM`` this is ``f . v >= -tol`` for every unit facet
+    normal ``f``, so no LP is solved.  Above it, an LP feasibility solve
+    (smallest L1 residual) decides.
     """
     vec = np.asarray(v, dtype=float)
     if vec.shape != (cone.dim,):
         raise InvalidInputError(f"vector has shape {vec.shape}, expected ({cone.dim},)")
-    if cone.n_generators == 0:
-        return float(np.abs(vec).sum()) <= tol
-    gap = feasibility_gap(cone.generators.T, vec, tol=min(tol, 1e-9))
-    return gap <= tol
+    if cone.dim > MAX_DUAL_DIM:
+        return feasibility_gap(cone.generators.T, vec, tol=min(tol, 1e-9)) <= tol
+    return bool((cone.facets @ vec).min(initial=0.0) >= -tol)
 
 
 def cone_ge(v, w, test_cone: PolyhedralCone, tol: float = 1e-9) -> bool:

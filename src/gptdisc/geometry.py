@@ -15,7 +15,6 @@ norm-independent because the difference vectors are anti-parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -69,33 +68,26 @@ def congruence_check(solution: DiscriminationSolution, tol: float = DEFAULT_TOL)
 def ratio_r(solution: DiscriminationSolution, tol: float = DEFAULT_TOL) -> float:
     """Edge-length ratio of the two polytopes for a uniform-prior solution.
 
-    Verified identical across all admissible vertex pairs and
-    cross-checked against ``p_guess - 1/N``; disagreement means the
-    supplied solution is not optimal.
+    Read from :func:`congruence_check` (for uniform priors
+    ``q_x w_x - q_y w_y = (w_x - w_y) / N``), required identical across all
+    admissible vertex pairs and cross-checked against ``p_guess - 1/N``;
+    disagreement means the supplied solution is not optimal.
     """
     ens = solution.ensemble
     n = ens.n_states
     if float(np.max(np.abs(ens.priors - 1.0 / n))) > tol:
         raise PreconditionError("ratio is defined for uniform priors only")
-    active = [i for i in range(n) if not solution.complementary[i].degenerate]
-    ratios = []
-    for x, y in combinations(active, 2):
-        d_edge = float(np.linalg.norm(solution.complementary[x].d - solution.complementary[y].d))
-        if d_edge <= tol:
-            continue
-        state_edge = float(np.linalg.norm(ens.states[x] - ens.states[y])) / n
-        ratios.append(state_edge / d_edge)
-    if not ratios:
+    report = congruence_check(solution, tol)
+    if report.ratio is None:
         raise UndefinedRatioError("all complementary vertex pairs are degenerate or coincident")
-    spread = max(ratios) - min(ratios)
+    spread = report.ratio_spread
     if spread > tol:
         raise InvalidInputError(f"per-pair ratios disagree (spread {spread:g}); solution is not optimal")
-    value = float(np.mean(ratios))
-    if abs(value - (solution.p_guess - 1.0 / n)) > tol:
+    if abs(report.ratio - (solution.p_guess - 1.0 / n)) > tol:
         raise InvalidInputError(
-            f"ratio {value:g} does not match p_guess - 1/N = {solution.p_guess - 1.0 / n:g}"
+            f"ratio {report.ratio:g} does not match p_guess - 1/N = {solution.p_guess - 1.0 / n:g}"
         )
-    return value
+    return report.ratio
 
 
 def symmetric_axis_k(ensemble: Ensemble, axis, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cone import MAX_DUAL_DIM, PolyhedralCone, cones_equal, dual_cone, member_of
+from .cone import MAX_DUAL_DIM, PolyhedralCone, cones_equal, member_of
 from .errors import InvalidInputError
 from .lp import feasibility_gap
 
@@ -195,7 +195,7 @@ def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationRepor
             f"state cone is not full-dimensional (rank {rank} < {model.dim})"
         )
     if model.dim <= MAX_DUAL_DIM:
-        full_dual = dual_cone(model.state_cone)
+        full_dual = PolyhedralCone(model.dim, model.state_cone.facets)
         report.unrestricted_effects = cones_equal(model.effect_cone, full_dual, tol)
         if report.unrestricted_effects is False:
             report.warnings.append(

@@ -187,6 +187,18 @@ def test_verify_round_trip(square_files, tmp_path, capsys):
     assert main(["verify", str(ensemble_path), str(solution_path)]) == 0
 
 
+def test_verify_writes_its_verdict_to_out(square_files, tmp_path, capsys):
+    _, ensemble_path = square_files
+    solution_path = tmp_path / "solution.json"
+    assert main(["solve", str(ensemble_path), "--out", str(solution_path)]) == 0
+    verdict_path = tmp_path / "verdict.txt"
+    assert main(["verify", str(ensemble_path), str(solution_path), "--out", str(verdict_path)]) == 0
+    assert verdict_path.read_text() == "verification passed\n"
+    assert capsys.readouterr().out == ""
+    assert main(["verify", str(ensemble_path), str(solution_path)]) == 0
+    assert capsys.readouterr().out == "verification passed\n"
+
+
 def test_verify_tampered_k_exit_four(square_files, tmp_path, capsys):
     _, ensemble_path = square_files
     solution_path = tmp_path / "solution.json"

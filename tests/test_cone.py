@@ -17,6 +17,7 @@ from gptdisc import (
     polygon_model,
     same_generator_set,
 )
+from gptdisc.lp import feasibility_gap
 from gptdisc.polygon import no_measurement_ensemble
 
 
@@ -45,6 +46,26 @@ def test_membership_dimension_mismatch():
 def test_generators_deduplicated_up_to_positive_scale():
     cone = PolyhedralCone(2, [[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     assert cone.n_generators == 2
+
+
+def _dedupe_reference(rays: np.ndarray) -> np.ndarray:
+    """Loop form of the deduplication: keep a nonzero ray unless an earlier kept ray is parallel."""
+    kept, units = [], []
+    for ray in rays:
+        norm = float(np.linalg.norm(ray))
+        if norm > 1e-12 and not any(float(ray / norm @ u) >= 1.0 - 1e-12 for u in units):
+            kept.append(ray)
+            units.append(ray / norm)
+    return np.array(kept).reshape(len(kept), rays.shape[1])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_generator_deduplication_matches_loop_reference(seed):
+    rng = np.random.default_rng(seed)
+    rays = rng.normal(size=(12, 4))
+    rays = np.vstack([rays, rays[:6] * rng.uniform(0.1, 10.0, size=(6, 1)), np.zeros((2, 4)), -rays[:3]])
+    rays = rays[rng.permutation(len(rays))]
+    assert np.array_equal(PolyhedralCone(4, rays).generators, _dedupe_reference(rays))
 
 
 def test_orthant_self_dual():
@@ -152,6 +173,47 @@ def test_dual_cone_solves_no_lp(monkeypatch):
 
     monkeypatch.setattr("gptdisc.cone.feasibility_gap", forbidden)
     assert same_generator_set(dual_cone(model.state_cone), model.effect_cone, 1e-9)
+
+
+def _rank_deficient_or_line_cone(seed: int) -> PolyhedralCone:
+    """A seeded cone in dim 5 or 6 that is not full-dimensional, contains a line, or both."""
+    rng = np.random.default_rng(seed)
+    d, k = 5 + seed % 2, 6 + seed % 5
+    if seed % 3 == 0:
+        basis = rng.normal(size=(d - 1, d))
+        return PolyhedralCone(d, rng.normal(size=(k, d - 1)) @ basis)
+    if seed % 3 == 1:
+        generators = rng.normal(size=(k, d))
+    else:
+        basis = rng.normal(size=(d - 2, d))
+        generators = rng.normal(size=(k, d - 2)) @ basis
+    return PolyhedralCone(d, np.vstack([generators, -generators[0]]))
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_involution_of_rank_deficient_and_line_cones(seed):
+    cone = _rank_deficient_or_line_cone(seed)
+    assert cones_equal(dual_cone(dual_cone(cone)), cone, 1e-7)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_membership_matches_lp_reference(seed):
+    rng = np.random.default_rng(seed)
+    d = 3 + seed % 4
+    generators = rng.normal(size=(d + 2 + seed % 5, d))
+    generators[:, -1] = np.abs(generators[:, -1]) + 0.5
+    cone = PolyhedralCone(d, generators)
+    k = cone.n_generators
+    sparse = rng.random((20, k)) * (rng.random((20, k)) < 2.0 / k)
+    points = np.vstack([rng.normal(size=(40, d)), rng.random((20, k)) @ cone.generators, sparse @ cone.generators])
+    compared = 0
+    for v in points:
+        gap = feasibility_gap(cone.generators.T, v, tol=1e-9)
+        if 1e-12 < gap < 1e-6:
+            continue  # too close to the boundary for two tolerance conventions to agree
+        assert member_of(cone, v) == (gap <= 1e-9), (v, gap)
+        compared += 1
+    assert compared >= 70
 
 
 @pytest.mark.parametrize("order", range(3, 33))

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from gptdisc import (
     Ensemble,
+    GptModel,
     InvalidInputError,
     Measurement,
     build_primal,
@@ -14,10 +15,12 @@ from gptdisc import (
     solve_discrimination,
     solve_lp,
     symmetric_axis_k,
+    validate_ensemble,
+    validate_model,
     verify_kkt,
 )
 from gptdisc.discrimination import measurement_from_primal
-from gptdisc.lp import OPTIMAL
+from gptdisc.lp import OPTIMAL, feasibility_gap
 from gptdisc.oracle import MAX_ORACLE_CONSTRAINTS, dual_vertex_enumeration
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
@@ -291,3 +294,60 @@ def test_solve_discrimination_makes_exactly_one_lp_solve(monkeypatch):
     sol = solve_discrimination(ensemble)
     assert calls == [ensemble.model.dim]
     assert sol.p_guess == pytest.approx(float(ensemble.model.unit_effect @ sol.symmetry_operator))
+
+
+def _certified_pipeline(ensemble):
+    model_report = validate_model(ensemble.model)
+    assert model_report.valid and model_report.unrestricted_effects is True
+    assert validate_ensemble(ensemble).valid
+    assert verify_kkt(ensemble, solve_discrimination(ensemble)).passes()
+
+
+def test_certified_pipeline_solves_two_lps(monkeypatch):
+    import gptdisc.discrimination as discrimination
+    import gptdisc.lp as lp
+
+    calls = []
+
+    def counting_solve_lp(*args, **kwargs):
+        calls.append(args[0].n_rows)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", counting_solve_lp)
+    monkeypatch.setattr(discrimination, "solve_lp", counting_solve_lp)
+    ensemble = uniform_vertex_ensemble(24)
+    _certified_pipeline(ensemble)
+    # The pointedness LP of validate_model (d + 1 rows) and the measurement LP (d rows).
+    assert calls == [ensemble.model.dim + 1, ensemble.model.dim]
+
+
+def test_certified_pipeline_decides_membership_without_lp(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cone membership called the LP solver")
+
+    monkeypatch.setattr("gptdisc.cone.feasibility_gap", forbidden)
+    _certified_pipeline(uniform_vertex_ensemble(24))
+
+
+def test_membership_above_dual_cone_bound_uses_lp(monkeypatch):
+    import gptdisc.cone as cone
+
+    calls = []
+
+    def counting_gap(*args, **kwargs):
+        calls.append(1)
+        return feasibility_gap(*args, **kwargs)
+
+    monkeypatch.setattr(cone, "feasibility_gap", counting_gap)
+    eye = np.eye(9)
+    model = GptModel(dim=9, state_gens=eye, effect_gens=eye, unit_effect=np.ones(9))
+    report = validate_model(model)
+    assert report.valid and report.unrestricted_effects is None
+    assert any("unrestricted-effects check skipped" in w for w in report.warnings)
+    ensemble = Ensemble(model=model, states=np.vstack([eye[:3], np.full(9, 1.0 / 9.0)]), priors=[0.3, 0.3, 0.2, 0.2])
+    assert validate_ensemble(ensemble).valid
+    sol = solve_discrimination(ensemble)
+    # Outcomes 0, 1, 2 guess their vertex; the other six guess the mixture: 0.8 + 6 * 0.2 / 9.
+    assert sol.p_guess == pytest.approx(14.0 / 15.0, abs=1e-9)
+    assert verify_kkt(ensemble, sol).passes()
+    assert calls
