@@ -20,9 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .cone import MAX_DUAL_DIM, PolyhedralCone, cones_equal, member_of
+from .cone import MAX_DUAL_DIM, PolyhedralCone, member_of
 from .errors import InvalidInputError
-from .lp import feasibility_gap
 
 DEFAULT_TOL = 1e-9
 
@@ -148,22 +147,15 @@ class ValidationReport:
         return not self.issues
 
 
-def _pointed(generators: np.ndarray, dim: int, tol: float) -> bool:
-    # Pointed iff no nonzero nonnegative combination of generators vanishes.
-    if generators.shape[0] == 0:
-        return True
-    a = np.vstack([generators.T, np.ones((1, generators.shape[0]))])
-    b = np.zeros(dim + 1)
-    b[-1] = 1.0
-    return feasibility_gap(a, b, tol=tol) > tol
-
-
 def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check every framework axiom of a model; all problems are reported, never raised.
 
-    Also reports whether the supplied effect cone equals the full dual of
-    the state cone (only possible at dual-cone desk dimensions; above
-    that the check is skipped with a warning).
+    Pointedness needs no test of its own: with ``u[w] = 1`` on every state
+    generator, ``u`` is strictly positive on the cone, so a cone that is
+    not pointed always fails normalization.  Also reports whether the
+    effect cone equals the full dual of the state cone: every pairing is
+    nonnegative and every state-cone facet lies in the effect cone (up to
+    ``MAX_DUAL_DIM``; above it the check is skipped with a warning).
     """
     report = ValidationReport()
     u = model.unit_effect
@@ -171,32 +163,31 @@ def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationRepor
         residual = abs(float(u @ w) - 1.0)
         if residual > tol:
             report.issues.append(f"u[w]=1 violated for state generator {i}, residual {residual:g}")
-    for j, g in enumerate(model.effect_gens):
-        values = model.state_gens @ g
-        low = int(np.argmin(values)) if values.size else 0
-        high = int(np.argmax(values)) if values.size else 0
-        if values.size and values[low] < -tol:
+    pairings = model.state_gens @ model.effect_gens.T  # pairings[i, j] = e_j . w_i
+    for j, values in enumerate(pairings.T):
+        if not values.size:
+            break
+        low = int(np.argmin(values))
+        high = int(np.argmax(values))
+        if values[low] < -tol:
             report.issues.append(
                 f"effect generator {j} negative on state generator {low}, value {values[low]:g}"
             )
-        if values.size and values[high] > 1.0 + tol:
+        if values[high] > 1.0 + tol:
             report.issues.append(
                 f"effect generator {j} exceeds 1 on state generator {high}, value {values[high]:g}"
             )
     if not member_of(model.effect_cone, u, tol):
         report.issues.append("unit effect is not in the cone of the effect generators")
-    if not _pointed(model.state_gens, model.dim, tol):
-        report.issues.append(
-            "state cone is not pointed (a nonzero nonnegative combination of generators vanishes)"
-        )
     rank = int(np.linalg.matrix_rank(model.state_gens)) if model.state_gens.size else 0
     if rank < model.dim:
         report.warnings.append(
             f"state cone is not full-dimensional (rank {rank} < {model.dim})"
         )
     if model.dim <= MAX_DUAL_DIM:
-        full_dual = PolyhedralCone(model.dim, model.state_cone.facets)
-        report.unrestricted_effects = cones_equal(model.effect_cone, full_dual, tol)
+        report.unrestricted_effects = bool(pairings.min(initial=0.0) >= -tol) and all(
+            member_of(model.effect_cone, f, tol) for f in model.state_cone.facets
+        )
         if report.unrestricted_effects is False:
             report.warnings.append(
                 "effect cone differs from the full dual of the state cone (restricted effects)"

@@ -218,6 +218,8 @@ def solution_from_dict(data, ensemble: Ensemble) -> DiscriminationSolution:
         raise InvalidInputError(f"malformed solution file: {exc}") from exc
     if k.shape != (ensemble.model.dim,):
         raise InvalidInputError("solution K does not match the model dimension")
+    if any(pair.d is not None and pair.d.shape != k.shape for pair in pairs):
+        raise InvalidInputError("malformed solution file: a complementary state does not match the model dimension")
     primal_value = float(
         np.sum(ensemble.priors * np.einsum("xd,xd->x", measurement.effects, ensemble.states))
     )

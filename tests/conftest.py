@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gptdisc import Ensemble, polygon_model
+from gptdisc import Ensemble, GptModel, PolyhedralCone, dual_cone, polygon_model
 
 
 def random_polygon_ensemble(rng: np.random.Generator) -> Ensemble:
@@ -14,6 +14,14 @@ def random_polygon_ensemble(rng: np.random.Generator) -> Ensemble:
     priors = rng.random(n_states)
     priors /= priors.sum()
     return Ensemble(model=model, states=weights @ model.state_gens, priors=priors)
+
+
+def random_polytope_model(rng: np.random.Generator, d: int, k: int) -> GptModel:
+    """Model whose states are k Gaussian points of the plane u = e_d and whose effects span the full dual."""
+    states = np.hstack([rng.normal(size=(k, d - 1)), np.ones((k, 1))])
+    effects = dual_cone(PolyhedralCone(d, states)).generators
+    effects = effects / (states @ effects.T).max(axis=0)[:, None]
+    return GptModel(dim=d, state_gens=states, effect_gens=effects, unit_effect=np.eye(d)[-1])
 
 
 @pytest.fixture

@@ -211,6 +211,24 @@ def test_verify_tampered_k_exit_four(square_files, tmp_path, capsys):
     assert "0.1" in capsys.readouterr().err
 
 
+def test_verify_rejects_complementary_state_of_wrong_length(square_files, tmp_path):
+    _, ensemble_path = square_files
+    solution_path = tmp_path / "solution.json"
+    assert main(["solve", str(ensemble_path), "--out", str(solution_path)]) == 0
+    data = json.loads(solution_path.read_text())
+    data["complementary"][0]["d"] = [0.5, 1.0]
+    malformed_path = tmp_path / "malformed.json"
+    malformed_path.write_text(json.dumps(data))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gptdisc", "verify", str(ensemble_path), str(malformed_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_accepts_two_outcome_alternative(square_files, tmp_path, capsys):
     _, ensemble_path = square_files
     solution_path = tmp_path / "solution.json"

@@ -24,7 +24,7 @@ from gptdisc.lp import OPTIMAL, feasibility_gap
 from gptdisc.oracle import MAX_ORACLE_CONSTRAINTS, dual_vertex_enumeration
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
-from conftest import random_polygon_ensemble
+from conftest import random_polygon_ensemble, random_polytope_model
 
 
 def single_state_ensemble():
@@ -303,7 +303,7 @@ def _certified_pipeline(ensemble):
     assert verify_kkt(ensemble, solve_discrimination(ensemble)).passes()
 
 
-def test_certified_pipeline_solves_two_lps(monkeypatch):
+def test_certified_pipeline_solves_one_lp(monkeypatch):
     import gptdisc.discrimination as discrimination
     import gptdisc.lp as lp
 
@@ -317,8 +317,8 @@ def test_certified_pipeline_solves_two_lps(monkeypatch):
     monkeypatch.setattr(discrimination, "solve_lp", counting_solve_lp)
     ensemble = uniform_vertex_ensemble(24)
     _certified_pipeline(ensemble)
-    # The pointedness LP of validate_model (d + 1 rows) and the measurement LP (d rows).
-    assert calls == [ensemble.model.dim + 1, ensemble.model.dim]
+    # Validation and membership read cached facets; the measurement LP (d rows) is the only solve.
+    assert calls == [ensemble.model.dim]
 
 
 def test_certified_pipeline_decides_membership_without_lp(monkeypatch):
@@ -327,6 +327,15 @@ def test_certified_pipeline_decides_membership_without_lp(monkeypatch):
 
     monkeypatch.setattr("gptdisc.cone.feasibility_gap", forbidden)
     _certified_pipeline(uniform_vertex_ensemble(24))
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_random_polytope_model_validates_and_solves(seed):
+    # Dimensions 3..6; the pointedness LP that validation used to solve failed on seeds 67, 214 and 282.
+    d = 3 + seed % 4
+    model = random_polytope_model(np.random.default_rng(seed), d, d + 2 + seed % 7)
+    k = model.state_gens.shape[0]
+    _certified_pipeline(Ensemble(model=model, states=model.state_gens, priors=np.full(k, 1.0 / k)))
 
 
 def test_membership_above_dual_cone_bound_uses_lp(monkeypatch):

@@ -9,6 +9,8 @@ from gptdisc import (
     GptModel,
     InvalidInputError,
     Measurement,
+    PolyhedralCone,
+    cones_equal,
     evaluate,
     polygon_model,
     validate_ensemble,
@@ -147,3 +149,68 @@ def test_nonfinite_coordinates_rejected():
             effect_gens=np.array([[1.0, 0.0]]),
             unit_effect=np.array([0.0, 1.0]),
         )
+
+
+def test_validate_model_solves_no_lp_and_two_duals(monkeypatch):
+    import gptdisc.cone as cone
+    import gptdisc.lp as lp
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("model validation called the LP solver")
+
+    calls = []
+    real_dual_cone = cone.dual_cone
+
+    def counting_dual_cone(c):
+        calls.append(c.n_generators)
+        return real_dual_cone(c)
+
+    monkeypatch.setattr(lp, "solve_lp", forbidden)
+    monkeypatch.setattr(cone, "dual_cone", counting_dual_cone)
+    for order in range(3, 33):
+        calls.clear()
+        assert validate_model(polygon_model(order)).valid
+        # One double description per cone: the effect cone's facets and the state cone's.
+        assert len(calls) == 2
+
+
+def _unrestricted_check_models():
+    for order in range(3, 33):
+        model = polygon_model(order)
+        yield model
+        yield GptModel(
+            dim=3,
+            state_gens=model.state_gens,
+            effect_gens=np.vstack([model.effect_gens[1:], model.unit_effect]),
+            unit_effect=model.unit_effect,
+        )
+        scaled_effects = model.effect_gens.copy()
+        scaled_effects[0] *= 3.0
+        yield GptModel(dim=3, state_gens=model.state_gens, effect_gens=scaled_effects, unit_effect=model.unit_effect)
+        scaled_states = model.state_gens.copy()
+        scaled_states[0] *= 2.0
+        yield GptModel(dim=3, state_gens=scaled_states, effect_gens=model.effect_gens, unit_effect=model.unit_effect)
+
+
+def test_unrestricted_effects_matches_cone_equality_with_full_dual():
+    restricted = 0
+    for model in _unrestricted_check_models():
+        full_dual = PolyhedralCone(model.dim, model.state_cone.facets)
+        expected = cones_equal(model.effect_cone, full_dual)
+        assert validate_model(model).unrestricted_effects is expected
+        restricted += not expected
+    assert restricted == 30
+
+
+def test_state_cone_containing_a_line_is_invalid_through_normalization():
+    model = polygon_model(4)
+    w = model.state_gens[0]
+    lined = GptModel(
+        dim=3,
+        state_gens=np.vstack([model.state_gens, -w]),
+        effect_gens=model.effect_gens,
+        unit_effect=model.unit_effect,
+    )
+    report = validate_model(lined)
+    assert not report.valid
+    assert any(issue.startswith("u[w]=1 violated for state generator 4, residual 2") for issue in report.issues)
