@@ -8,7 +8,7 @@ exposes the congruent-polytope geometry of optimal solutions, and ships
 the regular-polygon model family with its worked examples.
 """
 
-from .cone import PolyhedralCone, cone_ge, cones_equal, dual_cone, member_of, same_generator_set
+from .cone import PolyhedralCone, cone_ge, cones_equal, dual_cone, member_of
 from .discrimination import (
     ComplementaryPair,
     DiscriminationSolution,
@@ -62,7 +62,6 @@ __all__ = [
     "cones_equal",
     "dual_cone",
     "member_of",
-    "same_generator_set",
     "ComplementaryPair",
     "DiscriminationSolution",
     "KktReport",

@@ -33,9 +33,10 @@ from .model import validate_ensemble, validate_model
 from .oracle import dual_vertex_enumeration
 from .serialize import (
     dumps,
-    ensemble_from_dict,
     format_real,
+    kkt_to_dict,
     load_ensemble,
+    load_json,
     load_model,
     model_to_dict,
     solution_from_dict,
@@ -77,27 +78,8 @@ def _write_out(out: str, text: str) -> None:
         Path(out).write_text(text)
 
 
-def _read_json_source(source: str):
-    import json
-
-    if source == "-":
-        text = sys.stdin.read()
-        try:
-            return json.loads(text), None
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"standard input is not valid JSON: {exc}") from exc
-    return None, Path(source)
-
-
-def _load_ensemble_arg(source: str):
-    data, path = _read_json_source(source)
-    if path is not None:
-        return load_ensemble(path)
-    return ensemble_from_dict(data)
-
-
 def _validated_ensemble(source: str, tol: float):
-    ensemble = _load_ensemble_arg(source)
+    ensemble = load_ensemble(source)
     model_report = validate_model(ensemble.model, tol)
     if not model_report.valid:
         raise InvalidInputError("; ".join(model_report.issues))
@@ -200,8 +182,6 @@ def cmd_demo(name, tolerance, out):
 
 
 def _kkt_pass_dict(report, tol):
-    from .serialize import kkt_to_dict
-
     data = kkt_to_dict(report)
     data["passed"] = report.passes(tol)
     return data
@@ -235,12 +215,7 @@ def cmd_verify(ensemble_file, solution_file, tolerance, out):
     """Re-verify a solution certificate against its ensemble."""
     config = CliConfig(tolerance=tolerance)
     ensemble = _validated_ensemble(ensemble_file, config.tolerance)
-    data, path = _read_json_source(solution_file)
-    if path is not None:
-        from .serialize import _load_json
-
-        data = _load_json(path)
-    solution = solution_from_dict(data, ensemble)
+    solution = solution_from_dict(load_json(solution_file), ensemble)
     kkt = verify_kkt(ensemble, solution, tol=config.tolerance)
     congruence = congruence_check(solution, tol=config.tolerance)
     failures = []
@@ -254,6 +229,14 @@ def cmd_verify(ensemble_file, solution_file, tolerance, out):
         )
     if congruence.max_residual > config.tolerance:
         failures.append(f"congruence residual {congruence.max_residual:g} exceeds tolerance")
+    # The file's p_guess and weights r_x are untrusted: both must be read off u[K].
+    value = solution.dual_objective
+    if abs(solution.p_guess - value) > config.tolerance:
+        failures.append(f"p_guess {solution.p_guess!r} differs from u[K] = {value!r}")
+    weights = np.array([pair.r for pair in solution.complementary])
+    weight_error = np.max(np.abs(weights - (value - ensemble.priors)))
+    if weight_error > config.tolerance:
+        failures.append(f"complementary weights differ from u[K] - q_x by {weight_error:g}")
     if failures:
         raise VerificationFailedError("; ".join(failures))
     _write_out(out, "verification passed\n")
@@ -264,13 +247,7 @@ def cmd_verify(ensemble_file, solution_file, tolerance, out):
 @click.option("--out", default="-", show_default=True, help="Output file, '-' for stdout.")
 def cmd_export_vertices(model_file, out):
     """Write state and effect generators of a model file as CSV plot data."""
-    data, path = _read_json_source(model_file)
-    if path is not None:
-        model = load_model(path)
-    else:
-        from .serialize import model_from_dict
-
-        model = model_from_dict(data)
+    model = load_model(model_file)
     header = "kind,index," + ",".join(["x", "y", "z"] if model.dim == 3 else [f"c{i}" for i in range(model.dim)])
     lines = [header]
     for kind, rows in (("state", model.state_gens), ("effect", model.effect_gens)):

@@ -161,20 +161,3 @@ def cones_equal(a: PolyhedralCone, b: PolyhedralCone, tol: float = 1e-9) -> bool
     return all(member_of(b, g, tol) for g in a.generators) and all(
         member_of(a, g, tol) for g in b.generators
     )
-
-
-def same_generator_set(a: PolyhedralCone, b: PolyhedralCone, tol: float = 1e-9) -> bool:
-    """True iff the generator sets coincide up to positive scaling and order."""
-    if a.dim != b.dim or a.n_generators != b.n_generators:
-        return False
-    if a.n_generators == 0:
-        return True
-    ua = a.generators / np.linalg.norm(a.generators, axis=1, keepdims=True)
-    ub = b.generators / np.linalg.norm(b.generators, axis=1, keepdims=True)
-    unmatched = list(range(ub.shape[0]))
-    for ga in ua:
-        hit = next((k for k in unmatched if np.linalg.norm(ga - ub[k]) <= tol), None)
-        if hit is None:
-            return False
-        unmatched.remove(hit)
-    return True

@@ -1,15 +1,15 @@
 """Dense two-phase simplex solver with primal/dual optimality certificates.
 
 Problems are kept in standard form (minimize ``c . x`` subject to
-``A x = b``, ``x >= 0``); inequality rows can be absorbed through
-:meth:`LpProblem.with_inequalities`, which appends slack variables.
+``A x = b``, ``x >= 0``).
 
 The pivot rule is Bland's (lowest eligible index enters, ratio ties broken
 by lowest basis index), which guarantees termination in exact arithmetic
 and makes every solve deterministic.  Pivot magnitudes below
 ``PIVOT_FLOOR`` are never used; an entering column whose positive entries
-all sit below the floor is skipped.  Sizes are desk scale (tens of
-variables), so everything is dense numpy.
+all sit below the floor is skipped.  Everything is dense numpy: the
+measurement LP has few rows (the model dimension) but N * g columns,
+16,384 for the order-128 uniform polygon ensemble.
 """
 
 from __future__ import annotations
@@ -66,69 +66,18 @@ class LpProblem:
             )
 
     @property
-    def n_vars(self) -> int:
-        return self.eq_matrix.shape[1]
-
-    @property
     def n_rows(self) -> int:
         return self.eq_matrix.shape[0]
-
-    @classmethod
-    def with_inequalities(
-        cls,
-        objective,
-        eq_matrix=None,
-        eq_rhs=None,
-        ub_matrix=None,
-        ub_rhs=None,
-    ) -> "LpProblem":
-        """Build a standard-form problem from equality and ``<=`` rows.
-
-        One slack variable (zero objective coefficient) is appended per
-        inequality row.  ``>=`` rows must be negated by the caller.
-        """
-        c = np.atleast_1d(np.asarray(objective, dtype=float))
-        n = c.shape[0]
-        blocks = []
-        rhs_parts = []
-        if eq_matrix is not None:
-            a_eq = np.atleast_2d(np.asarray(eq_matrix, dtype=float))
-            blocks.append((a_eq, None))
-            rhs_parts.append(np.atleast_1d(np.asarray(eq_rhs, dtype=float)))
-        if ub_matrix is not None:
-            a_ub = np.atleast_2d(np.asarray(ub_matrix, dtype=float))
-            blocks.append((a_ub, "slack"))
-            rhs_parts.append(np.atleast_1d(np.asarray(ub_rhs, dtype=float)))
-        if not blocks:
-            raise InvalidInputError("at least one of eq_matrix/ub_matrix is required")
-        n_slack = sum(a.shape[0] for a, kind in blocks if kind == "slack")
-        rows = []
-        slack_offset = 0
-        for a, kind in blocks:
-            m_block = a.shape[0]
-            if a.shape[1] != n:
-                raise InvalidInputError("constraint block width does not match objective length")
-            block = np.zeros((m_block, n + n_slack))
-            block[:, :n] = a
-            if kind == "slack":
-                block[np.arange(m_block), n + slack_offset + np.arange(m_block)] = 1.0
-                slack_offset += m_block
-            rows.append(block)
-        full = np.vstack(rows)
-        rhs = np.concatenate(rhs_parts)
-        c_full = np.concatenate([c, np.zeros(n_slack)])
-        return cls(c_full, full, rhs)
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Solver output; ``x``/``y``/``reduced_costs`` are None unless optimal."""
+    """Solver output; ``x``/``y`` are None unless optimal."""
 
     status: str
     x: np.ndarray | None = None
     objective: float | None = None
     y: np.ndarray | None = None
-    reduced_costs: np.ndarray | None = None
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -139,20 +88,14 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run_phase(
-    tableau: np.ndarray,
-    basis: list[int],
-    enter_limit: int,
-    max_iter: int,
-) -> str:
+def _run_phase(tableau: np.ndarray, basis: list[int], enter_limit: int) -> str:
     """Run simplex iterations on ``tableau`` until optimal or unbounded.
 
     The last tableau row holds reduced costs, the last column the rhs.
     Only columns below ``enter_limit`` may enter the basis.
     """
     m = len(basis)
-    basis_arr = basis  # mutated in place by _pivot
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         reduced = tableau[-1, :enter_limit]
         entering = -1
         leaving = -1
@@ -167,7 +110,7 @@ def _run_phase(
             ratios[usable] = tableau[:m, -1][usable] / column[usable]
             best = ratios.min()
             ties = np.nonzero(ratios <= best + PIVOT_FLOOR * (1.0 + abs(best)))[0]
-            leaving = min(ties, key=lambda i: basis_arr[i])
+            leaving = min(ties, key=lambda i: basis[i])
             entering = int(j)
             break
         if entering < 0:
@@ -176,22 +119,21 @@ def _run_phase(
     raise NumericalFailureError("simplex iteration guard exceeded (possible cycling)")
 
 
-def solve_lp(problem: LpProblem, tol: float = 1e-9, max_iter: int = _MAX_ITER) -> LpSolution:
+def solve_lp(problem: LpProblem, tol: float = 1e-9) -> LpSolution:
     """Solve a standard-form LP, returning a certified solution.
 
     On ``optimal`` status the solution satisfies the certificate
     invariants checked by :func:`check_certificate`.  Infeasibility and
     unboundedness are reported through ``status``; only the iteration
-    guard raises.
+    guard (``_MAX_ITER`` pivots per phase) and a phase-1 "unbounded"
+    raise :class:`NumericalFailureError`.
     """
-    a_orig = problem.eq_matrix
-    b_orig = problem.eq_rhs
     c = problem.objective
-    m, n = a_orig.shape
+    m, n = problem.eq_matrix.shape
 
-    sign = np.where(b_orig < 0.0, -1.0, 1.0)
-    a = a_orig * sign[:, None]
-    b = b_orig * sign
+    sign = np.where(problem.eq_rhs < 0.0, -1.0, 1.0)
+    a = problem.eq_matrix * sign[:, None]
+    b = problem.eq_rhs * sign
 
     # Phase 1: artificial basis, minimize the sum of artificials.
     tableau = np.zeros((m + 1, n + m + 1))
@@ -202,7 +144,7 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, max_iter: int = _MAX_ITER) -
     tableau[-1, -1] = -b.sum()
     basis = list(range(n, n + m))
 
-    status = _run_phase(tableau, basis, enter_limit=n, max_iter=max_iter)
+    status = _run_phase(tableau, basis, enter_limit=n)
     if status == UNBOUNDED:
         raise NumericalFailureError("phase-1 problem reported unbounded")
     infeasibility = -tableau[-1, -1]
@@ -232,7 +174,7 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, max_iter: int = _MAX_ITER) -
     for i, bi in enumerate(basis2):
         phase2[-1] -= c[bi] * phase2[i]
 
-    status = _run_phase(phase2, basis2, enter_limit=n, max_iter=max_iter)
+    status = _run_phase(phase2, basis2, enter_limit=n)
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED)
 
@@ -246,18 +188,10 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, max_iter: int = _MAX_ITER) -
         y_kept = np.linalg.solve(basis_matrix.T, c[basis2])
         y[kept_rows] = y_kept
     y *= sign
-    reduced_costs = c - a_orig.T @ y
 
     x.setflags(write=False)
     y.setflags(write=False)
-    reduced_costs.setflags(write=False)
-    return LpSolution(
-        status=OPTIMAL,
-        x=x,
-        objective=float(c @ x),
-        y=y,
-        reduced_costs=reduced_costs,
-    )
+    return LpSolution(status=OPTIMAL, x=x, objective=float(c @ x), y=y)
 
 
 def check_certificate(problem: LpProblem, solution: LpSolution, tol: float = 1e-9) -> bool:
@@ -269,10 +203,6 @@ def check_certificate(problem: LpProblem, solution: LpSolution, tol: float = 1e-
     """
     if solution.status != OPTIMAL:
         return False
-    return _certificate_ok(problem, solution, tol)
-
-
-def _certificate_ok(problem: LpProblem, solution: LpSolution, tol: float) -> bool:
     x = solution.x
     y = solution.y
     if x is None or y is None:

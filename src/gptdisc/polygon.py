@@ -14,7 +14,7 @@ no-measurement demo puts five states on the order-4 polygon).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,19 +97,11 @@ def demo_n4() -> DemoN4Result:
         # f1 leaves {w0, w1} possible, f3 leaves {w2, w3}.
         ("f1-f3-randomized", Measurement(np.array([f[1] / 2, f[1] / 2, f[3] / 2, f[3] / 2]))),
     ]
-    alternates = []
-    for name, measurement in candidates:
-        variant = DiscriminationSolution(
-            ensemble=ensemble,
-            p_guess=solution.p_guess,
-            measurement=measurement,
-            symmetry_operator=solution.symmetry_operator,
-            complementary=solution.complementary,
-            primal_objective=solution.primal_objective,
-            dual_objective=solution.dual_objective,
-        )
-        alternates.append((name, measurement, verify_kkt(ensemble, variant)))
-    return DemoN4Result(solution=solution, alternates=tuple(alternates))
+    alternates = tuple(
+        (name, measurement, verify_kkt(ensemble, replace(solution, measurement=measurement)))
+        for name, measurement in candidates
+    )
+    return DemoN4Result(solution=solution, alternates=alternates)
 
 
 def no_measurement_ensemble(p: float) -> Ensemble:

@@ -3,12 +3,14 @@
 All reals are printed with 17 significant digits so that round-tripping
 through text reproduces the exact double.  Model files carry the cone
 generators and unit effect; ensemble files reference a model inline or
-by path (resolved relative to the ensemble file).
+by path (resolved relative to the ensemble file).  The loaders read
+standard input when the source is ``-``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -125,24 +127,29 @@ def ensemble_from_dict(data, base_dir: Path | None = None) -> Ensemble:
         raise InvalidInputError(f"malformed ensemble file: {exc}") from exc
 
 
-def _load_json(path: Path):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
+def load_json(source):
+    """Parsed JSON of the file ``source``, or of standard input when ``source`` is ``-``."""
+    if str(source) == "-":
+        text, name = sys.stdin.read(), "standard input"
+    else:
+        name = Path(source)
+        try:
+            text = name.read_text()
+        except OSError as exc:
+            raise InvalidInputError(f"cannot read {name}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
+        raise InvalidInputError(f"{name} is not valid JSON: {exc}") from exc
 
 
-def load_model(path) -> GptModel:
-    return model_from_dict(_load_json(Path(path)))
+def load_model(source) -> GptModel:
+    return model_from_dict(load_json(source))
 
 
-def load_ensemble(path) -> Ensemble:
-    path = Path(path)
-    return ensemble_from_dict(_load_json(path), base_dir=path.parent)
+def load_ensemble(source) -> Ensemble:
+    base_dir = None if str(source) == "-" else Path(source).parent
+    return ensemble_from_dict(load_json(source), base_dir=base_dir)
 
 
 def kkt_to_dict(report: KktReport) -> dict:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gptdisc import Ensemble, GptModel, PolyhedralCone, dual_cone, polygon_model
+from gptdisc import Ensemble, GptModel, LpProblem, PolyhedralCone, dual_cone, polygon_model
 
 
 def random_polygon_ensemble(rng: np.random.Generator) -> Ensemble:
@@ -22,6 +22,30 @@ def random_polytope_model(rng: np.random.Generator, d: int, k: int) -> GptModel:
     effects = dual_cone(PolyhedralCone(d, states)).generators
     effects = effects / (states @ effects.T).max(axis=0)[:, None]
     return GptModel(dim=d, state_gens=states, effect_gens=effects, unit_effect=np.eye(d)[-1])
+
+
+def slack_form(c, a_ub, b_ub) -> LpProblem:
+    """Standard form of ``min c.x s.t. a_ub x <= b_ub, x >= 0``: one zero-cost slack per row."""
+    a_ub = np.asarray(a_ub, dtype=float)
+    m = a_ub.shape[0]
+    return LpProblem(np.concatenate([c, np.zeros(m)]), np.hstack([a_ub, np.eye(m)]), b_ub)
+
+
+def same_generator_set(a: PolyhedralCone, b: PolyhedralCone, tol: float = 1e-9) -> bool:
+    """True iff the generator sets coincide up to positive scaling and order."""
+    if a.dim != b.dim or a.n_generators != b.n_generators:
+        return False
+    if a.n_generators == 0:
+        return True
+    ua = a.generators / np.linalg.norm(a.generators, axis=1, keepdims=True)
+    ub = b.generators / np.linalg.norm(b.generators, axis=1, keepdims=True)
+    unmatched = list(range(ub.shape[0]))
+    for ga in ua:
+        hit = next((k for k in unmatched if np.linalg.norm(ga - ub[k]) <= tol), None)
+        if hit is None:
+            return False
+        unmatched.remove(hit)
+    return True
 
 
 @pytest.fixture

@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 
 from gptdisc import (
     Ensemble,
-    LpProblem,
     check_certificate,
     congruence_check,
     demo_n3,
@@ -22,7 +21,6 @@ from gptdisc import (
     dual_vertex_enumeration,
     polygon_model,
     ratio_r,
-    same_generator_set,
     solve_discrimination,
     solve_lp,
     threshold_scan,
@@ -32,7 +30,7 @@ from gptdisc.lp import OPTIMAL
 from gptdisc.oracle import brute_force_lp
 from gptdisc.polygon import AXIS_FEASIBILITY_THRESHOLD, QUANTUM_ANALOGUE_THRESHOLD
 
-from conftest import random_polygon_ensemble
+from conftest import random_polygon_ensemble, same_generator_set, slack_form
 
 
 @contextmanager
@@ -155,7 +153,7 @@ def test_criterion_7_lp_engine_vs_enumeration():
             a = np.round(rng.uniform(-3, 3, size=(m, n)) * 2) / 2
             b = np.round(rng.uniform(-2, 4, size=m) * 2) / 2
             c = np.round(rng.uniform(-3, 3, size=n) * 2) / 2
-            problem = LpProblem.with_inequalities(c, ub_matrix=a, ub_rhs=b)
+            problem = slack_form(c, a, b)
             sol = solve_lp(problem)
             status, objective = brute_force_lp(problem)
             assert sol.status == status

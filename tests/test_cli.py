@@ -211,6 +211,38 @@ def test_verify_tampered_k_exit_four(square_files, tmp_path, capsys):
     assert "0.1" in capsys.readouterr().err
 
 
+def test_verify_tampered_p_guess_exit_four(square_files, tmp_path, capsys):
+    _, ensemble_path = square_files
+    solution_path = tmp_path / "solution.json"
+    assert main(["solve", str(ensemble_path), "--out", str(solution_path)]) == 0
+    data = json.loads(solution_path.read_text())
+    assert data["p_guess"] == pytest.approx(0.5, abs=1e-12)
+    data["p_guess"] = 0.9
+    tampered_path = tmp_path / "tampered.json"
+    tampered_path.write_text(json.dumps(data))
+    assert main(["verify", str(ensemble_path), str(tampered_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed: ")
+    assert "p_guess 0.9" in err
+
+
+def test_verify_rescaled_complementary_weights_exit_four(square_files, tmp_path, capsys):
+    # (2 r, d / 2) keeps every product r_x d_x, so only the weights themselves can expose it.
+    _, ensemble_path = square_files
+    solution_path = tmp_path / "solution.json"
+    assert main(["solve", str(ensemble_path), "--out", str(solution_path)]) == 0
+    data = json.loads(solution_path.read_text())
+    for pair in data["complementary"]:
+        pair["r"] *= 2.0
+        pair["d"] = [v / 2.0 for v in pair["d"]]
+    tampered_path = tmp_path / "tampered.json"
+    tampered_path.write_text(json.dumps(data))
+    assert main(["verify", str(ensemble_path), str(tampered_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed: ")
+    assert "complementary weights" in err
+
+
 def test_verify_rejects_complementary_state_of_wrong_length(square_files, tmp_path):
     _, ensemble_path = square_files
     solution_path = tmp_path / "solution.json"

@@ -15,10 +15,11 @@ from gptdisc import (
     dual_cone,
     member_of,
     polygon_model,
-    same_generator_set,
 )
 from gptdisc.lp import feasibility_gap
 from gptdisc.polygon import no_measurement_ensemble
+
+from conftest import same_generator_set
 
 
 def orthant(d=3):

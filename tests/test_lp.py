@@ -15,6 +15,8 @@ from gptdisc.discrimination import build_primal
 from gptdisc.oracle import brute_force_lp
 from gptdisc.polygon import uniform_vertex_ensemble
 
+from conftest import slack_form
+
 
 def test_simplex_equality_split():
     sol = solve_lp(LpProblem([1.0, 1.0], [[1.0, 1.0]], [1.0]))
@@ -23,8 +25,7 @@ def test_simplex_equality_split():
 
 
 def test_inequality_converter_adds_slack():
-    prob = LpProblem.with_inequalities([-1.0], ub_matrix=[[1.0]], ub_rhs=[2.0])
-    assert prob.n_vars == 2
+    prob = slack_form([-1.0], [[1.0]], [2.0])
     sol = solve_lp(prob)
     assert sol.status == OPTIMAL
     assert_allclose(sol.objective, -2.0, atol=1e-12)
@@ -53,7 +54,7 @@ def test_unbounded_reported_by_status():
 
 def test_negative_rhs_handled_by_phase_one():
     # -x1 <= -1 means x1 >= 1.
-    prob = LpProblem.with_inequalities([1.0], ub_matrix=[[-1.0]], ub_rhs=[-1.0])
+    prob = slack_form([1.0], [[-1.0]], [-1.0])
     sol = solve_lp(prob)
     assert sol.status == OPTIMAL
     assert_allclose(sol.objective, 1.0, atol=1e-12)
@@ -76,10 +77,10 @@ def test_certificate_accepts_solver_output():
     rng = np.random.default_rng(11)
     for _ in range(25):
         # Nonnegative objective keeps the problem bounded; rhs > 0 keeps x=0 feasible.
-        prob = LpProblem.with_inequalities(
+        prob = slack_form(
             rng.uniform(0, 2, 4),
-            ub_matrix=rng.uniform(-2, 2, (5, 4)),
-            ub_rhs=rng.uniform(0.5, 3, 5),
+            rng.uniform(-2, 2, (5, 4)),
+            rng.uniform(0.5, 3, 5),
         )
         sol = solve_lp(prob)
         assert sol.status == OPTIMAL
@@ -93,18 +94,16 @@ def test_certificate_rejects_perturbed_basic_coordinate():
     j = int(np.argmax(sol.x))
     x = sol.x.copy()
     x[j] += 1e-3
-    tampered = LpSolution(
-        status=sol.status, x=x, objective=sol.objective, y=sol.y, reduced_costs=sol.reduced_costs
-    )
+    tampered = LpSolution(status=sol.status, x=x, objective=sol.objective, y=sol.y)
     assert not check_certificate(prob, tampered)
 
 
 def test_certificate_against_enumeration_on_random_three_var_lp():
     rng = np.random.default_rng(3)
-    prob = LpProblem.with_inequalities(
+    prob = slack_form(
         rng.uniform(-2, 2, 3),
-        ub_matrix=rng.uniform(-1, 2, (4, 3)),
-        ub_rhs=rng.uniform(0.5, 2.5, 4),
+        rng.uniform(-1, 2, (4, 3)),
+        rng.uniform(0.5, 2.5, 4),
     )
     sol = solve_lp(prob)
     status, objective = brute_force_lp(prob)
@@ -116,10 +115,10 @@ def test_certificate_against_enumeration_on_random_three_var_lp():
 def test_strong_duality_gap_zero_when_optimal():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        prob = LpProblem.with_inequalities(
+        prob = slack_form(
             rng.uniform(-1, 2, 3),
-            ub_matrix=rng.uniform(-2, 2, (4, 3)),
-            ub_rhs=rng.uniform(-0.5, 2, 4),
+            rng.uniform(-2, 2, (4, 3)),
+            rng.uniform(-0.5, 2, 4),
         )
         sol = solve_lp(prob)
         if sol.status == OPTIMAL:
@@ -128,10 +127,10 @@ def test_strong_duality_gap_zero_when_optimal():
 
 def test_deterministic_bit_for_bit():
     rng = np.random.default_rng(17)
-    prob = LpProblem.with_inequalities(
+    prob = slack_form(
         rng.uniform(-2, 2, 5),
-        ub_matrix=rng.uniform(-2, 2, (6, 5)),
-        ub_rhs=rng.uniform(-1, 3, 6),
+        rng.uniform(-2, 2, (6, 5)),
+        rng.uniform(-1, 3, 6),
     )
     first = solve_lp(prob)
     second = solve_lp(prob)
@@ -140,19 +139,18 @@ def test_deterministic_bit_for_bit():
         assert first.objective == second.objective
         assert np.array_equal(first.x, second.x)
         assert np.array_equal(first.y, second.y)
-        assert np.array_equal(first.reduced_costs, second.reduced_costs)
 
 
 def test_degenerate_vertex_does_not_cycle():
     # Classic degenerate instance: multiple bases describe the optimum.
-    prob = LpProblem.with_inequalities(
+    prob = slack_form(
         [-0.75, 150.0, -0.02, 6.0],
-        ub_matrix=[
+        [
             [0.25, -60.0, -0.04, 9.0],
             [0.5, -90.0, -0.02, 3.0],
             [0.0, 0.0, 1.0, 0.0],
         ],
-        ub_rhs=[0.0, 0.0, 1.0],
+        [0.0, 0.0, 1.0],
     )
     sol = solve_lp(prob)
     assert sol.status == OPTIMAL
@@ -163,16 +161,17 @@ def test_degenerate_vertex_does_not_cycle():
     assert check_certificate(prob, sol)
 
 
-def test_iteration_guard_raises_numerical_failure():
+def test_iteration_guard_raises_numerical_failure(monkeypatch):
     from gptdisc import NumericalFailureError
 
-    prob = LpProblem.with_inequalities(
+    prob = slack_form(
         [-1.0, -2.0, -1.0],
-        ub_matrix=[[1.0, 1.0, 0.5], [0.5, 1.0, 1.0]],
-        ub_rhs=[2.0, 2.0],
+        [[1.0, 1.0, 0.5], [0.5, 1.0, 1.0]],
+        [2.0, 2.0],
     )
+    monkeypatch.setattr("gptdisc.lp._MAX_ITER", 1)
     with pytest.raises(NumericalFailureError):
-        solve_lp(prob, max_iter=1)
+        solve_lp(prob)
 
 
 def test_feasibility_gap_measures_l1_distance():
