@@ -13,7 +13,6 @@ verification.  Reading or writing ``-`` means standard input/output.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -59,18 +58,6 @@ class VerificationFailedError(GptDiscError):
     """A KKT or congruence check failed during re-verification."""
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Shared command options."""
-
-    tolerance: float = 1e-9
-    oracle: bool = False
-
-    def __post_init__(self):
-        if not 0.0 < self.tolerance <= 1e-3:
-            raise InvalidInputError("tolerance must lie in (0, 1e-3]")
-
-
 def _write_out(out: str, text: str) -> None:
     if out == "-":
         sys.stdout.write(text)
@@ -85,11 +72,6 @@ def _validated_ensemble(source: str, tol: float):
         raise InvalidInputError("; ".join(model_report.issues))
     for warning in model_report.warnings:
         click.echo(f"warning: {warning}", err=True)
-    if model_report.unrestricted_effects is False:
-        click.echo(
-            "warning: supplied effect cone is restricted; the solver uses it as given",
-            err=True,
-        )
     ensemble_report = validate_ensemble(ensemble, tol)
     if not ensemble_report.valid:
         raise InvalidInputError("; ".join(ensemble_report.issues))
@@ -106,17 +88,17 @@ def _oracle_agreement(ensemble, p_guess: float, context: str = ""):
     return oracle_result
 
 
-def _solution_payload(solution, config: CliConfig):
+def _solution_payload(solution, tol: float, oracle: bool):
     """Solution JSON with KKT and congruence reports, oracle-checked when asked.
 
     An ensemble past the oracle's size bounds is not an input fault: the
     check is skipped with a warning and the payload has no oracle block.
     """
     ensemble = solution.ensemble
-    kkt = verify_kkt(ensemble, solution, tol=config.tolerance)
-    congruence = congruence_check(solution, tol=config.tolerance)
+    kkt = verify_kkt(ensemble, solution, tol=tol)
+    congruence = congruence_check(solution, tol=tol)
     oracle_result = None
-    if config.oracle:
+    if oracle:
         try:
             oracle_result = _oracle_agreement(ensemble, solution.p_guess)
         except UnsupportedSizeError as exc:
@@ -125,7 +107,8 @@ def _solution_payload(solution, config: CliConfig):
 
 
 def _config_options(func):
-    func = click.option("--tol", "tolerance", type=float, default=1e-9, show_default=True, help="Numeric tolerance.")(func)
+    tol_range = click.FloatRange(0.0, 1e-3, min_open=True)
+    func = click.option("--tol", "tolerance", type=tol_range, default=1e-9, show_default=True, help="Numeric tolerance.")(func)
     func = click.option("--out", default="-", show_default=True, help="Output file, '-' for stdout.")(func)
     return func
 
@@ -141,10 +124,9 @@ def cli():
 @click.option("--oracle", is_flag=True, help="Cross-check against the vertex-enumeration oracle.")
 def cmd_solve(ensemble_file, tolerance, oracle, out):
     """Solve the discrimination instance in ENSEMBLE_FILE."""
-    config = CliConfig(tolerance=tolerance, oracle=oracle)
-    ensemble = _validated_ensemble(ensemble_file, config.tolerance)
-    solution = solve_discrimination(ensemble, tol=config.tolerance)
-    _write_out(out, dumps(_solution_payload(solution, config)))
+    ensemble = _validated_ensemble(ensemble_file, tolerance)
+    solution = solve_discrimination(ensemble, tol=tolerance)
+    _write_out(out, dumps(_solution_payload(solution, tolerance, oracle)))
 
 
 @cli.command("polygon")
@@ -161,24 +143,23 @@ def cmd_polygon(order, out):
 @_config_options
 def cmd_demo(name, tolerance, out):
     """Run a worked example: n3, n4, or no-measurement."""
-    config = CliConfig(tolerance=tolerance, oracle=True)
     if name == "n3":
-        _write_out(out, dumps(_solution_payload(polygon_mod.demo_n3(), config)))
+        _write_out(out, dumps(_solution_payload(polygon_mod.demo_n3(), tolerance, oracle=True)))
         return
     if name == "n4":
         result = polygon_mod.demo_n4()
-        payload = _solution_payload(result.solution, config)
+        payload = _solution_payload(result.solution, tolerance, oracle=True)
         payload["alternates"] = [
             {
                 "name": alt_name,
                 "measurement": measurement.effects,
-                "kkt": _kkt_pass_dict(report, config.tolerance),
+                "kkt": _kkt_pass_dict(report, tolerance),
             }
             for alt_name, measurement, report in result.alternates
         ]
         _write_out(out, dumps(payload))
         return
-    _demo_no_measurement(config, out)
+    _demo_no_measurement(tolerance, out)
 
 
 def _kkt_pass_dict(report, tol):
@@ -187,9 +168,9 @@ def _kkt_pass_dict(report, tol):
     return data
 
 
-def _demo_no_measurement(config: CliConfig, out: str) -> None:
+def _demo_no_measurement(tol: float, out: str) -> None:
     grid = [round(0.05 * k, 2) for k in range(21)]
-    scan = polygon_mod.threshold_scan(grid, tol=config.tolerance)
+    scan = polygon_mod.threshold_scan(grid, tol=tol)
     for p, p_guess, _ in scan.rows:
         _oracle_agreement(polygon_mod.no_measurement_ensemble(p), p_guess, context=f"at p={p:g}: ")
     lines = ["p,p_guess,no_measurement_optimal"]
@@ -213,13 +194,12 @@ def _demo_no_measurement(config: CliConfig, out: str) -> None:
 @_config_options
 def cmd_verify(ensemble_file, solution_file, tolerance, out):
     """Re-verify a solution certificate against its ensemble."""
-    config = CliConfig(tolerance=tolerance)
-    ensemble = _validated_ensemble(ensemble_file, config.tolerance)
+    ensemble = _validated_ensemble(ensemble_file, tolerance)
     solution = solution_from_dict(load_json(solution_file), ensemble)
-    kkt = verify_kkt(ensemble, solution, tol=config.tolerance)
-    congruence = congruence_check(solution, tol=config.tolerance)
+    kkt = verify_kkt(ensemble, solution, tol=tolerance)
+    congruence = congruence_check(solution, tol=tolerance)
     failures = []
-    if not kkt.passes(config.tolerance):
+    if not kkt.passes(tolerance):
         failures.append(
             "KKT check failed: "
             f"stability {np.max(kkt.stability_residuals):g}, "
@@ -227,15 +207,15 @@ def cmd_verify(ensemble_file, solution_file, tolerance, out):
             f"measurement residual {kkt.measurement_residual:g}, gap {kkt.gap:g}, "
             f"positivity {list(kkt.positivity_ok)}, effects-in-cone {list(kkt.effects_in_cone)}"
         )
-    if congruence.max_residual > config.tolerance:
+    if congruence.max_residual > tolerance:
         failures.append(f"congruence residual {congruence.max_residual:g} exceeds tolerance")
     # The file's p_guess and weights r_x are untrusted: both must be read off u[K].
     value = solution.dual_objective
-    if abs(solution.p_guess - value) > config.tolerance:
+    if abs(solution.p_guess - value) > tolerance:
         failures.append(f"p_guess {solution.p_guess!r} differs from u[K] = {value!r}")
     weights = np.array([pair.r for pair in solution.complementary])
     weight_error = np.max(np.abs(weights - (value - ensemble.priors)))
-    if weight_error > config.tolerance:
+    if weight_error > tolerance:
         failures.append(f"complementary weights differ from u[K] - q_x by {weight_error:g}")
     if failures:
         raise VerificationFailedError("; ".join(failures))

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedDimensionError
+from .errors import InvalidInputError, UnsupportedDimensionError, finite_array
 from .lp import feasibility_gap
 
 #: Double description is restricted to desk-scale ambient dimensions.
@@ -47,16 +47,10 @@ class PolyhedralCone:
     def __post_init__(self):
         if self.dim <= 0:
             raise InvalidInputError("cone dimension must be positive")
-        gens = np.asarray(self.generators, dtype=float)
-        if gens.size == 0:
+        gens = self.generators
+        if isinstance(gens, (list, tuple)) and not gens:  # an empty list has no second axis
             gens = np.zeros((0, self.dim))
-        if gens.ndim != 2 or gens.shape[1] != self.dim:
-            raise InvalidInputError(
-                f"generators must have shape (k, {self.dim}), got {gens.shape}"
-            )
-        if not np.all(np.isfinite(gens)):
-            raise InvalidInputError("generators contain non-finite entries")
-        gens = _dedupe_rays(gens)
+        gens = _dedupe_rays(finite_array(gens, "generators", (None, self.dim)))
         gens.setflags(write=False)
         object.__setattr__(self, "generators", gens)
 

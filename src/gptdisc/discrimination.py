@@ -104,8 +104,7 @@ def build_primal(ensemble: Ensemble) -> LpProblem:
 def measurement_from_primal(ensemble: Ensemble, x: np.ndarray) -> Measurement:
     """Reconstruct effect coordinates from primal coefficient values."""
     gens = ensemble.model.effect_gens
-    coeffs = np.asarray(x, dtype=float)[: ensemble.n_states * gens.shape[0]]
-    return Measurement(coeffs.reshape(ensemble.n_states, gens.shape[0]) @ gens)
+    return Measurement(np.reshape(x, (ensemble.n_states, gens.shape[0])) @ gens)
 
 
 def no_measurement_value(ensemble: Ensemble) -> float:

@@ -1,4 +1,12 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one check on input arrays.
+
+Every array that enters the package (model and ensemble coordinates,
+measurements, LP data, cone generators, the numbers of a solution file)
+passes through :func:`finite_array`, so a malformed value raises
+:class:`InvalidInputError` wherever it arrives.
+"""
+
+import numpy as np
 
 
 class GptDiscError(Exception):
@@ -31,3 +39,28 @@ class NumericalFailureError(GptDiscError, RuntimeError):
 
 class InternalInconsistencyError(GptDiscError, RuntimeError):
     """An internal cross-check failed; indicates a solver bug, not bad input."""
+
+
+def finite_array(value, name: str, shape: tuple) -> np.ndarray:
+    """Read-only float copy of ``value`` with the given ``shape`` and finite entries.
+
+    ``shape`` has one entry per axis: an int fixes that axis's length,
+    None admits any length, and ``()`` asks for a scalar.  Raises
+    :class:`InvalidInputError` when ``value`` is not an array of integers
+    or floats (a ragged list, a string, a boolean, None), when the shape
+    differs, or when an entry is NaN or infinite.
+    """
+    try:
+        arr = np.array(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} is not an array of numbers: {exc}") from exc
+    if arr.dtype.kind not in "iuf":  # numpy would read "0.5" and true as numbers
+        raise InvalidInputError(f"{name} is not an array of numbers (dtype {arr.dtype})")
+    arr = arr.astype(float, copy=False)
+    if arr.ndim != len(shape) or any(n is not None and n != got for n, got in zip(shape, arr.shape)):
+        expected = ", ".join("k" if n is None else str(n) for n in shape)
+        raise InvalidInputError(f"{name} has shape {arr.shape}, expected ({expected})")
+    if not np.isfinite(arr).all():
+        raise InvalidInputError(f"{name} contains non-finite entries")
+    arr.setflags(write=False)
+    return arr

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import NumericalFailureError, finite_array
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -32,17 +32,6 @@ PIVOT_FLOOR = 1e-12
 _MAX_ITER = 20_000
 
 
-def _as_float_array(value, name: str, ndim: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != ndim:
-        raise InvalidInputError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class LpProblem:
     """Standard-form linear program: minimize ``objective . x`` s.t. ``eq_matrix x = eq_rhs``, ``x >= 0``."""
@@ -52,18 +41,11 @@ class LpProblem:
     eq_rhs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", _as_float_array(self.objective, "objective", 1))
-        object.__setattr__(self, "eq_matrix", _as_float_array(self.eq_matrix, "eq_matrix", 2))
-        object.__setattr__(self, "eq_rhs", _as_float_array(self.eq_rhs, "eq_rhs", 1))
-        m, n = self.eq_matrix.shape
-        if self.objective.shape != (n,):
-            raise InvalidInputError(
-                f"objective has {self.objective.shape[0]} entries but eq_matrix has {n} columns"
-            )
-        if self.eq_rhs.shape != (m,):
-            raise InvalidInputError(
-                f"eq_rhs has {self.eq_rhs.shape[0]} entries but eq_matrix has {m} rows"
-            )
+        eq_matrix = finite_array(self.eq_matrix, "eq_matrix", (None, None))
+        m, n = eq_matrix.shape
+        object.__setattr__(self, "objective", finite_array(self.objective, "objective", (n,)))
+        object.__setattr__(self, "eq_matrix", eq_matrix)
+        object.__setattr__(self, "eq_rhs", finite_array(self.eq_rhs, "eq_rhs", (m,)))
 
     @property
     def n_rows(self) -> int:

@@ -21,38 +21,15 @@ from functools import cached_property
 import numpy as np
 
 from .cone import MAX_DUAL_DIM, PolyhedralCone, member_of
-from .errors import InvalidInputError
+from .errors import InvalidInputError, finite_array
 
 DEFAULT_TOL = 1e-9
 
 
-def _point(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidInputError(f"{name} must be a flat coordinate list, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{name} contains non-finite coordinates")
-    return arr
-
-
-def _point_rows(value, name: str, dim: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise InvalidInputError(f"{name} must have shape (k, {dim}), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{name} contains non-finite coordinates")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
 def evaluate(effect, state) -> float:
     """Probability pairing of an effect and a state (Euclidean inner product)."""
-    e = _point(effect, "effect")
-    w = _point(state, "state")
-    if e.shape != w.shape:
-        raise InvalidInputError(f"dimension mismatch: effect has {e.shape[0]}, state has {w.shape[0]}")
-    return float(e @ w)
+    e = finite_array(effect, "effect", (None,))
+    return float(e @ finite_array(state, "state", e.shape))
 
 
 @dataclass(frozen=True)
@@ -67,14 +44,9 @@ class GptModel:
     def __post_init__(self):
         if self.dim <= 0:
             raise InvalidInputError("ambient dimension must be positive")
-        object.__setattr__(self, "state_gens", _point_rows(self.state_gens, "state_gens", self.dim))
-        object.__setattr__(self, "effect_gens", _point_rows(self.effect_gens, "effect_gens", self.dim))
-        u = _point(self.unit_effect, "unit_effect")
-        if u.shape != (self.dim,):
-            raise InvalidInputError(f"unit_effect must have {self.dim} coordinates")
-        u = u.copy()
-        u.setflags(write=False)
-        object.__setattr__(self, "unit_effect", u)
+        object.__setattr__(self, "state_gens", finite_array(self.state_gens, "state_gens", (None, self.dim)))
+        object.__setattr__(self, "effect_gens", finite_array(self.effect_gens, "effect_gens", (None, self.dim)))
+        object.__setattr__(self, "unit_effect", finite_array(self.unit_effect, "unit_effect", (self.dim,)))
 
     @cached_property
     def state_cone(self) -> PolyhedralCone:
@@ -94,15 +66,8 @@ class Ensemble:
     priors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "states", _point_rows(self.states, "states", self.model.dim))
-        priors = _point(self.priors, "priors")
-        if priors.shape[0] != self.states.shape[0]:
-            raise InvalidInputError(
-                f"{priors.shape[0]} priors supplied for {self.states.shape[0]} states"
-            )
-        priors = priors.copy()
-        priors.setflags(write=False)
-        object.__setattr__(self, "priors", priors)
+        object.__setattr__(self, "states", finite_array(self.states, "states", (None, self.model.dim)))
+        object.__setattr__(self, "priors", finite_array(self.priors, "priors", (self.n_states,)))
 
     @property
     def n_states(self) -> int:
@@ -120,14 +85,7 @@ class Measurement:
     effects: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.effects, dtype=float)
-        if arr.ndim != 2:
-            raise InvalidInputError(f"effects must be a 2-d array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("effects contain non-finite coordinates")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "effects", arr)
+        object.__setattr__(self, "effects", finite_array(self.effects, "effects", (None, None)))
 
     @property
     def n_outcomes(self) -> int:
@@ -190,7 +148,8 @@ def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationRepor
         )
         if report.unrestricted_effects is False:
             report.warnings.append(
-                "effect cone differs from the full dual of the state cone (restricted effects)"
+                "effect cone differs from the full dual of the state cone (restricted effects); "
+                "the solver uses the supplied cone as given"
             )
     else:
         report.warnings.append("unrestricted-effects check skipped (dimension above dual-cone bound)")

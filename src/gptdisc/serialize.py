@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .discrimination import ComplementaryPair, DiscriminationSolution, KktReport
-from .errors import InvalidInputError
+from .errors import InvalidInputError, finite_array
 from .geometry import CongruenceReport
 from .model import Ensemble, GptModel, Measurement
 from .oracle import OracleResult
@@ -28,29 +28,29 @@ def format_real(value: float) -> str:
     return text
 
 
-def dumps(obj, indent: int = 2) -> str:
+def dumps(obj) -> str:
     """Serialize nested dict/list/scalar data with deterministic float formatting."""
-    return _render(obj, indent, 0) + "\n"
+    return _render(obj, 0) + "\n"
 
 
-def _render(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _render(obj, level: int) -> str:
+    pad = "  " * level
+    inner = "  " * (level + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        parts = [f"{inner}{json.dumps(str(key))}: {_render(val, indent, level + 1)}" for key, val in obj.items()]
+        parts = [f"{inner}{json.dumps(str(key))}: {_render(val, level + 1)}" for key, val in obj.items()]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         items = list(obj)
         if not items:
             return "[]"
         if all(isinstance(v, (float, int, np.floating, np.integer)) and not isinstance(v, bool) for v in items):
-            return "[" + ", ".join(_render(v, indent, level + 1) for v in items) + "]"
-        parts = [f"{inner}{_render(v, indent, level + 1)}" for v in items]
+            return "[" + ", ".join(_render(v, level + 1) for v in items) + "]"
+        parts = [f"{inner}{_render(v, level + 1)}" for v in items]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     if isinstance(obj, np.ndarray):
-        return _render(obj.tolist(), indent, level)
+        return _render(obj.tolist(), level)
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
         return "true" if obj else "false"
     if obj is None:
@@ -64,8 +64,8 @@ def _render(obj, indent: int, level: int) -> str:
     raise InvalidInputError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
+def _require(mapping, key: str, context: str):
+    if not isinstance(mapping, dict) or key not in mapping:
         raise InvalidInputError(f"{context} is missing required field '{key}'")
     return mapping[key]
 
@@ -85,15 +85,12 @@ def model_from_dict(data) -> GptModel:
     dim = _require(data, "dim", "model")
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise InvalidInputError("model dim must be an integer")
-    try:
-        return GptModel(
-            dim=dim,
-            state_gens=np.asarray(_require(data, "state_generators", "model"), dtype=float),
-            effect_gens=np.asarray(_require(data, "effect_generators", "model"), dtype=float),
-            unit_effect=np.asarray(_require(data, "unit_effect", "model"), dtype=float),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed model file: {exc}") from exc
+    return GptModel(
+        dim=dim,
+        state_gens=_require(data, "state_generators", "model"),
+        effect_gens=_require(data, "effect_generators", "model"),
+        unit_effect=_require(data, "unit_effect", "model"),
+    )
 
 
 def ensemble_to_dict(ensemble: Ensemble) -> dict:
@@ -115,16 +112,11 @@ def ensemble_from_dict(data, base_dir: Path | None = None) -> Ensemble:
         model = load_model(path)
     else:
         model = model_from_dict(model_field)
-    try:
-        return Ensemble(
-            model=model,
-            states=np.asarray(_require(data, "states", "ensemble"), dtype=float),
-            priors=np.asarray(_require(data, "priors", "ensemble"), dtype=float),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, InvalidInputError):
-            raise
-        raise InvalidInputError(f"malformed ensemble file: {exc}") from exc
+    return Ensemble(
+        model=model,
+        states=_require(data, "states", "ensemble"),
+        priors=_require(data, "priors", "ensemble"),
+    )
 
 
 def load_json(source):
@@ -210,31 +202,25 @@ def solution_from_dict(data, ensemble: Ensemble) -> DiscriminationSolution:
     """
     if not isinstance(data, dict):
         raise InvalidInputError("solution must be a JSON object")
-    try:
-        measurement = Measurement(np.asarray(_require(data, "measurement", "solution"), dtype=float))
-        k = np.asarray(_require(data, "K", "solution"), dtype=float)
-        pairs = []
-        for entry in _require(data, "complementary", "solution"):
-            d = entry.get("d") if isinstance(entry, dict) else None
-            r = float(_require(entry, "r", "complementary pair"))
-            pairs.append(ComplementaryPair(r=r, d=None if d is None else np.asarray(d, dtype=float)))
-        p_guess = float(_require(data, "p_guess", "solution"))
-    except (TypeError, ValueError, AttributeError) as exc:
-        if isinstance(exc, InvalidInputError):
-            raise
-        raise InvalidInputError(f"malformed solution file: {exc}") from exc
-    if k.shape != (ensemble.model.dim,):
-        raise InvalidInputError("solution K does not match the model dimension")
-    if any(pair.d is not None and pair.d.shape != k.shape for pair in pairs):
-        raise InvalidInputError("malformed solution file: a complementary state does not match the model dimension")
-    primal_value = float(
-        np.sum(ensemble.priors * np.einsum("xd,xd->x", measurement.effects, ensemble.states))
-    )
+    dim = ensemble.model.dim
+    effects = finite_array(_require(data, "measurement", "solution"), "solution measurement", ensemble.states.shape)
+    k = finite_array(_require(data, "K", "solution"), "solution K", (dim,))
+    entries = _require(data, "complementary", "solution")
+    if not isinstance(entries, list):
+        raise InvalidInputError("solution field 'complementary' must be a list")
+    pairs = []
+    for entry in entries:
+        r = float(finite_array(_require(entry, "r", "complementary pair"), "complementary weight r", ()))
+        d = entry.get("d")
+        d = None if d is None else finite_array(d, "complementary state d", (dim,))
+        pairs.append(ComplementaryPair(r=r, d=d))
+    p_guess = float(finite_array(_require(data, "p_guess", "solution"), "p_guess", ()))
+    primal_value = float(np.sum(ensemble.priors * np.einsum("xd,xd->x", effects, ensemble.states)))
     dual_value = float(ensemble.model.unit_effect @ k)
     return DiscriminationSolution(
         ensemble=ensemble,
         p_guess=p_guess,
-        measurement=measurement,
+        measurement=Measurement(effects),
         symmetry_operator=k,
         complementary=tuple(pairs),
         primal_objective=primal_value,

@@ -6,10 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from gptdisc import Ensemble, polygon_model
+from gptdisc import Ensemble, GptModel, polygon_model
 from gptdisc.cli import main
 from gptdisc.errors import NumericalFailureError
 from gptdisc.oracle import OracleResult
+from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 from gptdisc.serialize import dumps, ensemble_to_dict, model_to_dict
 
 
@@ -259,6 +260,52 @@ def test_verify_rejects_complementary_state_of_wrong_length(square_files, tmp_pa
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def _nan_weight_on_degenerate_pair(data):
+    pair = next(pair for pair in data["complementary"] if pair["d"] is None)
+    pair["r"] = float("nan")
+
+
+@pytest.mark.parametrize(
+    "ensemble, tamper",
+    [
+        pytest.param(uniform_vertex_ensemble(4), lambda data: data.update(p_guess=float("nan")), id="nan-p-guess"),
+        # At p = 0.5 the mixture's pair is degenerate (d is null), so no residual reads its r.
+        pytest.param(no_measurement_ensemble(0.5), _nan_weight_on_degenerate_pair, id="nan-r-degenerate"),
+        pytest.param(uniform_vertex_ensemble(4), lambda data: data.update(complementary=5), id="complementary-not-list"),
+        pytest.param(uniform_vertex_ensemble(4), lambda data: data["measurement"].pop(), id="measurement-missing-row"),
+    ],
+)
+def test_verify_rejects_malformed_solution_numbers(ensemble, tamper, tmp_path):
+    ensemble_path = tmp_path / "ensemble.json"
+    ensemble_path.write_text(dumps(ensemble_to_dict(ensemble)))
+    solution_path = tmp_path / "solution.json"
+    assert main(["solve", str(ensemble_path), "--out", str(solution_path)]) == 0
+    data = json.loads(solution_path.read_text())
+    tamper(data)
+    solution_path.write_text(json.dumps(data))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gptdisc", "verify", str(ensemble_path), str(solution_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_solve_warns_once_about_restricted_effects(tmp_path, capsys):
+    square = polygon_model(4)
+    model = GptModel(
+        dim=3, state_gens=square.state_gens, effect_gens=[[0.0, 0.0, 1.0]], unit_effect=square.unit_effect
+    )
+    ensemble = Ensemble(model=model, states=square.state_gens[:2], priors=[0.7, 0.3])
+    ensemble_path = tmp_path / "restricted.json"
+    ensemble_path.write_text(dumps(ensemble_to_dict(ensemble)))
+    assert main(["solve", str(ensemble_path)]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert len([line for line in warnings if "restricted" in line]) == 1
 
 
 def test_verify_accepts_two_outcome_alternative(square_files, tmp_path, capsys):

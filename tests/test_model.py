@@ -16,6 +16,8 @@ from gptdisc import (
     validate_ensemble,
     validate_model,
 )
+from gptdisc.errors import finite_array
+from gptdisc.lp import LpProblem
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
 SQRT2 = np.sqrt(2.0)
@@ -139,6 +141,49 @@ def test_immutability_of_model_arrays():
     model = polygon_model(3)
     with pytest.raises(ValueError):
         model.state_gens[0, 0] = 99.0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: LpProblem([1.0, 2.0], [[1.0, 1.0], [1.0]], [1.0, 1.0]), id="LpProblem"),
+        pytest.param(
+            lambda: GptModel(dim=2, state_gens=[[0.0, 1.0], [1.0]], effect_gens=[[0.0, 1.0]], unit_effect=[0.0, 1.0]),
+            id="GptModel",
+        ),
+        pytest.param(
+            lambda: Ensemble(model=polygon_model(3), states=[[0.0, 0.0, 1.0], [0.0, 1.0]], priors=[0.5, 0.5]),
+            id="Ensemble",
+        ),
+        pytest.param(lambda: Measurement([[0.0, 1.0], [1.0]]), id="Measurement"),
+        pytest.param(lambda: PolyhedralCone(3, [[1.0, 2.0, 3.0], [1.0]]), id="PolyhedralCone"),
+    ],
+)
+def test_ragged_input_is_invalid_input(build):
+    with pytest.raises(InvalidInputError):
+        build()
+
+
+def test_finite_array_returns_checked_read_only_copy():
+    source = np.ones((2, 3))
+    arr = finite_array(source, "rows", (None, 3))
+    source[0, 0] = 5.0
+    assert arr[0, 0] == 1.0 and not arr.flags.writeable
+    assert finite_array(1, "weight", ()) == 1.0
+    malformed = [
+        ([1.0, np.inf], (2,)),
+        ([1.0, np.nan], (None,)),
+        ([1.0, None], (2,)),
+        ([1.0, 2.0], (3,)),
+        ([1.0], ()),
+        ("one", ()),
+        ("0.5", ()),
+        (True, ()),
+        ({"r": 1.0}, ()),
+    ]
+    for value, shape in malformed:
+        with pytest.raises(InvalidInputError):
+            finite_array(value, "value", shape)
 
 
 def test_nonfinite_coordinates_rejected():
