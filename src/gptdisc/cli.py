@@ -12,6 +12,7 @@ verification.  Reading or writing ``-`` means standard input/output.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -28,12 +29,11 @@ from .errors import (
     UnsupportedSizeError,
 )
 from .geometry import congruence_check
-from .model import validate_ensemble, validate_model
+from .model import DEFAULT_TOL, MAX_TOL, validate_ensemble, validate_model
 from .oracle import dual_vertex_enumeration
 from .serialize import (
     dumps,
     format_real,
-    kkt_to_dict,
     load_ensemble,
     load_json,
     load_model,
@@ -106,11 +106,15 @@ def _solution_payload(solution, tol: float, oracle: bool):
     return solution_to_dict(solution, kkt, congruence, oracle_result)
 
 
-def _config_options(func):
-    tol_range = click.FloatRange(0.0, 1e-3, min_open=True)
-    func = click.option("--tol", "tolerance", type=tol_range, default=1e-9, show_default=True, help="Numeric tolerance.")(func)
-    func = click.option("--out", default="-", show_default=True, help="Output file, '-' for stdout.")(func)
-    return func
+_tol_option = click.option(
+    "--tol",
+    "tolerance",
+    type=click.FloatRange(0.0, MAX_TOL, min_open=True),
+    default=DEFAULT_TOL,
+    show_default=True,
+    help="Numeric tolerance.",
+)
+_out_option = click.option("--out", default="-", show_default=True, help="Output file, '-' for stdout.")
 
 
 @click.group()
@@ -120,7 +124,8 @@ def cli():
 
 @cli.command("solve")
 @click.argument("ensemble_file")
-@_config_options
+@_tol_option
+@_out_option
 @click.option("--oracle", is_flag=True, help="Cross-check against the vertex-enumeration oracle.")
 def cmd_solve(ensemble_file, tolerance, oracle, out):
     """Solve the discrimination instance in ENSEMBLE_FILE."""
@@ -131,7 +136,7 @@ def cmd_solve(ensemble_file, tolerance, oracle, out):
 
 @cli.command("polygon")
 @click.option("--n", "order", type=int, required=True, help="Polygon order (>= 3).")
-@click.option("--out", default="-", show_default=True, help="Output file, '-' for stdout.")
+@_out_option
 def cmd_polygon(order, out):
     """Emit the order-n polygon model as model JSON."""
     model = polygon_mod.polygon_model(order)
@@ -140,37 +145,31 @@ def cmd_polygon(order, out):
 
 @cli.command("demo")
 @click.argument("name", type=click.Choice(["n3", "n4", "no-measurement"]))
-@_config_options
-def cmd_demo(name, tolerance, out):
+@_out_option
+def cmd_demo(name, out):
     """Run a worked example: n3, n4, or no-measurement."""
     if name == "n3":
-        _write_out(out, dumps(_solution_payload(polygon_mod.demo_n3(), tolerance, oracle=True)))
+        _write_out(out, dumps(_solution_payload(polygon_mod.demo_n3(), DEFAULT_TOL, oracle=True)))
         return
     if name == "n4":
         result = polygon_mod.demo_n4()
-        payload = _solution_payload(result.solution, tolerance, oracle=True)
+        payload = _solution_payload(result.solution, DEFAULT_TOL, oracle=True)
         payload["alternates"] = [
             {
                 "name": alt_name,
                 "measurement": measurement.effects,
-                "kkt": _kkt_pass_dict(report, tolerance),
+                "kkt": {**dataclasses.asdict(report), "passed": report.passes()},
             }
             for alt_name, measurement, report in result.alternates
         ]
         _write_out(out, dumps(payload))
         return
-    _demo_no_measurement(tolerance, out)
+    _demo_no_measurement(out)
 
 
-def _kkt_pass_dict(report, tol):
-    data = kkt_to_dict(report)
-    data["passed"] = report.passes(tol)
-    return data
-
-
-def _demo_no_measurement(tol: float, out: str) -> None:
+def _demo_no_measurement(out: str) -> None:
     grid = [round(0.05 * k, 2) for k in range(21)]
-    scan = polygon_mod.threshold_scan(grid, tol=tol)
+    scan = polygon_mod.threshold_scan(grid)
     for p, p_guess, _ in scan.rows:
         _oracle_agreement(polygon_mod.no_measurement_ensemble(p), p_guess, context=f"at p={p:g}: ")
     lines = ["p,p_guess,no_measurement_optimal"]
@@ -191,7 +190,8 @@ def _demo_no_measurement(tol: float, out: str) -> None:
 @cli.command("verify")
 @click.argument("ensemble_file")
 @click.argument("solution_file")
-@_config_options
+@_tol_option
+@_out_option
 def cmd_verify(ensemble_file, solution_file, tolerance, out):
     """Re-verify a solution certificate against its ensemble."""
     ensemble = _validated_ensemble(ensemble_file, tolerance)
@@ -202,6 +202,8 @@ def cmd_verify(ensemble_file, solution_file, tolerance, out):
     if not kkt.passes(tolerance):
         failures.append(
             "KKT check failed: "
+            f"p_guess {solution.p_guess!r} residual {kkt.value_residual:g}, "
+            f"complementary weights residual {np.max(kkt.weight_residuals):g}, "
             f"stability {np.max(kkt.stability_residuals):g}, "
             f"orthogonality {np.max(kkt.orthogonality_residuals):g}, "
             f"measurement residual {kkt.measurement_residual:g}, gap {kkt.gap:g}, "
@@ -209,14 +211,6 @@ def cmd_verify(ensemble_file, solution_file, tolerance, out):
         )
     if congruence.max_residual > tolerance:
         failures.append(f"congruence residual {congruence.max_residual:g} exceeds tolerance")
-    # The file's p_guess and weights r_x are untrusted: both must be read off u[K].
-    value = solution.dual_objective
-    if abs(solution.p_guess - value) > tolerance:
-        failures.append(f"p_guess {solution.p_guess!r} differs from u[K] = {value!r}")
-    weights = np.array([pair.r for pair in solution.complementary])
-    weight_error = np.max(np.abs(weights - (value - ensemble.priors)))
-    if weight_error > tolerance:
-        failures.append(f"complementary weights differ from u[K] - q_x by {weight_error:g}")
     if failures:
         raise VerificationFailedError("; ".join(failures))
     _write_out(out, "verification passed\n")
@@ -224,7 +218,7 @@ def cmd_verify(ensemble_file, solution_file, tolerance, out):
 
 @cli.command("export-vertices")
 @click.argument("model_file")
-@click.option("--out", default="-", show_default=True, help="Output file, '-' for stdout.")
+@_out_option
 def cmd_export_vertices(model_file, out):
     """Write state and effect generators of a model file as CSV plot data."""
     model = load_model(model_file)

@@ -10,10 +10,12 @@ certificate is exactly ``K >= q_x w_x`` on every effect generator, and
 its zero duality gap is strong duality.
 
 The symmetry operator decomposes as ``K = q_x w_x + r_x d_x`` for every
-outcome, with ``r_x = u[K] - q_x`` and the complementary state ``d_x``
-normalized; optimal effects are orthogonal to their complementary
-states.  Those two facts are what :func:`verify_kkt` re-checks from
-scratch on untrusted solutions.
+outcome, with ``r_x = u[K] - q_x`` (because ``u[d_x] = 1``) and the
+complementary state ``d_x`` normalized; optimal effects are orthogonal
+to their complementary states.  Every number a solution states is thus
+read off ``K``: ``p_guess = u[K]`` and each weight ``r_x``.
+:func:`verify_kkt` is the one check of those claims and of the
+optimality conditions on untrusted solutions.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .cone import cone_ge, member_of
 from .errors import InternalInconsistencyError, InvalidInputError
 from .lp import OPTIMAL, LpProblem, check_certificate, solve_lp
-from .model import DEFAULT_TOL, Ensemble, Measurement, validate_ensemble
+from .model import DEFAULT_TOL, MAX_TOL, Ensemble, Measurement, validate_ensemble
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,11 @@ class DiscriminationSolution:
 
 @dataclass(frozen=True)
 class KktReport:
-    """Residuals of every optimality condition, recomputed from scratch."""
+    """Residuals of every optimality condition and every claimed value, recomputed from scratch.
+
+    ``value_residual`` is ``|p_guess - u[K]|`` and ``weight_residuals[x]``
+    is ``|r_x - (u[K] - q_x)|``.
+    """
 
     stability_residuals: np.ndarray
     positivity_ok: tuple[bool, ...]
@@ -73,6 +79,8 @@ class KktReport:
     measurement_residual: float
     gap: float
     effects_in_cone: tuple[bool, ...]
+    value_residual: float
+    weight_residuals: np.ndarray
 
     def passes(self, tol: float = DEFAULT_TOL) -> bool:
         return (
@@ -82,6 +90,8 @@ class KktReport:
             and self.measurement_residual <= tol
             and self.gap <= tol
             and all(self.effects_in_cone)
+            and self.value_residual <= tol
+            and bool(np.all(self.weight_residuals <= tol))
         )
 
 
@@ -117,12 +127,15 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
 
     ``K`` is the negated multiplier vector of the completeness rows, so
     the primal value is ``-c.x`` and the dual value ``u[K] = -b.y`` of the
-    same certificate.  Raises :class:`InvalidInputError` when the ensemble
-    fails validation and :class:`InternalInconsistencyError` when the LP is
+    same certificate.  Raises :class:`InvalidInputError` when ``tol`` is
+    outside ``(0, MAX_TOL]`` or the ensemble fails validation, and
+    :class:`InternalInconsistencyError` when the LP is
     not solved optimally, its certificate fails :func:`check_certificate`,
     or the two values differ beyond ``10 * tol`` (impossible for a correct
     solver: strong duality holds for every valid ensemble).
     """
+    if not 0.0 < tol <= MAX_TOL:
+        raise InvalidInputError(f"tol must lie in (0, {MAX_TOL:g}], got {tol!r}")
     check = validate_ensemble(ensemble, tol=max(tol, 1e-12))
     if not check.valid:
         raise InvalidInputError("; ".join(check.issues))
@@ -175,8 +188,10 @@ def verify_kkt(
 
     Works on untrusted solutions: nothing from the solver is assumed, all
     quantities are derived from the ensemble, the measurement, ``K`` and
-    the complementary pairs.  A passing report certifies optimality
-    (KKT conditions are sufficient here because strong duality holds).
+    the complementary pairs, and the claimed ``p_guess`` and weights
+    ``r_x`` are compared with ``u[K]`` and ``u[K] - q_x``.  A passing
+    report certifies optimality (KKT conditions are sufficient here
+    because strong duality holds) and every number the solution states.
     """
     model = ensemble.model
     dim = model.dim
@@ -201,12 +216,15 @@ def verify_kkt(
 
     measurement_residual = float(np.linalg.norm(effects.sum(axis=0) - model.unit_effect))
     primal_value = float(np.sum(ensemble.priors * np.einsum("xd,xd->x", effects, ensemble.states)))
-    gap = abs(primal_value - float(model.unit_effect @ k))
+    value = float(model.unit_effect @ k)  # u[K]
+    weights = np.array([pair.r for pair in solution.complementary], dtype=float)
     return KktReport(
         stability_residuals=stability,
         positivity_ok=tuple(positivity),
         orthogonality_residuals=orthogonality,
         measurement_residual=measurement_residual,
-        gap=gap,
+        gap=abs(primal_value - value),
         effects_in_cone=tuple(in_cone),
+        value_residual=abs(solution.p_guess - value),
+        weight_residuals=np.abs(weights - (value - ensemble.priors)),
     )

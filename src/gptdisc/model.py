@@ -24,6 +24,8 @@ from .cone import MAX_DUAL_DIM, PolyhedralCone, member_of
 from .errors import InvalidInputError, finite_array
 
 DEFAULT_TOL = 1e-9
+#: Largest tolerance the solver and the ``--tol`` option accept.
+MAX_TOL = 1e-3
 
 
 def evaluate(effect, state) -> float:

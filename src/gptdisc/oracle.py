@@ -61,11 +61,7 @@ def dual_vertex_enumeration(ensemble: Ensemble) -> OracleResult:
     subsets = np.array(list(combinations(range(m), dim)))
     mats = normals[subsets]  # (s, dim, dim)
     vecs = rhs[subsets]  # (s, dim)
-    # Relative determinant filter: skip (near-)singular subsets.
-    row_norms = np.linalg.norm(mats, axis=2)
-    dets = np.linalg.det(mats)
-    scale = np.prod(np.where(row_norms > 0.0, row_norms, 1.0), axis=1)
-    solvable = np.abs(dets) > 1e-12 * np.where(scale > 0.0, scale, 1.0)
+    solvable = _nonsingular(mats)
     if not solvable.any():
         raise NumericalFailureError("no nonsingular constraint subset found")
     candidates = np.linalg.solve(mats[solvable], vecs[solvable][..., None])[..., 0]
@@ -107,11 +103,7 @@ def brute_force_lp(problem: LpProblem, tol: float = 1e-9) -> tuple[str, float | 
     unbounded = False
     idx = np.array(list(combinations(range(n), m)))
     mats = a.T[idx].transpose(0, 2, 1)  # (subsets, m, m); columns follow the basis
-    row_norms = np.linalg.norm(mats, axis=2)
-    dets = np.linalg.det(mats)
-    scale = np.prod(np.where(row_norms > 0.0, row_norms, 1.0), axis=1)
-    solvable = np.abs(dets) > 1e-12 * np.where(scale > 0.0, scale, 1.0)
-    for basis, mat, ok in zip(idx, mats, solvable):
+    for basis, mat, ok in zip(idx, mats, _nonsingular(mats)):
         if not ok:
             continue
         x_basis = np.linalg.solve(mat, b)
@@ -131,6 +123,14 @@ def brute_force_lp(problem: LpProblem, tol: float = 1e-9) -> tuple[str, float | 
     if best is None:
         return (INFEASIBLE, None)
     return (OPTIMAL, best)
+
+
+def _nonsingular(mats: np.ndarray) -> np.ndarray:
+    """Relative determinant filter over a stack of square matrices: False where (near-)singular."""
+    row_norms = np.linalg.norm(mats, axis=2)
+    dets = np.linalg.det(mats)
+    scale = np.prod(np.where(row_norms > 0.0, row_norms, 1.0), axis=1)
+    return np.abs(dets) > 1e-12 * np.where(scale > 0.0, scale, 1.0)
 
 
 def _independent_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

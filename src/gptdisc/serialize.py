@@ -4,11 +4,14 @@ All reals are printed with 17 significant digits so that round-tripping
 through text reproduces the exact double.  Model files carry the cone
 generators and unit effect; ensemble files reference a model inline or
 by path (resolved relative to the ensemble file).  The loaders read
-standard input when the source is ``-``.
+standard input when the source is ``-``.  Reports and complementary
+pairs are dataclasses and render as objects keyed by their field names;
+models and oracle results have their own file keys.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -51,6 +54,8 @@ def _render(obj, level: int) -> str:
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     if isinstance(obj, np.ndarray):
         return _render(obj.tolist(), level)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _render(dataclasses.asdict(obj), level)
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
         return "true" if obj else "false"
     if obj is None:
@@ -144,26 +149,6 @@ def load_ensemble(source) -> Ensemble:
     return ensemble_from_dict(load_json(source), base_dir=base_dir)
 
 
-def kkt_to_dict(report: KktReport) -> dict:
-    return {
-        "stability_residuals": report.stability_residuals,
-        "positivity_ok": list(report.positivity_ok),
-        "orthogonality_residuals": report.orthogonality_residuals,
-        "measurement_residual": report.measurement_residual,
-        "gap": report.gap,
-        "effects_in_cone": list(report.effects_in_cone),
-    }
-
-
-def congruence_to_dict(report: CongruenceReport) -> dict:
-    return {
-        "max_residual": report.max_residual,
-        "ratio": report.ratio,
-        "ratio_spread": report.ratio_spread,
-        "skipped": list(report.skipped),
-    }
-
-
 def oracle_to_dict(result: OracleResult) -> dict:
     return {
         "p_guess": result.p_guess,
@@ -182,12 +167,10 @@ def solution_to_dict(
         "p_guess": solution.p_guess,
         "measurement": solution.measurement.effects,
         "K": solution.symmetry_operator,
-        "complementary": [
-            {"r": pair.r, "d": None if pair.d is None else pair.d} for pair in solution.complementary
-        ],
-        "kkt": kkt_to_dict(kkt),
+        "complementary": solution.complementary,
+        "kkt": kkt,
         "gap": abs(solution.primal_objective - solution.dual_objective),
-        "geometry": congruence_to_dict(congruence),
+        "geometry": congruence,
     }
     if oracle is not None:
         payload["oracle"] = oracle_to_dict(oracle)

@@ -115,6 +115,7 @@ def test_demo_oracle_disagreement_maps_to_exit_three(name, capsys, monkeypatch):
         pytest.param(["solve", "{ensemble}", "--format", "json"], id="solve-format"),
         pytest.param(["verify", "{ensemble}", "{ensemble}", "--oracle"], id="verify-oracle"),
         pytest.param(["demo", "n3", "--oracle"], id="demo-oracle"),
+        pytest.param(["demo", "n3", "--tol", "1e-6"], id="demo-tol"),
     ],
 )
 def test_removed_flags_are_rejected(square_files, argv, capsys):

@@ -142,6 +142,48 @@ def test_kkt_flags_perturbed_symmetry_operator():
     assert report.stability_residuals.max() == pytest.approx(0.1, abs=1e-9)
 
 
+def _rescaled_pairs(sol):
+    # (2 r, d / 2) keeps every product r_x d_x, so only the weights themselves can expose it.
+    pairs = tuple(dataclasses.replace(pair, r=2.0 * pair.r, d=pair.d / 2.0) for pair in sol.complementary)
+    return dataclasses.replace(sol, complementary=pairs)
+
+
+def _degenerate_weight_raised(sol):
+    pairs = tuple(dataclasses.replace(pair, r=0.25) if pair.degenerate else pair for pair in sol.complementary)
+    return dataclasses.replace(sol, complementary=pairs)
+
+
+@pytest.mark.parametrize(
+    "ensemble, tamper, field",
+    [
+        pytest.param(uniform_vertex_ensemble(4), lambda sol: dataclasses.replace(sol, p_guess=0.9),
+                     "value_residual", id="p-guess"),
+        pytest.param(uniform_vertex_ensemble(4), _rescaled_pairs, "weight_residuals", id="rescaled-pairs"),
+        # At p = 0.5 the mixture's pair is degenerate (d is None), so no other residual reads its r.
+        pytest.param(no_measurement_ensemble(0.5), _degenerate_weight_raised, "weight_residuals", id="degenerate-r"),
+    ],
+)
+def test_kkt_rejects_claims_not_read_off_k(ensemble, tamper, field):
+    sol = solve_discrimination(ensemble)
+    assert verify_kkt(ensemble, sol).passes(1e-9)
+    report = verify_kkt(ensemble, tamper(sol))
+    assert not report.passes(1e-9)
+    assert np.max(getattr(report, field)) > 0.2
+
+
+def test_kkt_value_and_weight_residuals_are_zero_on_solver_output():
+    for ensemble in (uniform_vertex_ensemble(13), no_measurement_ensemble(0.5)):
+        report = verify_kkt(ensemble, solve_discrimination(ensemble))
+        assert report.value_residual == 0.0
+        assert not report.weight_residuals.any()
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), 0.5])
+def test_solver_rejects_tolerance_outside_range(tol):
+    with pytest.raises(InvalidInputError, match="tol"):
+        solve_discrimination(uniform_vertex_ensemble(4), tol=tol)
+
+
 def test_no_measurement_value_examples():
     assert no_measurement_value(uniform_vertex_ensemble(4)) == pytest.approx(0.25)
     assert no_measurement_value(no_measurement_ensemble(0.5)) == pytest.approx(0.5)

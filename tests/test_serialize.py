@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gptdisc import InvalidInputError, polygon_model, solve_discrimination, verify_kkt
-from gptdisc.geometry import congruence_check
+from gptdisc.discrimination import KktReport
+from gptdisc.geometry import CongruenceReport, congruence_check
 from gptdisc.polygon import uniform_vertex_ensemble
 from gptdisc.serialize import (
     dumps,
@@ -70,6 +72,17 @@ def test_solution_round_trip_preserves_certificate():
     assert rebuilt.p_guess == pytest.approx(solution.p_guess)
     assert_allclose(rebuilt.symmetry_operator, solution.symmetry_operator)
     assert verify_kkt(ensemble, rebuilt).passes(1e-9)
+
+
+def test_reports_render_from_their_own_fields():
+    ensemble = uniform_vertex_ensemble(4)
+    solution = solve_discrimination(ensemble)
+    kkt = verify_kkt(ensemble, solution)
+    payload = json.loads(dumps(solution_to_dict(solution, kkt, congruence_check(solution))))
+    assert list(payload["kkt"]) == [field.name for field in dataclasses.fields(KktReport)]
+    assert list(payload["geometry"]) == [field.name for field in dataclasses.fields(CongruenceReport)]
+    assert payload["kkt"]["weight_residuals"] == [0, 0, 0, 0]
+    assert [list(pair) for pair in payload["complementary"]] == [["r", "d"]] * 4
 
 
 def test_malformed_model_rejected():
