@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import DiscriminationSolution
+from .discrimination import DiscriminationSolution, row_norms
 from .errors import InvalidInputError, PreconditionError, UndefinedRatioError
 from .model import DEFAULT_TOL, Ensemble, evaluate
 
@@ -31,11 +31,6 @@ class CongruenceReport:
     ratio: float | None
     ratio_spread: float
     skipped: tuple[int, ...]
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, summed exactly as ``np.linalg.norm`` sums one vector."""
-    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
 def congruence_check(solution: DiscriminationSolution, tol: float = DEFAULT_TOL) -> CongruenceReport:
@@ -52,10 +47,10 @@ def congruence_check(solution: DiscriminationSolution, tol: float = DEFAULT_TOL)
     rd = np.array([solution.complementary[i].r for i in active])[:, None] * d
     x, y = np.triu_indices(len(active), k=1)  # the pair order of combinations(active, 2)
     state_edges = weighted[x] - weighted[y]
-    max_residual = float(_row_norms(state_edges + rd[x] - rd[y]).max(initial=0.0))
-    d_edges = _row_norms(d[x] - d[y])
+    max_residual = float(row_norms(state_edges + rd[x] - rd[y]).max(initial=0.0))
+    d_edges = row_norms(d[x] - d[y])
     keep = d_edges > tol
-    ratios = _row_norms(state_edges[keep]) / d_edges[keep]
+    ratios = row_norms(state_edges[keep]) / d_edges[keep]
     if ratios.size:
         ratio = float(np.mean(ratios))
         spread = float(ratios.max() - ratios.min())

@@ -89,10 +89,6 @@ class Measurement:
     def __post_init__(self):
         object.__setattr__(self, "effects", finite_array(self.effects, "effects", (None, None)))
 
-    @property
-    def n_outcomes(self) -> int:
-        return self.effects.shape[0]
-
 
 @dataclass
 class ValidationReport:

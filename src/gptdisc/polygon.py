@@ -75,10 +75,6 @@ class DemoN4Result:
     solution: DiscriminationSolution
     alternates: tuple[tuple[str, Measurement, KktReport], ...]
 
-    @property
-    def all_optimal(self) -> bool:
-        return all(report.passes() for _, _, report in self.alternates)
-
 
 def demo_n4() -> DemoN4Result:
     """Uniform four-state discrimination on the square: value 1/2, non-unique optima.
@@ -128,7 +124,7 @@ class ThresholdScan:
     p_star: float | None
 
 
-def threshold_scan(p_grid, tol: float = DEFAULT_TOL) -> ThresholdScan:
+def threshold_scan(p_grid) -> ThresholdScan:
     """Locate where guessing without measuring becomes optimal.
 
     Each grid point is solved and flagged; the threshold ``p_star`` (the
@@ -143,12 +139,12 @@ def threshold_scan(p_grid, tol: float = DEFAULT_TOL) -> ThresholdScan:
     for p in grid:
         solution = demo_no_measurement(p)
         baseline = no_measurement_value(solution.ensemble)
-        rows.append((p, solution.p_guess, solution.p_guess <= baseline + tol))
+        rows.append((p, solution.p_guess, solution.p_guess <= baseline + DEFAULT_TOL))
 
     def oracle_flag(p: float) -> bool:
         ensemble = no_measurement_ensemble(p)
         result = dual_vertex_enumeration(ensemble)
-        return result.p_guess <= no_measurement_value(ensemble) + tol
+        return result.p_guess <= no_measurement_value(ensemble) + DEFAULT_TOL
 
     flagged = sorted(p for p, _, flag in rows if flag)
     if not flagged:

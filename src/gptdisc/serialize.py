@@ -26,9 +26,13 @@ from .oracle import OracleResult
 
 
 def format_real(value: float) -> str:
-    """Format one real with 17 significant digits (round-trip exact)."""
+    """Format one real with 17 significant digits (round-trip exact).
+
+    An integral value keeps a ``.0`` so that JSON readers parse it as a
+    float and ``-0.0`` keeps its sign.
+    """
     text = format(float(value), ".17g")
-    return text
+    return text + ".0" if text.lstrip("-").isdigit() else text
 
 
 def dumps(obj) -> str:
@@ -169,7 +173,6 @@ def solution_to_dict(
         "K": solution.symmetry_operator,
         "complementary": solution.complementary,
         "kkt": kkt,
-        "gap": abs(solution.primal_objective - solution.dual_objective),
         "geometry": congruence,
     }
     if oracle is not None:
@@ -180,8 +183,10 @@ def solution_to_dict(
 def solution_from_dict(data, ensemble: Ensemble) -> DiscriminationSolution:
     """Rebuild an (untrusted) solution certificate for re-verification.
 
-    Objectives are recomputed from the measurement and ``K`` rather than
-    read from the file, so a tampered certificate cannot vouch for itself.
+    ``p_guess`` and the weights ``r`` are claims that :func:`verify_kkt`
+    checks against ``u[K]``, and it recomputes the duality gap, so a
+    tampered certificate cannot vouch for itself.  Keys not read here,
+    such as the top-level ``gap`` of older files, are ignored.
     """
     if not isinstance(data, dict):
         raise InvalidInputError("solution must be a JSON object")
@@ -198,14 +203,10 @@ def solution_from_dict(data, ensemble: Ensemble) -> DiscriminationSolution:
         d = None if d is None else finite_array(d, "complementary state d", (dim,))
         pairs.append(ComplementaryPair(r=r, d=d))
     p_guess = float(finite_array(_require(data, "p_guess", "solution"), "p_guess", ()))
-    primal_value = float(np.sum(ensemble.priors * np.einsum("xd,xd->x", effects, ensemble.states)))
-    dual_value = float(ensemble.model.unit_effect @ k)
     return DiscriminationSolution(
         ensemble=ensemble,
         p_guess=p_guess,
         measurement=Measurement(effects),
         symmetry_operator=k,
         complementary=tuple(pairs),
-        primal_objective=primal_value,
-        dual_objective=dual_value,
     )

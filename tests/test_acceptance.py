@@ -94,7 +94,7 @@ def test_criterion_4_no_measurement_scan():
         from gptdisc.polygon import no_measurement_ensemble
 
         grid = [round(0.05 * k, 2) for k in range(21)]
-        scan = threshold_scan(grid, tol=1e-9)
+        scan = threshold_scan(grid)
         for p, p_guess, flag in scan.rows:
             ensemble = no_measurement_ensemble(p)
             oracle = dual_vertex_enumeration(ensemble)
@@ -122,9 +122,10 @@ def test_criterion_5_strong_duality_suite():
         for _ in range(200):
             ensemble = random_polygon_ensemble(rng)
             sol = solve_discrimination(ensemble)
-            assert abs(sol.primal_objective - sol.dual_objective) <= 1e-8
+            report = verify_kkt(ensemble, sol, tol=1e-9)
+            assert report.gap <= 1e-8
             assert ensemble.priors.max() - 1e-9 <= sol.p_guess <= 1.0 + 1e-9
-            assert verify_kkt(ensemble, sol, tol=1e-9).passes(1e-9)
+            assert report.passes(1e-9)
             assert congruence_check(sol).max_residual <= 1e-7
             oracle = dual_vertex_enumeration(ensemble)
             assert abs(oracle.p_guess - sol.p_guess) <= 1e-8

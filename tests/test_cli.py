@@ -201,6 +201,20 @@ def test_verify_writes_its_verdict_to_out(square_files, tmp_path, capsys):
     assert capsys.readouterr().out == "verification passed\n"
 
 
+def test_verify_accepts_file_with_old_top_level_gap(square_files, tmp_path, capsys):
+    # Files written before the duplicate top-level "gap" key was dropped still verify.
+    _, ensemble_path = square_files
+    solution_path = tmp_path / "solution.json"
+    assert main(["solve", str(ensemble_path), "--out", str(solution_path)]) == 0
+    data = json.loads(solution_path.read_text())
+    assert "gap" not in data
+    data["gap"] = data["kkt"]["gap"]
+    old_path = tmp_path / "old.json"
+    old_path.write_text(json.dumps(data))
+    assert main(["verify", str(ensemble_path), str(old_path)]) == 0
+    assert capsys.readouterr().out.endswith("verification passed\n")
+
+
 def test_verify_tampered_k_exit_four(square_files, tmp_path, capsys):
     _, ensemble_path = square_files
     solution_path = tmp_path / "solution.json"

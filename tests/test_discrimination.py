@@ -118,6 +118,36 @@ def test_kkt_report_on_solver_output():
     assert report.gap <= 1e-9
 
 
+def kkt_reference_ensembles():
+    rng = np.random.default_rng(45)
+    eye = np.eye(9)
+    simplex = GptModel(dim=9, state_gens=eye, effect_gens=eye, unit_effect=np.ones(9))
+    return (
+        [uniform_vertex_ensemble(n) for n in range(3, 25)]
+        + [random_polygon_ensemble(rng) for _ in range(20)]
+        + [no_measurement_ensemble(0.5)]
+        + [Ensemble(model=simplex, states=np.vstack([eye[:3], np.full(9, 1.0 / 9.0)]), priors=[0.3, 0.3, 0.2, 0.2])]
+    )
+
+
+def test_kkt_array_pass_matches_per_outcome_reference():
+    # The residuals are computed for all outcomes at once; each must equal,
+    # bit for bit, the per-outcome formula on the solver's output and on a
+    # solution with K shifted off the optimum.
+    for ensemble in kkt_reference_ensembles():
+        sol = solve_discrimination(ensemble)
+        shifted = dataclasses.replace(sol, symmetry_operator=sol.symmetry_operator + 1e-3)
+        for candidate in (sol, shifted):
+            report = verify_kkt(ensemble, candidate)
+            for x, pair in enumerate(candidate.complementary):
+                q, w = float(ensemble.priors[x]), ensemble.states[x]
+                rd = pair.scaled(ensemble.model.dim)
+                stability = float(np.linalg.norm(candidate.symmetry_operator - q * w - rd))
+                orthogonality = abs(float(candidate.measurement.effects[x] @ rd))
+                assert report.stability_residuals[x] == stability
+                assert report.orthogonality_residuals[x] == orthogonality
+
+
 def test_kkt_accepts_two_outcome_alternative():
     # Measuring {f0, f2} and guessing the matching vertex pair is optimal:
     # f0 pairs to zero with both complementary states it can produce.
@@ -195,7 +225,7 @@ def test_strong_duality_and_sandwich_on_random_instances():
     for _ in range(20):
         ensemble = random_polygon_ensemble(rng)
         sol = solve_discrimination(ensemble)
-        assert abs(sol.primal_objective - sol.dual_objective) <= 1e-8
+        assert verify_kkt(ensemble, sol).gap <= 1e-8
         assert ensemble.priors.max() - 1e-9 <= sol.p_guess <= 1.0 + 1e-9
         for x, pair in enumerate(sol.complementary):
             if not pair.degenerate:
@@ -249,7 +279,7 @@ def test_repeated_states_kept_as_distinct_outcomes():
         priors=np.array([0.5, 0.5]),
     )
     sol = solve_discrimination(ensemble)
-    assert sol.measurement.n_outcomes == 2
+    assert sol.measurement.effects.shape[0] == 2
     assert sol.p_guess == pytest.approx(0.5, abs=1e-9)
 
 
@@ -268,7 +298,6 @@ def test_restricted_effects_force_trivial_guessing():
     )
     sol = solve_discrimination(ensemble)
     assert sol.p_guess == pytest.approx(0.7, abs=1e-9)
-    assert abs(sol.primal_objective - sol.dual_objective) <= 1e-9
     # The effect cone is not full-dimensional here, so its dual contains
     # lines and the normalized complementary decomposition need not exist
     # at the degenerate index; the report must stay honest about that

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,13 @@ def test_format_real_round_trips_doubles():
     values = [0.5, 1 / 3, np.pi, 2 ** 0.25, 1e-17, -123.456789012345678]
     for v in values:
         assert float(format_real(v)) == v
+
+
+def test_integral_doubles_read_back_as_floats_with_their_sign():
+    parsed = json.loads(dumps([-0.0, 1.0]))
+    assert all(type(v) is float for v in parsed)
+    assert parsed == [0.0, 1.0]
+    assert math.copysign(1.0, parsed[0]) == -1.0
 
 
 def test_model_round_trip(tmp_path):
