@@ -85,9 +85,7 @@ def cone_ge(v, w, test_cone: PolyhedralCone, tol: float = 1e-9) -> bool:
     b = np.asarray(w, dtype=float)
     if a.shape != (test_cone.dim,) or b.shape != (test_cone.dim,):
         raise InvalidInputError("dimension mismatch in cone_ge")
-    if test_cone.n_generators == 0:
-        return True
-    return bool(np.min(test_cone.generators @ (a - b)) >= -tol)
+    return bool((test_cone.generators @ (a - b)).min(initial=0.0) >= -tol)
 
 
 def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:

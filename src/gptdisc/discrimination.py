@@ -5,9 +5,9 @@ The primal problem maximizes the average success probability
 over operators ``K`` dominating every ``q_x w_x`` in the effect order.
 ``K`` is the Lagrange multiplier of the completeness rows
 ``sum_x e_x = u``, so one certified solve of the measurement LP yields
-both the optimal measurement and ``K``: dual feasibility of that
-certificate is exactly ``K >= q_x w_x`` on every effect generator, and
-its zero duality gap is strong duality.
+both the optimal measurement and ``K``.  With one column per effect
+generator ``g_j``, earning ``t_j = max_x q_x g_j[w_x]``, dual feasibility
+``g_j[K] >= t_j`` is exactly ``K >= q_x w_x``; zero gap is strong duality.
 
 The symmetry operator decomposes as ``K = q_x w_x + r_x d_x`` for every
 outcome, with ``r_x = u[K] - q_x`` (because ``u[d_x] = 1``) and the
@@ -28,7 +28,7 @@ import numpy as np
 from .cone import cone_ge, member_of
 from .errors import InternalInconsistencyError, InvalidInputError
 from .lp import OPTIMAL, LpProblem, check_certificate, solve_lp
-from .model import DEFAULT_TOL, MAX_TOL, Ensemble, Measurement, validate_ensemble
+from .model import DEFAULT_TOL, MAX_TOL, Ensemble, Measurement, validate_ensemble, validate_model
 
 
 @dataclass(frozen=True)
@@ -104,26 +104,24 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(rows, rows))
 
 
-def build_primal(ensemble: Ensemble) -> LpProblem:
-    """Measurement LP over nonnegative generator coefficients.
+def _rewards(ensemble: Ensemble) -> np.ndarray:
+    """``q_x g_j[w_x]`` with outcomes as rows and effect generators as columns."""
+    return ensemble.priors[:, None] * (ensemble.states @ ensemble.model.effect_gens.T)
 
-    Variables are coefficients ``c[x, j]`` with ``e_x = sum_j c[x,j] g_j``;
-    the d equality rows force ``sum_x e_x = u`` coordinatewise, and the
-    objective is the negated average success probability (standard form
-    minimizes).
+
+def build_primal(ensemble: Ensemble) -> LpProblem:
+    """Measurement LP: minimize ``-sum_j C_j t_j`` s.t. ``sum_j C_j g_j = u``, ``C >= 0`` (d rows, g columns).
+
+    The full LP's other N - 1 columns of each ``g_j`` cannot bind: their reduced
+    costs ``g_j[K] - q_x g_j[w_x]`` are at least ``g_j[K] - t_j >= -tol``.
     """
-    gens = ensemble.model.effect_gens
-    n, g = ensemble.n_states, gens.shape[0]
-    success = ensemble.states @ gens.T  # (x, j) -> g_j[w_x]
-    objective = -(ensemble.priors[:, None] * success).reshape(n * g)
-    eq_matrix = np.tile(gens.T, n)  # column x*g + j carries g_j
-    return LpProblem(objective, eq_matrix, ensemble.model.unit_effect)
+    return LpProblem(-_rewards(ensemble).max(axis=0), ensemble.model.effect_gens.T, ensemble.model.unit_effect)
 
 
 def measurement_from_primal(ensemble: Ensemble, x: np.ndarray) -> Measurement:
-    """Reconstruct effect coordinates from primal coefficient values."""
-    gens = ensemble.model.effect_gens
-    return Measurement(np.reshape(x, (ensemble.n_states, gens.shape[0])) @ gens)
+    """Effects ``e_x = sum_j C_j g_j`` over the ``g_j`` whose ``t_j`` outcome x attains, ties to the lowest x."""
+    owners = _rewards(ensemble).argmax(axis=0)
+    return Measurement(((owners == np.arange(ensemble.n_states)[:, None]) * x) @ ensemble.model.effect_gens)
 
 
 def no_measurement_value(ensemble: Ensemble) -> float:
@@ -138,10 +136,11 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
     ``p_guess = u[K] = -b.y``; :func:`check_certificate` has already
     bounded its distance from the primal value ``-c.x`` by ``tol``.
     Raises :class:`InvalidInputError` when ``tol`` is outside
-    ``(0, MAX_TOL]`` or the ensemble fails validation, and
-    :class:`InternalInconsistencyError` when the LP is not solved
-    optimally, its certificate fails :func:`check_certificate`, or
-    ``p_guess`` falls outside the sandwich bound ``[max_x q_x, 1]``.
+    ``(0, MAX_TOL]``, the ensemble fails validation, or the LP fails and
+    so does :func:`validate_model`; :class:`InternalInconsistencyError`
+    when the LP of a valid model is not solved optimally, its certificate
+    fails :func:`check_certificate`, or ``p_guess`` falls outside the
+    sandwich bound ``[max_x q_x, 1]``.
     """
     if not 0.0 < tol <= MAX_TOL:
         raise InvalidInputError(f"tol must lie in (0, {MAX_TOL:g}], got {tol!r}")
@@ -152,13 +151,15 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
     problem = build_primal(ensemble)
     primal = solve_lp(problem, tol=tol)
     if primal.status != OPTIMAL:
+        model_check = validate_model(ensemble.model, tol=max(tol, 1e-12))
+        if not model_check.valid:
+            raise InvalidInputError("; ".join(model_check.issues))
         raise InternalInconsistencyError(f"measurement LP must be solvable (status {primal.status})")
     if not check_certificate(problem, primal, tol):
         raise InternalInconsistencyError("measurement LP certificate failed re-verification")
     k = -primal.y
     p_guess = float(problem.eq_rhs @ k)  # u[K]
 
-    measurement = measurement_from_primal(ensemble, primal.x)
     if p_guess < no_measurement_value(ensemble) - 10.0 * tol or p_guess > 1.0 + 10.0 * tol:
         raise InternalInconsistencyError(f"guessing probability {p_guess!r} outside sandwich bound")
 
@@ -176,7 +177,7 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
     return DiscriminationSolution(
         ensemble=ensemble,
         p_guess=p_guess,
-        measurement=measurement,
+        measurement=measurement_from_primal(ensemble, primal.x),
         symmetry_operator=k,
         complementary=tuple(pairs),
     )

@@ -8,8 +8,8 @@ by lowest basis index), which guarantees termination in exact arithmetic
 and makes every solve deterministic.  Pivot magnitudes below
 ``PIVOT_FLOOR`` are never used; an entering column whose positive entries
 all sit below the floor is skipped.  Everything is dense numpy: the
-measurement LP has few rows (the model dimension) but N * g columns,
-16,384 for the order-128 uniform polygon ensemble.
+measurement LP has one row per model dimension and one column per
+effect generator, 3 x 128 for the order-128 polygon.
 """
 
 from __future__ import annotations

@@ -31,6 +31,14 @@ def slack_form(c, a_ub, b_ub) -> LpProblem:
     return LpProblem(np.concatenate([c, np.zeros(m)]), np.hstack([a_ub, np.eye(m)]), b_ub)
 
 
+def full_measurement_lp(ensemble: Ensemble) -> LpProblem:
+    """Measurement LP over every coefficient ``c[x, j]``: column ``x * g + j`` carries ``g_j`` with reward ``q_x g_j[w_x]``."""
+    gens = ensemble.model.effect_gens
+    n, g = ensemble.n_states, gens.shape[0]
+    objective = -(ensemble.priors[:, None] * (ensemble.states @ gens.T)).reshape(n * g)
+    return LpProblem(objective, np.tile(gens.T, n), ensemble.model.unit_effect)
+
+
 def same_generator_set(a: PolyhedralCone, b: PolyhedralCone, tol: float = 1e-9) -> bool:
     """True iff the generator sets coincide up to positive scaling and order."""
     if a.dim != b.dim or a.n_generators != b.n_generators:

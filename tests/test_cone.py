@@ -105,6 +105,8 @@ def test_order_relation_reflexive():
     model = polygon_model(4)
     v = np.array([0.3, -0.2, 0.9])
     assert cone_ge(v, v, model.effect_cone)
+    # The empty cone induces no constraint, so any v dominates any w.
+    assert cone_ge(-v, v, PolyhedralCone(3, []))
 
 
 def test_order_relation_square_axis_operator():

@@ -20,11 +20,11 @@ from gptdisc import (
     verify_kkt,
 )
 from gptdisc.discrimination import measurement_from_primal
-from gptdisc.lp import OPTIMAL, feasibility_gap
+from gptdisc.lp import OPTIMAL, LpSolution, check_certificate, feasibility_gap
 from gptdisc.oracle import MAX_ORACLE_CONSTRAINTS, dual_vertex_enumeration
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
-from conftest import random_polygon_ensemble, random_polytope_model
+from conftest import full_measurement_lp, random_polygon_ensemble, random_polytope_model
 
 
 def single_state_ensemble():
@@ -108,6 +108,24 @@ def test_invalid_ensemble_rejected_by_solver():
         solve_discrimination(bad)
 
 
+@pytest.mark.parametrize(
+    "effect_gens, issue",
+    [
+        pytest.param(lambda gens: gens[:1], "unit effect is not in the cone", id="infeasible-lp"),
+        pytest.param(lambda gens: np.vstack([gens, -gens[:1]]), "negative on state generator", id="unbounded-lp"),
+    ],
+)
+def test_invalid_model_rejected_by_solver(effect_gens, issue):
+    # Both models make the measurement LP fail; that is bad input, not a solver fault.
+    square = polygon_model(4)
+    model = GptModel(
+        dim=3, state_gens=square.state_gens, effect_gens=effect_gens(square.effect_gens), unit_effect=square.unit_effect
+    )
+    uniform = uniform_vertex_ensemble(4)
+    with pytest.raises(InvalidInputError, match=issue):
+        solve_discrimination(Ensemble(model=model, states=uniform.states, priors=uniform.priors))
+
+
 def test_kkt_report_on_solver_output():
     sol = solve_discrimination(uniform_vertex_ensemble(4))
     report = verify_kkt(sol.ensemble, sol)
@@ -118,15 +136,20 @@ def test_kkt_report_on_solver_output():
     assert report.gap <= 1e-9
 
 
-def kkt_reference_ensembles():
-    rng = np.random.default_rng(45)
+def classical_simplex_ensemble():
+    """Three vertices of the 9-d classical simplex and its barycentre: above the dual-cone bound."""
     eye = np.eye(9)
     simplex = GptModel(dim=9, state_gens=eye, effect_gens=eye, unit_effect=np.ones(9))
+    return Ensemble(model=simplex, states=np.vstack([eye[:3], np.full(9, 1.0 / 9.0)]), priors=[0.3, 0.3, 0.2, 0.2])
+
+
+def kkt_reference_ensembles():
+    rng = np.random.default_rng(45)
     return (
         [uniform_vertex_ensemble(n) for n in range(3, 25)]
         + [random_polygon_ensemble(rng) for _ in range(20)]
         + [no_measurement_ensemble(0.5)]
-        + [Ensemble(model=simplex, states=np.vstack([eye[:3], np.full(9, 1.0 / 9.0)]), priors=[0.3, 0.3, 0.2, 0.2])]
+        + [classical_simplex_ensemble()]
     )
 
 
@@ -280,6 +303,8 @@ def test_repeated_states_kept_as_distinct_outcomes():
     )
     sol = solve_discrimination(ensemble)
     assert sol.measurement.effects.shape[0] == 2
+    # Every generator earns the same on both outcomes; ties go to the lowest label.
+    assert np.all(sol.measurement.effects[1] == 0.0)
     assert sol.p_guess == pytest.approx(0.5, abs=1e-9)
 
 
@@ -319,10 +344,40 @@ def test_measurement_reconstruction_matches_generators():
     assert_allclose(total, ensemble.model.unit_effect, atol=1e-12)
 
 
-def test_uniform_polygons_match_axis_operator_through_order_64():
+def full_lp_ensembles():
+    rng = np.random.default_rng(46)
+    return (
+        [uniform_vertex_ensemble(n) for n in range(3, 40)]
+        + [random_polygon_ensemble(rng) for _ in range(100)]
+        + [no_measurement_ensemble(round(0.05 * k, 2)) for k in range(21)]
+        + [classical_simplex_ensemble()]
+    )
+
+
+def test_collapsed_lp_certifies_the_full_measurement_lp():
+    # The LP has one column per effect generator; scattering each C_j to the
+    # outcome that owns it must give an optimal point of the full LP over
+    # every c[x, j], certified by the same multipliers y.
+    for ensemble in full_lp_ensembles():
+        dim, g = ensemble.model.dim, ensemble.model.effect_gens.shape[0]
+        problem = build_primal(ensemble)
+        assert problem.eq_matrix.shape == (dim, g)
+        sol = solve_lp(problem)
+        assert check_certificate(problem, sol)
+        full = full_measurement_lp(ensemble)
+        owner = (-full.objective).reshape(ensemble.n_states, g).argmax(axis=0)
+        scattered = np.zeros((ensemble.n_states, g))
+        scattered[owner, np.arange(g)] = sol.x
+        lifted = LpSolution(OPTIMAL, x=scattered.reshape(-1), objective=sol.objective, y=sol.y)
+        assert check_certificate(full, lifted), (ensemble.model.dim, ensemble.n_states)
+        measurement = measurement_from_primal(ensemble, sol.x)
+        assert_allclose(measurement.effects, scattered @ ensemble.model.effect_gens, atol=0.0)
+
+
+def test_uniform_polygons_match_axis_operator_through_order_128():
     # Orders 13, 15, 18 and 24 broke the former separate dual LP; every
     # order must now solve with a passing certificate.
-    for n in range(3, 65):
+    for n in range(3, 129):
         ensemble = uniform_vertex_ensemble(n)
         sol = solve_discrimination(ensemble)
         axis_value = float(ensemble.model.unit_effect @ symmetric_axis_k(ensemble, (0.0, 0.0, 1.0)))
