@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end, on the standard library's ``argparse``.
 
 Subcommands: ``solve`` (ensemble file -> solution JSON with KKT and
 geometry reports), ``polygon`` (emit a polygon model file), ``demo``
@@ -7,16 +7,18 @@ certificate), and ``export-vertices`` (CSV plot data).
 
 Exit codes: 0 success, 1 invalid model/ensemble/arguments, 2 numerical
 failure, 3 oracle disagreement beyond 1e-6 (with ``--oracle``), 4 failed
-verification.  Reading or writing ``-`` means standard input/output.
+verification.  Usage errors and unreadable or unwritable files exit 1
+with one ``error:`` line on stderr.  Reading or writing ``-`` means
+standard input/output.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import sys
 from pathlib import Path
 
-import click
 import numpy as np
 
 from . import polygon as polygon_mod
@@ -61,8 +63,11 @@ class VerificationFailedError(GptDiscError):
 def _write_out(out: str, text: str) -> None:
     if out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {out}: {exc}") from exc
 
 
 def _validated_ensemble(source: str, tol: float):
@@ -71,7 +76,7 @@ def _validated_ensemble(source: str, tol: float):
     if not model_report.valid:
         raise InvalidInputError("; ".join(model_report.issues))
     for warning in model_report.warnings:
-        click.echo(f"warning: {warning}", err=True)
+        print(f"warning: {warning}", file=sys.stderr)
     ensemble_report = validate_ensemble(ensemble, tol)
     if not ensemble_report.valid:
         raise InvalidInputError("; ".join(ensemble_report.issues))
@@ -102,56 +107,31 @@ def _solution_payload(solution, tol: float, oracle: bool):
         try:
             oracle_result = _oracle_agreement(ensemble, solution.p_guess)
         except UnsupportedSizeError as exc:
-            click.echo(f"warning: oracle skipped: {exc}", err=True)
+            print(f"warning: oracle skipped: {exc}", file=sys.stderr)
     return solution_to_dict(solution, kkt, congruence, oracle_result)
 
 
-_tol_option = click.option(
-    "--tol",
-    "tolerance",
-    type=click.FloatRange(0.0, MAX_TOL, min_open=True),
-    default=DEFAULT_TOL,
-    show_default=True,
-    help="Numeric tolerance.",
-)
-_out_option = click.option("--out", default="-", show_default=True, help="Output file, '-' for stdout.")
+def cmd_solve(args) -> None:
+    """Solve the discrimination instance in an ensemble file."""
+    ensemble = _validated_ensemble(args.ensemble_file, args.tol)
+    solution = solve_discrimination(ensemble, tol=args.tol)
+    _write_out(args.out, dumps(_solution_payload(solution, args.tol, args.oracle)))
 
 
-@click.group()
-def cli():
-    """Optimal state discrimination in finitely generated GPT models."""
-
-
-@cli.command("solve")
-@click.argument("ensemble_file")
-@_tol_option
-@_out_option
-@click.option("--oracle", is_flag=True, help="Cross-check against the vertex-enumeration oracle.")
-def cmd_solve(ensemble_file, tolerance, oracle, out):
-    """Solve the discrimination instance in ENSEMBLE_FILE."""
-    ensemble = _validated_ensemble(ensemble_file, tolerance)
-    solution = solve_discrimination(ensemble, tol=tolerance)
-    _write_out(out, dumps(_solution_payload(solution, tolerance, oracle)))
-
-
-@cli.command("polygon")
-@click.option("--n", "order", type=int, required=True, help="Polygon order (>= 3).")
-@_out_option
-def cmd_polygon(order, out):
+def cmd_polygon(args) -> None:
     """Emit the order-n polygon model as model JSON."""
-    model = polygon_mod.polygon_model(order)
-    _write_out(out, dumps(model_to_dict(model)))
+    model = polygon_mod.polygon_model(args.order)
+    _write_out(args.out, dumps(model_to_dict(model)))
 
 
-@cli.command("demo")
-@click.argument("name", type=click.Choice(["n3", "n4", "no-measurement"]))
-@_out_option
-def cmd_demo(name, out):
+def cmd_demo(args) -> None:
     """Run a worked example: n3, n4, or no-measurement."""
-    if name == "n3":
-        _write_out(out, dumps(_solution_payload(polygon_mod.demo_n3(), DEFAULT_TOL, oracle=True)))
+    if args.name == "no-measurement":
+        _demo_no_measurement(args.out)
         return
-    if name == "n4":
+    if args.name == "n3":
+        payload = _solution_payload(polygon_mod.demo_n3(), DEFAULT_TOL, oracle=True)
+    else:
         result = polygon_mod.demo_n4()
         payload = _solution_payload(result.solution, DEFAULT_TOL, oracle=True)
         payload["alternates"] = [
@@ -162,9 +142,7 @@ def cmd_demo(name, out):
             }
             for alt_name, measurement, report in result.alternates
         ]
-        _write_out(out, dumps(payload))
-        return
-    _demo_no_measurement(out)
+    _write_out(args.out, dumps(payload))
 
 
 def _demo_no_measurement(out: str) -> None:
@@ -176,30 +154,19 @@ def _demo_no_measurement(out: str) -> None:
     for p, p_guess, flag in scan.rows:
         lines.append(f"{format_real(p)},{format_real(p_guess)},{str(flag).lower()}")
     _write_out(out, "\n".join(lines) + "\n")
-    click.echo(f"measured no-measurement threshold p* = {format_real(scan.p_star)}", err=True)
-    click.echo(
-        f"closed-form dual-feasibility bound = {format_real(polygon_mod.AXIS_FEASIBILITY_THRESHOLD)}",
-        err=True,
-    )
-    click.echo(
-        f"quantum-analogue threshold = {format_real(polygon_mod.QUANTUM_ANALOGUE_THRESHOLD)}",
-        err=True,
-    )
+    print(f"measured no-measurement threshold p* = {format_real(scan.p_star)}", file=sys.stderr)
+    print("closed-form dual-feasibility bound =", format_real(polygon_mod.AXIS_FEASIBILITY_THRESHOLD), file=sys.stderr)
+    print("quantum-analogue threshold =", format_real(polygon_mod.QUANTUM_ANALOGUE_THRESHOLD), file=sys.stderr)
 
 
-@cli.command("verify")
-@click.argument("ensemble_file")
-@click.argument("solution_file")
-@_tol_option
-@_out_option
-def cmd_verify(ensemble_file, solution_file, tolerance, out):
+def cmd_verify(args) -> None:
     """Re-verify a solution certificate against its ensemble."""
-    ensemble = _validated_ensemble(ensemble_file, tolerance)
-    solution = solution_from_dict(load_json(solution_file), ensemble)
-    kkt = verify_kkt(ensemble, solution, tol=tolerance)
-    congruence = congruence_check(solution, tol=tolerance)
+    ensemble = _validated_ensemble(args.ensemble_file, args.tol)
+    solution = solution_from_dict(load_json(args.solution_file), ensemble)
+    kkt = verify_kkt(ensemble, solution, tol=args.tol)
+    congruence = congruence_check(solution, tol=args.tol)
     failures = []
-    if not kkt.passes(tolerance):
+    if not kkt.passes(args.tol):
         failures.append(
             "KKT check failed: "
             f"p_guess {solution.p_guess!r} residual {kkt.value_residual:g}, "
@@ -209,56 +176,88 @@ def cmd_verify(ensemble_file, solution_file, tolerance, out):
             f"measurement residual {kkt.measurement_residual:g}, gap {kkt.gap:g}, "
             f"positivity {list(kkt.positivity_ok)}, effects-in-cone {list(kkt.effects_in_cone)}"
         )
-    if congruence.max_residual > tolerance:
+    if congruence.max_residual > args.tol:
         failures.append(f"congruence residual {congruence.max_residual:g} exceeds tolerance")
     if failures:
         raise VerificationFailedError("; ".join(failures))
-    _write_out(out, "verification passed\n")
+    _write_out(args.out, "verification passed\n")
 
 
-@cli.command("export-vertices")
-@click.argument("model_file")
-@_out_option
-def cmd_export_vertices(model_file, out):
-    """Write state and effect generators of a model file as CSV plot data."""
-    model = load_model(model_file)
+def cmd_export_vertices(args) -> None:
+    """Write the state and effect generators of a model file as CSV plot data."""
+    model = load_model(args.model_file)
     header = "kind,index," + ",".join(["x", "y", "z"] if model.dim == 3 else [f"c{i}" for i in range(model.dim)])
     lines = [header]
     for kind, rows in (("state", model.state_gens), ("effect", model.effect_gens)):
         for index, row in enumerate(rows):
             coords = ",".join(format_real(v) for v in row)
             lines.append(f"{kind},{index},{coords}")
-    _write_out(out, "\n".join(lines) + "\n")
+    _write_out(args.out, "\n".join(lines) + "\n")
+
+
+def tolerance(text: str) -> float:
+    """The ``--tol`` type: a float with ``0 < tol <= MAX_TOL``, a range that NaN and infinities miss."""
+    tol = float(text)
+    if not 0.0 < tol <= MAX_TOL:
+        raise argparse.ArgumentTypeError(f"{text} is not in the range 0 < tol <= {MAX_TOL:g}")
+    return tol
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``InvalidInputError`` instead of exiting."""
+
+    def error(self, message):
+        raise InvalidInputError(message)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="gptdisc",
+        description="Optimal state discrimination in finitely generated GPT models.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for run in (cmd_solve, cmd_polygon, cmd_demo, cmd_verify, cmd_export_vertices):
+        name = run.__name__.removeprefix("cmd_").replace("_", "-")
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        sub.add_argument("--out", default="-", help="Output file, '-' for stdout (default).")
+    solve, polygon, demo, verify, export = commands.choices.values()
+    solve.add_argument("ensemble_file")
+    solve.add_argument("--oracle", action="store_true", help="Cross-check against the vertex-enumeration oracle.")
+    polygon.add_argument("--n", dest="order", type=int, required=True, help="Polygon order (>= 3).")
+    demo.add_argument("name", choices=["n3", "n4", "no-measurement"])
+    verify.add_argument("ensemble_file")
+    verify.add_argument("solution_file")
+    export.add_argument("model_file")
+    for sub in (solve, verify):
+        sub.add_argument("--tol", type=tolerance, default=DEFAULT_TOL, help="Numeric tolerance (default %(default)g).")
+    return parser
 
 
 def main(argv=None) -> int:
     """Entry point with the documented exit-code mapping."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except (click.UsageError, InvalidInputError) as exc:
-        click.echo(f"error: {_message(exc)}", err=True)
-        return EXIT_INVALID_INPUT
+        args, extra = _parser().parse_known_args(argv)
+        if extra:
+            kind = "No such option" if extra[0].startswith("-") else "unexpected argument"
+            raise InvalidInputError(f"{kind}: {extra[0]}")
+        args.run(args)
+    except SystemExit as exc:  # --help
+        return exc.code
     except (NumericalFailureError, InternalInconsistencyError) as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
     except OracleDisagreementError as exc:
-        click.echo(f"oracle disagreement: {exc}", err=True)
+        print(f"oracle disagreement: {exc}", file=sys.stderr)
         return EXIT_ORACLE_DISAGREEMENT
     except VerificationFailedError as exc:
-        click.echo(f"verification failed: {exc}", err=True)
+        print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
-    except click.exceptions.Exit as exc:  # --help and friends
-        return int(exc.exit_code)
     except GptDiscError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     return 0
-
-
-def _message(exc) -> str:
-    if isinstance(exc, click.UsageError):
-        return exc.format_message()
-    return str(exc)
 
 
 if __name__ == "__main__":  # pragma: no cover

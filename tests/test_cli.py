@@ -382,10 +382,61 @@ def test_stdin_dash_input(square_files, capsys, monkeypatch):
     assert payload["p_guess"] == pytest.approx(0.5, abs=1e-9)
 
 
-def test_tolerance_bounds_enforced(square_files):
+def test_tolerance_bounds_enforced(square_files, capsys):
     _, ensemble_path = square_files
     assert main(["solve", str(ensemble_path), "--tol", "0.5"]) == 1
     assert main(["solve", str(ensemble_path), "--tol", "-1e-9"]) == 1
+    # A NaN tolerance fails every comparison, so a valid model would be reported as invalid.
+    capsys.readouterr()
+    for command in (["solve", str(ensemble_path)], ["verify", str(ensemble_path), str(ensemble_path)]):
+        for value in ("nan", "inf"):
+            assert main([*command, "--tol", value]) == 1
+            assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["missing-dir/model.json", "."], ids=["missing-directory", "is-a-directory"])
+def test_write_failure_is_invalid_input(tmp_path, target):
+    proc = subprocess.run(
+        [sys.executable, "-m", "gptdisc", "polygon", "--n", "4", "--out", str(tmp_path / target)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param([], id="no-command"),
+        pytest.param(["bogus"], id="unknown-command"),
+        pytest.param(["solve"], id="missing-positional"),
+        pytest.param(["polygon"], id="missing-n"),
+        pytest.param(["polygon", "--n", "x"], id="n-not-int"),
+        pytest.param(["demo"], id="demo-without-name"),
+        pytest.param(["polygon", "--n", "4", "--ou", "-"], id="option-prefix"),
+        pytest.param(["demo", "n3", "extra"], id="extra-positional"),
+    ],
+)
+def test_usage_errors_exit_one_with_error_line(argv):
+    proc = subprocess.run([sys.executable, "-m", "gptdisc", *argv], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]], ids=["top", "solve"])
+def test_help_exits_zero_with_usage_on_stdout(argv, capsys):
+    assert main(argv) == 0
+    assert "usage:" in capsys.readouterr().out.lower()
+
+
+def test_cli_import_leaves_click_unloaded():
+    code = "import sys, gptdisc.cli; print('click' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script_subprocess(square_files):
