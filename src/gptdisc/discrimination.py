@@ -9,14 +9,14 @@ both the optimal measurement and ``K``.  With one column per effect
 generator ``g_j``, earning ``t_j = max_x q_x g_j[w_x]``, dual feasibility
 ``g_j[K] >= t_j`` is exactly ``K >= q_x w_x``; zero gap is strong duality.
 
-The symmetry operator decomposes as ``K = q_x w_x + r_x d_x`` for every
-outcome, with ``r_x = u[K] - q_x`` (because ``u[d_x] = 1``) and the
-complementary state ``d_x`` normalized; optimal effects are orthogonal
-to their complementary states.  Every number a solution states is thus
-read off ``K``: ``p_guess = u[K]`` and each weight ``r_x``.  A solution
-stores no LP objective values; :func:`verify_kkt` recomputes the duality
-gap from the measurement and ``K``, and is the one check of the stated
-numbers and of the optimality conditions on untrusted solutions.
+Every complementary number is read off ``v_x = K - q_x w_x``: the weight
+``r_x = u[K] - q_x`` and, where ``r_x`` exceeds the tolerance, the
+normalized complementary state ``d_x = v_x / r_x``, so that
+``K = q_x w_x + r_x d_x``; optimal effects obey slackness, ``e_x[v_x] = 0``.
+``d_x`` is a state only when effects are unrestricted (a restricted
+effect cone has a larger dual).  A solution stores no LP objective
+values; :func:`verify_kkt` recomputes the duality gap and is the one
+check of the stated numbers and optimality conditions on untrusted solutions.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .model import DEFAULT_TOL, MAX_TOL, Ensemble, Measurement, validate_ensembl
 class ComplementaryPair:
     """Weight ``r`` and normalized complementary state ``d`` for one outcome.
 
-    ``d`` is None when the pair is degenerate (``r`` below tolerance), in
-    which case ``r d`` is the zero vector.
+    ``d`` is None when the pair is degenerate (``r`` within tolerance of
+    zero); such a pair claims only ``r d = 0``, not that ``K = q w``.
     """
 
     r: float
@@ -45,12 +45,6 @@ class ComplementaryPair:
     @property
     def degenerate(self) -> bool:
         return self.d is None
-
-    def scaled(self, dim: int) -> np.ndarray:
-        """The unnormalized vector ``r * d`` (zero for degenerate pairs)."""
-        if self.d is None:
-            return np.zeros(dim)
-        return self.r * self.d
 
 
 @dataclass(frozen=True)
@@ -68,6 +62,8 @@ class DiscriminationSolution:
 class KktReport:
     """Residuals of every optimality condition and every claimed value, recomputed from scratch.
 
+    With ``v_x = K - q_x w_x``: ``stability_residuals[x]`` is ``|v_x - r_x d_x|``
+    (``|r_x|`` for a null ``d``), ``orthogonality_residuals[x]`` is ``|e_x[v_x]|``,
     ``value_residual`` is ``|p_guess - u[K]|`` and ``weight_residuals[x]``
     is ``|r_x - (u[K] - q_x)|``.
     """
@@ -163,15 +159,10 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
     if p_guess < no_measurement_value(ensemble) - 10.0 * tol or p_guess > 1.0 + 10.0 * tol:
         raise InternalInconsistencyError(f"guessing probability {p_guess!r} outside sandwich bound")
 
-    pairs = []
-    for q, w in zip(ensemble.priors, ensemble.states):
-        r = p_guess - float(q)
-        if r <= tol:
-            pairs.append(ComplementaryPair(r=r, d=None))
-        else:
-            d_state = (k - q * w) / r
-            d_state.setflags(write=False)
-            pairs.append(ComplementaryPair(r=r, d=d_state))
+    weights = p_guess - ensemble.priors  # r_x
+    states = (k - ensemble.weighted_states()) / np.where(weights > tol, weights, 1.0)[:, None]  # d_x = v_x / r_x
+    states.setflags(write=False)
+    pairs = tuple(ComplementaryPair(r=float(r), d=d if r > tol else None) for r, d in zip(weights, states))
 
     k.setflags(write=False)
     return DiscriminationSolution(
@@ -179,7 +170,7 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
         p_guess=p_guess,
         measurement=measurement_from_primal(ensemble, primal.x),
         symmetry_operator=k,
-        complementary=tuple(pairs),
+        complementary=pairs,
     )
 
 
@@ -188,12 +179,11 @@ def verify_kkt(
 ) -> KktReport:
     """Recompute every optimality residual of ``solution`` from scratch.
 
-    Works on untrusted solutions: nothing from the solver is assumed, all
-    quantities are derived from the ensemble, the measurement, ``K`` and
-    the complementary pairs, and the claimed ``p_guess`` and weights
-    ``r_x`` are compared with ``u[K]`` and ``u[K] - q_x``.  A passing
-    report certifies optimality (KKT conditions are sufficient here
-    because strong duality holds) and every number the solution states.
+    Works on untrusted solutions: nothing from the solver is assumed, and
+    all quantities are derived from the ensemble, the measurement, ``K``
+    and the complementary pairs.  A passing report certifies optimality
+    (KKT conditions are sufficient here because strong duality holds) and
+    every number the solution states, ``p_guess`` and the weights included.
     """
     model = ensemble.model
     dim = model.dim
@@ -205,15 +195,19 @@ def verify_kkt(
         raise InvalidInputError("one complementary pair per state is required")
 
     weighted = ensemble.weighted_states()
-    rd = np.array([pair.scaled(dim) for pair in solution.complementary]).reshape(ensemble.n_states, dim)
+    margins = k - weighted  # v_x
     measurement_residual = float(np.linalg.norm(effects.sum(axis=0) - model.unit_effect))
     primal_value = float(np.sum(ensemble.priors * np.einsum("xd,xd->x", effects, ensemble.states)))
     value = float(model.unit_effect @ k)  # u[K]
     weights = np.array([pair.r for pair in solution.complementary], dtype=float)
+    stated = np.array([not pair.degenerate for pair in solution.complementary], dtype=bool)
+    d = np.array([pair.d for pair in solution.complementary if not pair.degenerate]).reshape(-1, dim)
+    stability = np.abs(weights)  # a null d claims only r_x d_x = 0
+    stability[stated] = row_norms(margins[stated] - weights[stated, None] * d)
     return KktReport(
-        stability_residuals=row_norms(k - weighted - rd),
+        stability_residuals=stability,
         positivity_ok=tuple(cone_ge(k, qw, model.effect_cone, tol) for qw in weighted),
-        orthogonality_residuals=np.abs(_row_dots(effects, rd)),
+        orthogonality_residuals=np.abs(_row_dots(effects, margins)),
         measurement_residual=measurement_residual,
         gap=abs(primal_value - value),
         effects_in_cone=tuple(member_of(model.effect_cone, e, tol) for e in effects),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -100,11 +101,16 @@ def demo_n4() -> DemoN4Result:
     return DemoN4Result(solution=solution, alternates=alternates)
 
 
+@cache  # one square model per process for the mixture instances, so its cones' facets are computed once
+def _square_model() -> GptModel:
+    return polygon_model(4)
+
+
 def no_measurement_ensemble(p: float) -> Ensemble:
     """Four square vertices with prior ``(1-p)/4`` each, plus their mixture with prior ``p``."""
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError("mixture prior p must lie in [0, 1]")
-    model = polygon_model(4)
+    model = _square_model()
     mixture = model.state_gens.mean(axis=0)
     states = np.vstack([model.state_gens, mixture])
     priors = np.array([(1.0 - p) / 4.0] * 4 + [p])

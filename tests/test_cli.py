@@ -286,7 +286,7 @@ def _nan_weight_on_degenerate_pair(data):
     "ensemble, tamper",
     [
         pytest.param(uniform_vertex_ensemble(4), lambda data: data.update(p_guess=float("nan")), id="nan-p-guess"),
-        # At p = 0.5 the mixture's pair is degenerate (d is null), so no residual reads its r.
+        # At p = 0.5 the mixture's pair is degenerate (d is null): its r is the only number it states.
         pytest.param(no_measurement_ensemble(0.5), _nan_weight_on_degenerate_pair, id="nan-r-degenerate"),
         pytest.param(uniform_vertex_ensemble(4), lambda data: data.update(complementary=5), id="complementary-not-list"),
         pytest.param(uniform_vertex_ensemble(4), lambda data: data["measurement"].pop(), id="measurement-missing-row"),
@@ -318,9 +318,12 @@ def test_solve_warns_once_about_restricted_effects(tmp_path, capsys):
     ensemble = Ensemble(model=model, states=square.state_gens[:2], priors=[0.7, 0.3])
     ensemble_path = tmp_path / "restricted.json"
     ensemble_path.write_text(dumps(ensemble_to_dict(ensemble)))
-    assert main(["solve", str(ensemble_path)]) == 0
+    solution_path = tmp_path / "solution.json"
+    assert main(["solve", str(ensemble_path), "--out", str(solution_path)]) == 0
     warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
     assert len([line for line in warnings if "restricted" in line]) == 1
+    # The certificate the solver writes for a restricted model verifies.
+    assert main(["verify", str(ensemble_path), str(solution_path)]) == 0
 
 
 def test_verify_accepts_two_outcome_alternative(square_files, tmp_path, capsys):

@@ -156,7 +156,7 @@ def kkt_reference_ensembles():
 def test_kkt_array_pass_matches_per_outcome_reference():
     # The residuals are computed for all outcomes at once; each must equal,
     # bit for bit, the per-outcome formula on the solver's output and on a
-    # solution with K shifted off the optimum.
+    # solution with K shifted off the optimum.  A null d claims only r d = 0.
     for ensemble in kkt_reference_ensembles():
         sol = solve_discrimination(ensemble)
         shifted = dataclasses.replace(sol, symmetry_operator=sol.symmetry_operator + 1e-3)
@@ -164,9 +164,12 @@ def test_kkt_array_pass_matches_per_outcome_reference():
             report = verify_kkt(ensemble, candidate)
             for x, pair in enumerate(candidate.complementary):
                 q, w = float(ensemble.priors[x]), ensemble.states[x]
-                rd = pair.scaled(ensemble.model.dim)
-                stability = float(np.linalg.norm(candidate.symmetry_operator - q * w - rd))
-                orthogonality = abs(float(candidate.measurement.effects[x] @ rd))
+                margin = candidate.symmetry_operator - q * w
+                if pair.degenerate:
+                    stability = abs(pair.r)
+                else:
+                    stability = float(np.linalg.norm(margin - pair.r * pair.d))
+                orthogonality = abs(float(candidate.measurement.effects[x] @ margin))
                 assert report.stability_residuals[x] == stability
                 assert report.orthogonality_residuals[x] == orthogonality
 
@@ -201,6 +204,19 @@ def _rescaled_pairs(sol):
     return dataclasses.replace(sol, complementary=pairs)
 
 
+def _swapped_states(sol):
+    # Outcomes 0 and 1 of the square are both non-degenerate; each now states the other's d.
+    first, second = sol.complementary[:2]
+    pairs = (dataclasses.replace(first, d=second.d), dataclasses.replace(second, d=first.d)) + sol.complementary[2:]
+    return dataclasses.replace(sol, complementary=pairs)
+
+
+def _falsely_degenerate(sol):
+    # Marking a pair degenerate claims r d = 0, which its kept r = 1/4 contradicts.
+    pairs = (dataclasses.replace(sol.complementary[0], d=None),) + sol.complementary[1:]
+    return dataclasses.replace(sol, complementary=pairs)
+
+
 def _degenerate_weight_raised(sol):
     pairs = tuple(dataclasses.replace(pair, r=0.25) if pair.degenerate else pair for pair in sol.complementary)
     return dataclasses.replace(sol, complementary=pairs)
@@ -212,8 +228,10 @@ def _degenerate_weight_raised(sol):
         pytest.param(uniform_vertex_ensemble(4), lambda sol: dataclasses.replace(sol, p_guess=0.9),
                      "value_residual", id="p-guess"),
         pytest.param(uniform_vertex_ensemble(4), _rescaled_pairs, "weight_residuals", id="rescaled-pairs"),
-        # At p = 0.5 the mixture's pair is degenerate (d is None), so no other residual reads its r.
+        # At p = 0.5 the mixture's pair is degenerate (d is None): its r is checked against u[K] - q.
         pytest.param(no_measurement_ensemble(0.5), _degenerate_weight_raised, "weight_residuals", id="degenerate-r"),
+        pytest.param(uniform_vertex_ensemble(4), _swapped_states, "stability_residuals", id="swapped-d"),
+        pytest.param(uniform_vertex_ensemble(4), _falsely_degenerate, "stability_residuals", id="false-degenerate"),
     ],
 )
 def test_kkt_rejects_claims_not_read_off_k(ensemble, tamper, field):
@@ -252,7 +270,7 @@ def test_strong_duality_and_sandwich_on_random_instances():
         assert ensemble.priors.max() - 1e-9 <= sol.p_guess <= 1.0 + 1e-9
         for x, pair in enumerate(sol.complementary):
             if not pair.degenerate:
-                recon = ensemble.priors[x] * ensemble.states[x] + pair.scaled(3)
+                recon = ensemble.priors[x] * ensemble.states[x] + pair.r * pair.d
                 assert np.linalg.norm(sol.symmetry_operator - recon) <= 1e-9
 
 
@@ -324,15 +342,15 @@ def test_restricted_effects_force_trivial_guessing():
     sol = solve_discrimination(ensemble)
     assert sol.p_guess == pytest.approx(0.7, abs=1e-9)
     # The effect cone is not full-dimensional here, so its dual contains
-    # lines and the normalized complementary decomposition need not exist
-    # at the degenerate index; the report must stay honest about that
-    # while every condition that is well defined still holds.
+    # lines: K - q_x w_x need not vanish at the degenerate index, whose
+    # null d claims only r_x d_x = 0, and the certificate passes.
     report = verify_kkt(ensemble, sol)
     assert all(report.positivity_ok)
     assert all(report.effects_in_cone)
     assert report.orthogonality_residuals.max() <= 1e-9
     assert report.measurement_residual <= 1e-9
     assert report.gap <= 1e-9
+    assert report.passes()
 
 
 def test_measurement_reconstruction_matches_generators():

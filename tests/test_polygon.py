@@ -126,6 +126,26 @@ def test_scan_monotone_flags():
     assert not any(flags[:first_true])
 
 
+def test_scan_computes_the_square_facets_once_per_process(monkeypatch):
+    import gptdisc.cone as cone
+
+    calls = []
+    real_dual_cone = cone.dual_cone
+
+    def counting_dual_cone(c):
+        calls.append(c.n_generators)
+        return real_dual_cone(c)
+
+    monkeypatch.setattr(cone, "dual_cone", counting_dual_cone)
+    threshold_scan([0.0, 0.25, 0.5])
+    threshold_scan([0.75, 1.0])
+    # Every grid point and bisection step shares one square model, so its
+    # state cone's double description runs at most once (none if an
+    # earlier test already ran it in this process).
+    assert len(calls) <= 1
+    assert no_measurement_ensemble(0.2).model is no_measurement_ensemble(0.5).model
+
+
 def test_scan_rejects_out_of_range_grid():
     with pytest.raises(InvalidInputError):
         threshold_scan([0.5, 1.2])
