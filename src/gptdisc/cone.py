@@ -4,9 +4,10 @@ Cones are kept in generator (V-) representation.  Dual cones come from
 exact double description: ray adjacency is decided from the sets of cuts
 each ray is tight on, by set arithmetic alone, so computing a dual
 solves no LP.  The facets of a cone are the generators of its dual,
-computed once per cone object; membership and cone equality are decided
-against them.  Above ``MAX_DUAL_DIM`` no facets are computed and
-membership falls back to one LP feasibility solve per point.
+computed at most once per cone object (an unrestricted effect cone takes
+the unit state generators), and decide membership and cone equality.
+Above ``MAX_DUAL_DIM`` no facets are computed and membership falls back
+to one LP feasibility solve per point.
 """
 
 from __future__ import annotations

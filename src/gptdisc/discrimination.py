@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import cone_ge, member_of
-from .errors import InternalInconsistencyError, InvalidInputError
+from .errors import InternalInconsistencyError, InvalidInputError, finite_array
 from .lp import OPTIMAL, LpProblem, check_certificate, solve_lp
 from .model import DEFAULT_TOL, MAX_TOL, Ensemble, Measurement, validate_ensemble, validate_model
 
@@ -98,6 +98,13 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, summed exactly as ``np.linalg.norm`` sums one vector."""
     return np.sqrt(_row_dots(rows, rows))
+
+
+def _stated_states(solution: DiscriminationSolution, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the pairs that state a ``d``, and those ``d`` as rows of ``dim`` finite numbers, read in one check."""
+    d = [pair.d for pair in solution.complementary if not pair.degenerate]
+    d = finite_array(d if d else np.zeros((0, dim)), "complementary states d", (None, dim))
+    return np.array([not pair.degenerate for pair in solution.complementary], dtype=bool), d
 
 
 def _rewards(ensemble: Ensemble) -> np.ndarray:
@@ -200,8 +207,7 @@ def verify_kkt(
     primal_value = float(np.sum(ensemble.priors * np.einsum("xd,xd->x", effects, ensemble.states)))
     value = float(model.unit_effect @ k)  # u[K]
     weights = np.array([pair.r for pair in solution.complementary], dtype=float)
-    stated = np.array([not pair.degenerate for pair in solution.complementary], dtype=bool)
-    d = np.array([pair.d for pair in solution.complementary if not pair.degenerate]).reshape(-1, dim)
+    stated, d = _stated_states(solution, dim)
     stability = np.abs(weights)  # a null d claims only r_x d_x = 0
     stability[stated] = row_norms(margins[stated] - weights[stated, None] * d)
     return KktReport(

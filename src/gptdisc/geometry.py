@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import DiscriminationSolution, row_norms
+from .discrimination import DiscriminationSolution, _stated_states, row_norms
 from .errors import InvalidInputError, PreconditionError, UndefinedRatioError
 from .model import DEFAULT_TOL, Ensemble, evaluate
 
@@ -40,23 +40,18 @@ def congruence_check(solution: DiscriminationSolution, tol: float = DEFAULT_TOL)
     skipped; their indices are reported.
     """
     ens = solution.ensemble
-    skipped = tuple(i for i, pair in enumerate(solution.complementary) if pair.degenerate)
-    active = np.array([i for i in range(ens.n_states) if i not in skipped], dtype=int)
-    weighted = ens.weighted_states()[active]
-    d = np.array([solution.complementary[i].d for i in active]).reshape(len(active), ens.model.dim)
-    rd = np.array([solution.complementary[i].r for i in active])[:, None] * d
-    x, y = np.triu_indices(len(active), k=1)  # the pair order of combinations(active, 2)
+    stated, d = _stated_states(solution, ens.model.dim)
+    weighted = ens.weighted_states()[stated]
+    rd = np.array([pair.r for pair in solution.complementary])[stated, None] * d
+    x, y = np.triu_indices(len(d), k=1)  # the pair order of combinations over the stated pairs
     state_edges = weighted[x] - weighted[y]
     max_residual = float(row_norms(state_edges + rd[x] - rd[y]).max(initial=0.0))
     d_edges = row_norms(d[x] - d[y])
     keep = d_edges > tol
     ratios = row_norms(state_edges[keep]) / d_edges[keep]
-    if ratios.size:
-        ratio = float(np.mean(ratios))
-        spread = float(ratios.max() - ratios.min())
-    else:
-        ratio = None
-        spread = 0.0
+    ratio = float(np.mean(ratios)) if ratios.size else None
+    spread = float(ratios.max() - ratios.min()) if ratios.size else 0.0
+    skipped = tuple(np.flatnonzero(~stated).tolist())
     return CongruenceReport(max_residual=max_residual, ratio=ratio, ratio_spread=spread, skipped=skipped)
 
 

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import gptdisc.cone as cone
 from gptdisc import Ensemble, GptModel, LpProblem, PolyhedralCone, dual_cone, polygon_model
 
 
@@ -22,6 +25,25 @@ def random_polytope_model(rng: np.random.Generator, d: int, k: int) -> GptModel:
     effects = dual_cone(PolyhedralCone(d, states)).generators
     effects = effects / (states @ effects.T).max(axis=0)[:, None]
     return GptModel(dim=d, state_gens=states, effect_gens=effects, unit_effect=np.eye(d)[-1])
+
+
+def _signs(n: int) -> np.ndarray:
+    """All 2^n sign vectors in {-1, 1}^n as rows."""
+    return np.array(list(itertools.product([-1.0, 1.0], repeat=n)))
+
+
+def hypercube_model(n: int) -> GptModel:
+    """The n-cube ("squit"; n = 2 is the gbit) in d = n + 1: 2^n states (s, 1), 2n effects (1 +- x_i)/2, u = e_d."""
+    states = np.hstack([_signs(n), np.ones((2**n, 1))])
+    effects = np.hstack([np.vstack([np.eye(n), -np.eye(n)]), np.ones((2 * n, 1))]) / 2.0
+    return GptModel(dim=n + 1, state_gens=states, effect_gens=effects, unit_effect=np.eye(n + 1)[-1])
+
+
+def cross_polytope_model(n: int) -> GptModel:
+    """The n-cross-polytope in d = n + 1: 2n states (+-e_i, 1), 2^n effects (1 + s.x)/2, u = e_d."""
+    states = np.hstack([np.vstack([np.eye(n), -np.eye(n)]), np.ones((2 * n, 1))])
+    effects = np.hstack([_signs(n), np.ones((2**n, 1))]) / 2.0
+    return GptModel(dim=n + 1, state_gens=states, effect_gens=effects, unit_effect=np.eye(n + 1)[-1])
 
 
 def slack_form(c, a_ub, b_ub) -> LpProblem:
@@ -54,6 +76,19 @@ def same_generator_set(a: PolyhedralCone, b: PolyhedralCone, tol: float = 1e-9) 
             return False
         unmatched.remove(hit)
     return True
+
+
+def counted_dual_cones(monkeypatch) -> list[int]:
+    """Patch ``dual_cone`` to record the generator count of every cone it dualizes."""
+    calls = []
+    real_dual_cone = cone.dual_cone
+
+    def counting_dual_cone(c):
+        calls.append(c.n_generators)
+        return real_dual_cone(c)
+
+    monkeypatch.setattr(cone, "dual_cone", counting_dual_cone)
+    return calls
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from gptdisc import (
     InvalidInputError,
     Measurement,
     build_primal,
+    congruence_check,
     no_measurement_value,
     polygon_model,
     solve_discrimination,
@@ -24,7 +25,14 @@ from gptdisc.lp import OPTIMAL, LpSolution, check_certificate, feasibility_gap
 from gptdisc.oracle import MAX_ORACLE_CONSTRAINTS, dual_vertex_enumeration
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
-from conftest import full_measurement_lp, random_polygon_ensemble, random_polytope_model
+from conftest import (
+    counted_dual_cones,
+    cross_polytope_model,
+    full_measurement_lp,
+    hypercube_model,
+    random_polygon_ensemble,
+    random_polytope_model,
+)
 
 
 def single_state_ensemble():
@@ -471,6 +479,54 @@ def test_certified_pipeline_decides_membership_without_lp(monkeypatch):
 
     monkeypatch.setattr("gptdisc.cone.feasibility_gap", forbidden)
     _certified_pipeline(uniform_vertex_ensemble(24))
+
+
+def test_certified_pipeline_dualizes_only_the_state_cone(monkeypatch):
+    calls = counted_dual_cones(monkeypatch)
+    for order in range(3, 33):
+        calls.clear()
+        _certified_pipeline(uniform_vertex_ensemble(order))
+        assert calls == [order]
+
+
+def test_eight_dimensional_polytope_never_dualizes_its_effect_generators(monkeypatch):
+    model = random_polytope_model(np.random.default_rng(1), 8, 20)
+    assert model.effect_gens.shape[0] == 504
+    calls = counted_dual_cones(monkeypatch)
+    _certified_pipeline(Ensemble(model=model, states=model.state_gens, priors=np.full(20, 1.0 / 20.0)))
+    assert calls == [20]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("family", [hypercube_model, cross_polytope_model])
+def test_reference_family_solves_to_the_axis_value_with_one_dual(family, n, monkeypatch):
+    calls = counted_dual_cones(monkeypatch)
+    model = family(n)
+    k = model.state_gens.shape[0]
+    ensemble = Ensemble(model=model, states=model.state_gens, priors=np.full(k, 1.0 / k))
+    _certified_pipeline(ensemble)
+    assert calls == [k]
+    u = model.unit_effect
+    p_guess = solve_discrimination(ensemble).p_guess
+    assert p_guess == pytest.approx(float(u @ symmetric_axis_k(ensemble, u)), abs=1e-9)
+    assert p_guess == pytest.approx(2.0 / k, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        pytest.param(lambda d, x: d[:2] if x == 1 else d, id="one-wrong-length"),
+        pytest.param(lambda d, x: np.append(d, 0.0), id="all-wrong-length"),
+        pytest.param(lambda d, x: np.where(np.arange(len(d)) == 0, np.nan, d) if x == 2 else d, id="nan"),
+    ],
+)
+@pytest.mark.parametrize("check", [verify_kkt, lambda ensemble, sol: congruence_check(sol)], ids=["kkt", "congruence"])
+def test_malformed_stated_complementary_state_is_invalid_input(tamper, check):
+    ensemble = uniform_vertex_ensemble(4)
+    sol = solve_discrimination(ensemble)
+    pairs = tuple(dataclasses.replace(pair, d=tamper(pair.d, x)) for x, pair in enumerate(sol.complementary))
+    with pytest.raises(InvalidInputError, match="complementary states d"):
+        check(ensemble, dataclasses.replace(sol, complementary=pairs))
 
 
 @pytest.mark.parametrize("seed", range(300))

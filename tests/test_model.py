@@ -11,7 +11,9 @@ from gptdisc import (
     Measurement,
     PolyhedralCone,
     cones_equal,
+    dual_cone,
     evaluate,
+    member_of,
     polygon_model,
     validate_ensemble,
     validate_model,
@@ -19,6 +21,14 @@ from gptdisc import (
 from gptdisc.errors import finite_array
 from gptdisc.lp import LpProblem
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
+
+from conftest import (
+    counted_dual_cones,
+    cross_polytope_model,
+    hypercube_model,
+    random_polytope_model,
+    same_generator_set,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -196,27 +206,119 @@ def test_nonfinite_coordinates_rejected():
         )
 
 
-def test_validate_model_solves_no_lp_and_two_duals(monkeypatch):
-    import gptdisc.cone as cone
+def test_validate_model_solves_no_lp_and_one_dual(monkeypatch):
     import gptdisc.lp as lp
 
     def forbidden(*args, **kwargs):
         raise AssertionError("model validation called the LP solver")
 
-    calls = []
-    real_dual_cone = cone.dual_cone
-
-    def counting_dual_cone(c):
-        calls.append(c.n_generators)
-        return real_dual_cone(c)
-
     monkeypatch.setattr(lp, "solve_lp", forbidden)
-    monkeypatch.setattr(cone, "dual_cone", counting_dual_cone)
+    calls = counted_dual_cones(monkeypatch)
     for order in range(3, 33):
         calls.clear()
         assert validate_model(polygon_model(order)).valid
-        # One double description per cone: the effect cone's facets and the state cone's.
-        assert len(calls) == 2
+        # Only the state cone is dualized: the unrestricted effect cone's facets are the state generators.
+        assert calls == [order]
+
+
+def _reference_models():
+    for order in range(3, 33):
+        yield polygon_model(order)
+    for n in range(2, 8):
+        yield hypercube_model(n)
+        yield cross_polytope_model(n)
+
+
+def test_validated_effect_facets_are_the_effect_dual():
+    for model in _reference_models():
+        assert validate_model(model).unrestricted_effects is True
+        facets = model.effect_cone.facets
+        assert_allclose(np.linalg.norm(facets, axis=1), 1.0, atol=1e-12)
+        assert not facets.flags.writeable
+        assert same_generator_set(PolyhedralCone(model.dim, facets), dual_cone(model.effect_cone), 1e-9)
+
+
+def test_validated_effect_membership_agrees_with_a_fresh_cone():
+    rng = np.random.default_rng(0)
+    tol = 1e-9
+    models = list(_reference_models())
+    for seed in range(20):  # the parameters of the 300 polytope seeds of test_discrimination.py
+        d = 3 + seed % 4
+        models.append(random_polytope_model(np.random.default_rng(seed), d, d + 2 + seed % 7))
+    pushed_out = 0
+    for model in models:
+        assert validate_model(model, tol).unrestricted_effects is True
+        fresh = PolyhedralCone(model.dim, model.effect_gens)
+        gens = fresh.generators / np.linalg.norm(fresh.generators, axis=1, keepdims=True)
+        points = [gens, rng.random((20, len(gens))) @ gens]
+        for f in fresh.facets:  # the centre of each facet's tight generators, pushed 10 tol outward
+            centre = gens[np.abs(gens @ f) <= 1e-9].mean(axis=0)
+            points.append((centre / np.linalg.norm(centre) - 10.0 * tol * f)[None, :])
+        for v in np.vstack(points):
+            assert member_of(model.effect_cone, v, tol) == member_of(fresh, v, tol), v
+        pushed_out += sum(not member_of(fresh, p[0], tol) for p in points[2:])
+    assert pushed_out == sum(len(PolyhedralCone(m.dim, m.effect_gens).facets) for m in models)
+
+
+def _padded_square(effect_gens):
+    """The square's states padded with zeros into the dimension of ``effect_gens``."""
+    dim = effect_gens.shape[1]
+    square = polygon_model(4)
+    return GptModel(
+        dim=dim,
+        state_gens=np.hstack([square.state_gens, np.zeros((4, dim - 3))]),
+        effect_gens=effect_gens,
+        unit_effect=np.eye(dim)[2],
+    )
+
+
+RESTRICTED = (
+    "effect cone differs from the full dual of the state cone (restricted effects); "
+    "the solver uses the supplied cone as given"
+)
+U_OUTSIDE = "unit effect is not in the cone of the effect generators"
+RANK_0 = "state cone is not full-dimensional (rank 0 < 3)"
+RANK_3 = "state cone is not full-dimensional (rank 3 < 4)"
+SQUARE = polygon_model(4)
+SQUARE_EFFECTS_D4 = np.hstack([SQUARE.effect_gens, np.zeros((4, 1))])
+EMPTY = np.zeros((0, 3))
+PLANE = np.array([[0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0, -1.0]])
+
+
+@pytest.mark.parametrize(
+    "model, issues, warnings, unrestricted",
+    [
+        pytest.param(
+            GptModel(dim=3, state_gens=SQUARE.state_gens, effect_gens=EMPTY, unit_effect=SQUARE.unit_effect),
+            [U_OUTSIDE], [RESTRICTED], False, id="no-effects",
+        ),
+        pytest.param(
+            GptModel(dim=3, state_gens=EMPTY, effect_gens=SQUARE.effect_gens, unit_effect=SQUARE.unit_effect),
+            [], [RANK_0, RESTRICTED], False, id="no-states",
+        ),
+        pytest.param(
+            GptModel(dim=3, state_gens=EMPTY, effect_gens=np.vstack([np.eye(3), -np.eye(3)]), unit_effect=SQUARE.unit_effect),
+            [], [RANK_0], True, id="no-states-all-effects",
+        ),
+        pytest.param(
+            GptModel(dim=3, state_gens=EMPTY, effect_gens=EMPTY, unit_effect=SQUARE.unit_effect),
+            [U_OUTSIDE], [RANK_0, RESTRICTED], False, id="both-empty",
+        ),
+        pytest.param(
+            _padded_square(np.vstack([SQUARE_EFFECTS_D4, np.eye(4)[3], -np.eye(4)[3]])),
+            [], [RANK_3], True, id="rank-deficient-with-line",
+        ),
+        pytest.param(_padded_square(SQUARE_EFFECTS_D4), [], [RANK_3, RESTRICTED], False, id="rank-deficient"),
+        pytest.param(
+            # -e_4 and -e_5, two of the state facets, match no effect generator and are decided by membership.
+            _padded_square(np.vstack([np.hstack([SQUARE.effect_gens, np.zeros((4, 2))]), PLANE])),
+            [], ["state cone is not full-dimensional (rank 3 < 5)"], True, id="rank-deficient-with-plane",
+        ),
+    ],
+)
+def test_empty_and_rank_deficient_models_keep_their_reports(model, issues, warnings, unrestricted):
+    report = validate_model(model)
+    assert (report.issues, report.warnings, report.unrestricted_effects) == (issues, warnings, unrestricted)
 
 
 def _unrestricted_check_models():

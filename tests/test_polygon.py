@@ -18,6 +18,8 @@ from gptdisc.polygon import (
     no_measurement_ensemble,
 )
 
+from conftest import counted_dual_cones
+
 SQRT2 = np.sqrt(2.0)
 SQRT6 = np.sqrt(6.0)
 
@@ -127,16 +129,7 @@ def test_scan_monotone_flags():
 
 
 def test_scan_computes_the_square_facets_once_per_process(monkeypatch):
-    import gptdisc.cone as cone
-
-    calls = []
-    real_dual_cone = cone.dual_cone
-
-    def counting_dual_cone(c):
-        calls.append(c.n_generators)
-        return real_dual_cone(c)
-
-    monkeypatch.setattr(cone, "dual_cone", counting_dual_cone)
+    calls = counted_dual_cones(monkeypatch)
     threshold_scan([0.0, 0.25, 0.5])
     threshold_scan([0.75, 1.0])
     # Every grid point and bisection step shares one square model, so its
