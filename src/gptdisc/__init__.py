@@ -25,7 +25,6 @@ from .errors import (
     NumericalFailureError,
     PreconditionError,
     UndefinedRatioError,
-    UnsupportedDimensionError,
     UnsupportedSizeError,
 )
 from .geometry import CongruenceReport, congruence_check, ratio_r, symmetric_axis_k
@@ -75,7 +74,6 @@ __all__ = [
     "NumericalFailureError",
     "PreconditionError",
     "UndefinedRatioError",
-    "UnsupportedDimensionError",
     "UnsupportedSizeError",
     "CongruenceReport",
     "congruence_check",

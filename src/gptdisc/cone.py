@@ -5,9 +5,9 @@ exact double description: ray adjacency is decided from the sets of cuts
 each ray is tight on, by set arithmetic alone, so computing a dual
 solves no LP.  The facets of a cone are the generators of its dual,
 computed at most once per cone object (an unrestricted effect cone takes
-the unit state generators), and decide membership and cone equality.
-Above ``MAX_DUAL_DIM`` no facets are computed and membership falls back
-to one LP feasibility solve per point.
+the unit state generators), and decide membership and cone equality at
+every dimension.  The work of a dual is bounded by ``MAX_DUAL_ENTRIES``,
+not by the ambient dimension.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedDimensionError, finite_array
-from .lp import feasibility_gap
+from .errors import InvalidInputError, UnsupportedSizeError, finite_array
 
-#: Double description is restricted to desk-scale ambient dimensions.
-MAX_DUAL_DIM = 8
+#: Largest 0/1 product (entries) one double-description step may form; 2**24 float32 entries are 64 MiB.
+MAX_DUAL_ENTRIES = 2**24
 
 _ZERO_NORM = 1e-12
 #: Products of a unit ray or line with a unit cut normal this small count as zero.
@@ -68,15 +67,13 @@ class PolyhedralCone:
 def member_of(cone: PolyhedralCone, v, tol: float = 1e-9) -> bool:
     """True iff ``v`` is a nonnegative combination of the cone generators within ``tol``.
 
-    Up to ``MAX_DUAL_DIM`` this is ``f . v >= -tol`` for every unit facet
-    normal ``f``, so no LP is solved.  Above it, an LP feasibility solve
-    (smallest L1 residual) decides.
+    That is ``f . v >= -tol`` for every unit facet normal ``f``, so no LP
+    is solved.  Raises :class:`UnsupportedSizeError` when the facets are
+    not cached yet and computing them passes ``MAX_DUAL_ENTRIES``.
     """
     vec = np.asarray(v, dtype=float)
     if vec.shape != (cone.dim,):
         raise InvalidInputError(f"vector has shape {vec.shape}, expected ({cone.dim},)")
-    if cone.dim > MAX_DUAL_DIM:
-        return feasibility_gap(cone.generators.T, vec, tol=min(tol, 1e-9)) <= tol
     return bool((cone.facets @ vec).min(initial=0.0) >= -tol)
 
 
@@ -98,20 +95,18 @@ def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
     the cut's hyperplane.  Any other cut keeps the rays on its
     nonnegative side and combines a (+, -) ray pair only when the pair
     is adjacent: no third ray is tight on every cut tight at both
-    (Fukuda & Prodon 1996).  Tight sets are tracked as booleans, so no
-    LP is solved.  Output rays are unit length, and each remaining line
-    ``l`` is returned as the pair ``l, -l``.  For pointed
+    (Fukuda & Prodon 1996).  Tight sets are a float32 0/1 matrix, whose
+    products count shared cuts exactly below 2**24 cuts; no LP is solved.
+    Raises :class:`UnsupportedSizeError` before a product passes
+    ``MAX_DUAL_ENTRIES`` entries.  Output rays are unit length, and each
+    remaining line ``l`` is returned as the pair ``l, -l``.  For pointed
     full-dimensional cones, applying this twice recovers the original
     generator set up to positive scaling and ordering.
     """
-    if cone.dim > MAX_DUAL_DIM:
-        raise UnsupportedDimensionError(
-            f"dual cone computation supports dim <= {MAX_DUAL_DIM}, got {cone.dim}"
-        )
     d = cone.dim
     lines = np.eye(d)
     rays = np.zeros((0, d))
-    tight = np.zeros((0, 0), dtype=bool)  # tight[i, j]: ray i is tight on cut j
+    tight = np.zeros((0, 0), dtype=np.float32)  # tight[i, j] = 1: ray i is tight on cut j
     for normal in cone.generators:
         cut = normal / np.linalg.norm(normal)
         line_products = lines @ cut
@@ -121,18 +116,20 @@ def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
             lines = np.delete(lines - np.outer(line_products, line), pivot, axis=0)
             rays = np.vstack([rays - np.outer(rays @ cut, line), line])
             # Lines are tight on every earlier cut; projected rays are now tight on this one.
-            tight = np.vstack([tight, np.ones((1, tight.shape[1]), dtype=bool)])
+            tight = np.vstack([tight, np.ones((1, tight.shape[1]), dtype=np.float32)])
             column = np.arange(rays.shape[0]) < rays.shape[0] - 1
         else:
             products = rays @ cut
             plus = np.flatnonzero(products > _TIGHT)
             minus = np.flatnonzero(products < -_TIGHT)
             # An adjacent pair spans a 2-face, so at least d - lines - 2 cuts are tight at both.
-            shared = tight[plus].astype(float) @ tight[minus].T.astype(float)
+            _check_entries(len(plus) * len(minus))
+            shared = tight[plus] @ tight[minus].T
             pi, mi = np.nonzero(shared >= d - lines.shape[0] - 2)
-            common = tight[plus[pi]] & tight[minus[mi]]
+            common = tight[plus[pi]] * tight[minus[mi]]
             # The pair is adjacent when no third ray is tight on every cut in ``common``.
-            covering = common.astype(float) @ tight.T.astype(float)
+            _check_entries(len(pi) * len(rays))
+            covering = common @ tight.T
             adjacent = (covering == shared[pi, mi, None]).sum(axis=1) == 2
             pi, mi, common = pi[adjacent], mi[adjacent], common[adjacent]
             p, m = plus[pi], minus[mi]
@@ -145,6 +142,11 @@ def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
         rays /= np.linalg.norm(rays, axis=1, keepdims=True)
         tight = np.hstack([tight, column[:, None]])
     return PolyhedralCone(d, np.vstack([rays, lines, -lines]))
+
+
+def _check_entries(count: int) -> None:
+    if count > MAX_DUAL_ENTRIES:
+        raise UnsupportedSizeError(f"dual cone product has {count} entries, over MAX_DUAL_ENTRIES = {MAX_DUAL_ENTRIES}")
 
 
 def cones_equal(a: PolyhedralCone, b: PolyhedralCone, tol: float = 1e-9) -> bool:

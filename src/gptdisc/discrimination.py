@@ -100,11 +100,19 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(rows, rows))
 
 
-def _stated_states(solution: DiscriminationSolution, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the pairs that state a ``d``, and those ``d`` as rows of ``dim`` finite numbers, read in one check."""
-    d = [pair.d for pair in solution.complementary if not pair.degenerate]
+def _stated_states(solution: DiscriminationSolution, ensemble: Ensemble) -> tuple[np.ndarray, ...]:
+    """The one reader of a solution's pairs: the weights ``r``, the mask of pairs that state a ``d``, those ``d``.
+
+    Raises :class:`InvalidInputError` unless there is one pair per state and every ``r`` and ``d`` is finite.
+    """
+    pairs = solution.complementary
+    if len(pairs) != ensemble.n_states:
+        raise InvalidInputError("one complementary pair per state is required")
+    weights = finite_array([pair.r for pair in pairs], "complementary weights r", (len(pairs),))
+    dim = ensemble.model.dim
+    d = [pair.d for pair in pairs if not pair.degenerate]
     d = finite_array(d if d else np.zeros((0, dim)), "complementary states d", (None, dim))
-    return np.array([not pair.degenerate for pair in solution.complementary], dtype=bool), d
+    return weights, np.array([not pair.degenerate for pair in pairs], dtype=bool), d
 
 
 def _rewards(ensemble: Ensemble) -> np.ndarray:
@@ -198,16 +206,13 @@ def verify_kkt(
     effects = solution.measurement.effects
     if effects.shape != (ensemble.n_states, dim) or k.shape != (dim,):
         raise InvalidInputError("solution shapes do not match the ensemble")
-    if len(solution.complementary) != ensemble.n_states:
-        raise InvalidInputError("one complementary pair per state is required")
 
     weighted = ensemble.weighted_states()
     margins = k - weighted  # v_x
     measurement_residual = float(np.linalg.norm(effects.sum(axis=0) - model.unit_effect))
     primal_value = float(np.sum(ensemble.priors * np.einsum("xd,xd->x", effects, ensemble.states)))
     value = float(model.unit_effect @ k)  # u[K]
-    weights = np.array([pair.r for pair in solution.complementary], dtype=float)
-    stated, d = _stated_states(solution, dim)
+    weights, stated, d = _stated_states(solution, ensemble)
     stability = np.abs(weights)  # a null d claims only r_x d_x = 0
     stability[stated] = row_norms(margins[stated] - weights[stated, None] * d)
     return KktReport(

@@ -21,12 +21,8 @@ class PreconditionError(GptDiscError, ValueError):
     """A documented precondition of an operation does not hold."""
 
 
-class UnsupportedDimensionError(GptDiscError, ValueError):
-    """Ambient dimension exceeds the desk-scale bound of an algorithm."""
-
-
 class UnsupportedSizeError(GptDiscError, ValueError):
-    """Problem size exceeds the combinatorial bound of a brute-force routine."""
+    """Problem size exceeds the work bound of the brute-force oracle or of ``dual_cone`` (so of any facet read)."""
 
 
 class UndefinedRatioError(GptDiscError, ValueError):

@@ -40,9 +40,9 @@ def congruence_check(solution: DiscriminationSolution, tol: float = DEFAULT_TOL)
     skipped; their indices are reported.
     """
     ens = solution.ensemble
-    stated, d = _stated_states(solution, ens.model.dim)
+    weights, stated, d = _stated_states(solution, ens)
     weighted = ens.weighted_states()[stated]
-    rd = np.array([pair.r for pair in solution.complementary])[stated, None] * d
+    rd = weights[stated, None] * d
     x, y = np.triu_indices(len(d), k=1)  # the pair order of combinations over the stated pairs
     state_edges = weighted[x] - weighted[y]
     max_residual = float(row_norms(state_edges + rd[x] - rd[y]).max(initial=0.0))

@@ -210,8 +210,8 @@ def feasibility_gap(eq_matrix, eq_rhs, tol: float = 1e-9) -> float:
     """Smallest L1 residual ``min ||A x - b||_1`` over ``x >= 0``.
 
     Zero (up to ``tol``) exactly when ``A x = b`` has a nonnegative
-    solution.  Used for cone membership above ``MAX_DUAL_DIM``, where
-    no facets are computed.
+    solution.  Nothing in the package calls it (membership reads facets at
+    every dimension); it is an independent membership reference for tests.
     """
     a = np.atleast_2d(np.asarray(eq_matrix, dtype=float))
     b = np.atleast_1d(np.asarray(eq_rhs, dtype=float))

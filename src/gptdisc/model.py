@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cone import MAX_DUAL_DIM, PolyhedralCone, member_of
+from .cone import PolyhedralCone, member_of
 from .errors import InvalidInputError, finite_array
 
 DEFAULT_TOL = 1e-9
@@ -112,7 +112,8 @@ def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationRepor
     effect cone equals the full dual of the state cone: every pairing is
     nonnegative and every state facet lies within ``tol`` of a unit effect
     generator or else in the effect cone, which then takes the unit state
-    generators as facets (above ``MAX_DUAL_DIM``, skipped with a warning).
+    generators as facets.  A dual past ``MAX_DUAL_ENTRIES`` is not a fault
+    of the model: it raises :class:`UnsupportedSizeError`.
     """
     report = ValidationReport()
     u = model.unit_effect
@@ -137,26 +138,23 @@ def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationRepor
     rank = int(np.linalg.matrix_rank(model.state_gens)) if model.state_gens.size else 0
     if rank < model.dim:
         report.warnings.append(f"state cone is not full-dimensional (rank {rank} < {model.dim})")
-    if model.dim <= MAX_DUAL_DIM:
-        effects, facets = model.effect_cone, model.state_cone.facets
-        units = effects.generators / np.linalg.norm(effects.generators, axis=1, keepdims=True)
-        # One Gram argmax shortlists each facet's nearest unit generator (none is infinitely far), then one distance.
-        nearest = units[(facets @ units.T).argmax(axis=1)] if len(units) else np.full_like(facets, np.inf)
-        matched = np.linalg.norm(facets - nearest, axis=1) <= tol
-        report.unrestricted_effects = bool(pairings.min(initial=0.0) >= -tol) and all(
-            hit or member_of(effects, f, tol) for f, hit in zip(facets, matched)
-        )
-        if report.unrestricted_effects:  # dual(E) = dual(dual(S)) = S: y is in E iff y . w >= 0 for every w in S
-            units = model.state_cone.generators / np.linalg.norm(model.state_cone.generators, axis=1, keepdims=True)
-            units.setflags(write=False)
-            vars(effects).setdefault("facets", units)
-        else:
-            report.warnings.append(
-                "effect cone differs from the full dual of the state cone (restricted effects); "
-                "the solver uses the supplied cone as given"
-            )
+    effects, facets = model.effect_cone, model.state_cone.facets
+    units = effects.generators / np.linalg.norm(effects.generators, axis=1, keepdims=True)
+    # One Gram argmax shortlists each facet's nearest unit generator (none is infinitely far), then one distance.
+    nearest = units[(facets @ units.T).argmax(axis=1)] if len(units) else np.full_like(facets, np.inf)
+    matched = np.linalg.norm(facets - nearest, axis=1) <= tol
+    report.unrestricted_effects = bool(pairings.min(initial=0.0) >= -tol) and all(
+        hit or member_of(effects, f, tol) for f, hit in zip(facets, matched)
+    )
+    if report.unrestricted_effects:  # dual(E) = dual(dual(S)) = S: y is in E iff y . w >= 0 for every w in S
+        units = model.state_cone.generators / np.linalg.norm(model.state_cone.generators, axis=1, keepdims=True)
+        units.setflags(write=False)
+        vars(effects).setdefault("facets", units)
     else:
-        report.warnings.append("unrestricted-effects check skipped (dimension above dual-cone bound)")
+        report.warnings.append(
+            "effect cone differs from the full dual of the state cone (restricted effects); "
+            "the solver uses the supplied cone as given"
+        )
     if not member_of(model.effect_cone, u, tol):
         report.issues.append("unit effect is not in the cone of the effect generators")
     return report

@@ -46,6 +46,23 @@ def cross_polytope_model(n: int) -> GptModel:
     return GptModel(dim=n + 1, state_gens=states, effect_gens=effects, unit_effect=np.eye(n + 1)[-1])
 
 
+def boxworld_model() -> GptModel:
+    """Two gbits under no-signaling ("boxworld"; Barrett, PRA 75, 032304, 2007) in d = 9.
+
+    The 16 coordinates ``p(ab|xy)`` (index 8x + 4y + 2a + b) are projected
+    onto the 9-d span of the 24 vertices: first the 16 local deterministic
+    boxes ``[a = f(x)][b = g(y)]``, then the 8 PR boxes ``[a + b = xy + sx + ty + c (mod 2)] / 2``.
+    The effects are the 16 coordinates and ``u = sum_ab p(ab|00)``.
+    """
+    x, y, a, b = np.array(list(itertools.product([0, 1], repeat=4))).T
+    functions = np.array(list(itertools.product([0, 1], repeat=2)))  # f as the table (f(0), f(1))
+    local = [(a == f[x]) & (b == g[y]) for f in functions for g in functions]
+    pr = [((a + b) % 2 == (x * y + s * x + t * y + c) % 2) / 2.0 for s, t, c in itertools.product([0, 1], repeat=3)]
+    boxes = np.array(local + pr, dtype=float)
+    basis = np.linalg.svd(boxes)[2][:9]  # orthonormal rows spanning the boxes, which have rank 9
+    return GptModel(dim=9, state_gens=boxes @ basis.T, effect_gens=basis.T, unit_effect=basis[:, :4].sum(axis=1))
+
+
 def slack_form(c, a_ub, b_ub) -> LpProblem:
     """Standard form of ``min c.x s.t. a_ub x <= b_ub, x >= 0``: one zero-cost slack per row."""
     a_ub = np.asarray(a_ub, dtype=float)

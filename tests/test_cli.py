@@ -326,6 +326,25 @@ def test_solve_warns_once_about_restricted_effects(tmp_path, capsys):
     assert main(["verify", str(ensemble_path), str(solution_path)]) == 0
 
 
+def test_solve_past_the_dual_cone_cap_exits_one_with_an_error_line(tmp_path, capsys, monkeypatch):
+    # Twelve effects (1 + (cos t, sin t) . x / 2) / 2 on the square's states: a restricted 12-gon effect cone.
+    square = polygon_model(4)
+    t = 2.0 * np.pi * np.arange(12) / 12.0
+    effects = np.column_stack([0.5 * np.cos(t), 0.5 * np.sin(t), np.ones(12)]) / 2.0
+    model = GptModel(dim=3, state_gens=square.state_gens, effect_gens=effects, unit_effect=square.unit_effect)
+    ensemble_path = tmp_path / "restricted.json"
+    ensemble_path.write_text(dumps(ensemble_to_dict(Ensemble(model=model, states=square.state_gens[:2], priors=[0.5, 0.5]))))
+    assert main(["solve", str(ensemble_path), "--oracle"]) == 0
+    capsys.readouterr()
+    # The state dual's products stay under 10 entries; the effect dual's do not.
+    monkeypatch.setattr("gptdisc.cone.MAX_DUAL_ENTRIES", 10)
+    assert main(["solve", str(ensemble_path), "--oracle"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1  # no "oracle skipped" or restricted-effects warning
+    assert lines[0].startswith("error: dual cone product has") and lines[0].endswith("over MAX_DUAL_ENTRIES = 10")
+
+
 def test_verify_accepts_two_outcome_alternative(square_files, tmp_path, capsys):
     _, ensemble_path = square_files
     solution_path = tmp_path / "solution.json"

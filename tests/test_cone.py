@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from gptdisc import (
     InvalidInputError,
     PolyhedralCone,
-    UnsupportedDimensionError,
+    UnsupportedSizeError,
     cone_ge,
     cones_equal,
     dual_cone,
@@ -19,7 +19,7 @@ from gptdisc import (
 from gptdisc.lp import feasibility_gap
 from gptdisc.polygon import no_measurement_ensemble
 
-from conftest import same_generator_set
+from conftest import cross_polytope_model, same_generator_set
 
 
 def orthant(d=3):
@@ -88,9 +88,15 @@ def test_triangle_state_cone_dualizes_to_effect_directions():
     assert same_generator_set(dual, model.effect_cone, 1e-9)
 
 
-def test_dual_dimension_bound():
-    with pytest.raises(UnsupportedDimensionError):
-        dual_cone(PolyhedralCone(9, np.eye(9)))
+def test_dual_cone_work_cap(monkeypatch):
+    # The cap bounds the work of a dual, not the ambient dimension.
+    assert same_generator_set(dual_cone(PolyhedralCone(9, np.eye(9))), PolyhedralCone(9, np.eye(9)))
+    monkeypatch.setattr("gptdisc.cone.MAX_DUAL_ENTRIES", 10)
+    effects = cross_polytope_model(6).effect_cone
+    with pytest.raises(UnsupportedSizeError, match=r"dual cone product has \d+ entries, over MAX_DUAL_ENTRIES = 10"):
+        dual_cone(effects)
+    with pytest.raises(UnsupportedSizeError):
+        member_of(effects, np.eye(7)[-1])
 
 
 def test_dual_of_full_space_is_origin():
@@ -174,7 +180,7 @@ def test_dual_cone_solves_no_lp(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dual_cone called the LP solver")
 
-    monkeypatch.setattr("gptdisc.cone.feasibility_gap", forbidden)
+    monkeypatch.setattr("gptdisc.lp.solve_lp", forbidden)
     assert same_generator_set(dual_cone(model.state_cone), model.effect_cone, 1e-9)
 
 

@@ -21,11 +21,12 @@ from gptdisc import (
     verify_kkt,
 )
 from gptdisc.discrimination import measurement_from_primal
-from gptdisc.lp import OPTIMAL, LpSolution, check_certificate, feasibility_gap
+from gptdisc.lp import OPTIMAL, LpSolution, check_certificate
 from gptdisc.oracle import MAX_ORACLE_CONSTRAINTS, dual_vertex_enumeration
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
 from conftest import (
+    boxworld_model,
     counted_dual_cones,
     cross_polytope_model,
     full_measurement_lp,
@@ -145,7 +146,7 @@ def test_kkt_report_on_solver_output():
 
 
 def classical_simplex_ensemble():
-    """Three vertices of the 9-d classical simplex and its barycentre: above the dual-cone bound."""
+    """Three vertices of the 9-d classical simplex and its barycentre."""
     eye = np.eye(9)
     simplex = GptModel(dim=9, state_gens=eye, effect_gens=eye, unit_effect=np.ones(9))
     return Ensemble(model=simplex, states=np.vstack([eye[:3], np.full(9, 1.0 / 9.0)]), priors=[0.3, 0.3, 0.2, 0.2])
@@ -477,7 +478,7 @@ def test_certified_pipeline_decides_membership_without_lp(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("cone membership called the LP solver")
 
-    monkeypatch.setattr("gptdisc.cone.feasibility_gap", forbidden)
+    monkeypatch.setattr("gptdisc.lp.solve_lp", forbidden)  # feasibility_gap's solver; the measurement LP is unpatched
     _certified_pipeline(uniform_vertex_ensemble(24))
 
 
@@ -497,7 +498,7 @@ def test_eight_dimensional_polytope_never_dualizes_its_effect_generators(monkeyp
     assert calls == [20]
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(2, 10))
 @pytest.mark.parametrize("family", [hypercube_model, cross_polytope_model])
 def test_reference_family_solves_to_the_axis_value_with_one_dual(family, n, monkeypatch):
     calls = counted_dual_cones(monkeypatch)
@@ -510,6 +511,31 @@ def test_reference_family_solves_to_the_axis_value_with_one_dual(family, n, monk
     p_guess = solve_discrimination(ensemble).p_guess
     assert p_guess == pytest.approx(float(u @ symmetric_axis_k(ensemble, u)), abs=1e-9)
     assert p_guess == pytest.approx(2.0 / k, abs=1e-9)
+
+
+def test_boxworld_validates_unrestricted_with_one_dual(monkeypatch):
+    calls = counted_dual_cones(monkeypatch)
+    report = validate_model(boxworld_model())
+    assert report.valid and report.unrestricted_effects is True
+    assert report.warnings == []
+    assert calls == [24]
+
+
+@pytest.mark.parametrize(
+    "boxes, expected",
+    [(slice(None), 1.0 / 6.0), (slice(16, None), 0.25), (slice(16), 0.25)],
+    ids=["all-24", "pr-8", "local-16"],
+)
+def test_boxworld_uniform_ensembles_solve_to_the_axis_value(boxes, expected):
+    model = boxworld_model()
+    states = model.state_gens[boxes]
+    k = len(states)
+    ensemble = Ensemble(model=model, states=states, priors=np.full(k, 1.0 / k))
+    _certified_pipeline(ensemble)
+    p_guess = solve_discrimination(ensemble).p_guess
+    assert p_guess == pytest.approx(expected, abs=1e-9)
+    axis_k = symmetric_axis_k(ensemble, states.mean(axis=0))
+    assert p_guess == pytest.approx(float(model.unit_effect @ axis_k), abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -529,6 +555,22 @@ def test_malformed_stated_complementary_state_is_invalid_input(tamper, check):
         check(ensemble, dataclasses.replace(sol, complementary=pairs))
 
 
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        pytest.param(lambda pairs: (dataclasses.replace(pairs[0], r=float("nan")),) + pairs[1:], id="nan-r"),
+        pytest.param(lambda pairs: pairs[:3], id="three-pairs"),
+        pytest.param(lambda pairs: pairs + pairs[:1], id="five-pairs"),
+    ],
+)
+@pytest.mark.parametrize("check", [verify_kkt, lambda ensemble, sol: congruence_check(sol)], ids=["kkt", "congruence"])
+def test_malformed_complementary_pairs_are_invalid_input(tamper, check):
+    ensemble = uniform_vertex_ensemble(4)
+    sol = solve_discrimination(ensemble)
+    with pytest.raises(InvalidInputError, match="complementary"):
+        check(ensemble, dataclasses.replace(sol, complementary=tamper(sol.complementary)))
+
+
 @pytest.mark.parametrize("seed", range(300))
 def test_random_polytope_model_validates_and_solves(seed):
     # Dimensions 3..6; the pointedness LP that validation used to solve failed on seeds 67, 214 and 282.
@@ -538,25 +580,15 @@ def test_random_polytope_model_validates_and_solves(seed):
     _certified_pipeline(Ensemble(model=model, states=model.state_gens, priors=np.full(k, 1.0 / k)))
 
 
-def test_membership_above_dual_cone_bound_uses_lp(monkeypatch):
-    import gptdisc.cone as cone
-
-    calls = []
-
-    def counting_gap(*args, **kwargs):
-        calls.append(1)
-        return feasibility_gap(*args, **kwargs)
-
-    monkeypatch.setattr(cone, "feasibility_gap", counting_gap)
-    eye = np.eye(9)
-    model = GptModel(dim=9, state_gens=eye, effect_gens=eye, unit_effect=np.ones(9))
-    report = validate_model(model)
-    assert report.valid and report.unrestricted_effects is None
-    assert any("unrestricted-effects check skipped" in w for w in report.warnings)
-    ensemble = Ensemble(model=model, states=np.vstack([eye[:3], np.full(9, 1.0 / 9.0)]), priors=[0.3, 0.3, 0.2, 0.2])
+def test_nine_dimensional_simplex_validates_with_one_dual(monkeypatch):
+    calls = counted_dual_cones(monkeypatch)
+    ensemble = classical_simplex_ensemble()
+    report = validate_model(ensemble.model)
+    assert report.valid and report.unrestricted_effects is True
+    assert report.warnings == []
     assert validate_ensemble(ensemble).valid
     sol = solve_discrimination(ensemble)
     # Outcomes 0, 1, 2 guess their vertex; the other six guess the mixture: 0.8 + 6 * 0.2 / 9.
     assert sol.p_guess == pytest.approx(14.0 / 15.0, abs=1e-9)
     assert verify_kkt(ensemble, sol).passes()
-    assert calls
+    assert calls == [9]
