@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import cone_ge, member_of
+from .cone import inside
 from .errors import InternalInconsistencyError, InvalidInputError, finite_array
 from .lp import OPTIMAL, LpProblem, check_certificate, solve_lp
 from .model import DEFAULT_TOL, MAX_TOL, Ensemble, Measurement, validate_ensemble, validate_model
@@ -199,12 +199,14 @@ def verify_kkt(
     and the complementary pairs.  A passing report certifies optimality
     (KKT conditions are sufficient here because strong duality holds) and
     every number the solution states, ``p_guess`` and the weights included.
+    Raises :class:`InvalidInputError` when ``K`` or ``p_guess`` is not finite.
     """
     model = ensemble.model
     dim = model.dim
-    k = np.asarray(solution.symmetry_operator, dtype=float)
+    k = finite_array(solution.symmetry_operator, "symmetry operator K", (dim,))
+    p_guess = float(finite_array(solution.p_guess, "p_guess", ()))
     effects = solution.measurement.effects
-    if effects.shape != (ensemble.n_states, dim) or k.shape != (dim,):
+    if effects.shape != (ensemble.n_states, dim):
         raise InvalidInputError("solution shapes do not match the ensemble")
 
     weighted = ensemble.weighted_states()
@@ -217,11 +219,11 @@ def verify_kkt(
     stability[stated] = row_norms(margins[stated] - weights[stated, None] * d)
     return KktReport(
         stability_residuals=stability,
-        positivity_ok=tuple(cone_ge(k, qw, model.effect_cone, tol) for qw in weighted),
+        positivity_ok=tuple(inside(model.effect_cone.generators, margins, tol).tolist()),  # K >= q_x w_x
         orthogonality_residuals=np.abs(_row_dots(effects, margins)),
         measurement_residual=measurement_residual,
         gap=abs(primal_value - value),
-        effects_in_cone=tuple(member_of(model.effect_cone, e, tol) for e in effects),
-        value_residual=abs(solution.p_guess - value),
+        effects_in_cone=tuple(inside(model.effect_cone.facets, effects, tol).tolist()),
+        value_residual=abs(p_guess - value),
         weight_residuals=np.abs(weights - (value - ensemble.priors)),
     )

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cone import PolyhedralCone, member_of
+from .cone import PolyhedralCone, inside, member_of
 from .errors import InvalidInputError, finite_array
 
 DEFAULT_TOL = 1e-9
@@ -117,24 +117,18 @@ def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationRepor
     """
     report = ValidationReport()
     u = model.unit_effect
-    for i, w in enumerate(model.state_gens):
-        residual = abs(float(u @ w) - 1.0)
-        if residual > tol:
-            report.issues.append(f"u[w]=1 violated for state generator {i}, residual {residual:g}")
+    residuals = np.abs(model.state_gens @ u - 1.0)
+    for i in np.flatnonzero(residuals > tol):
+        report.issues.append(f"u[w]=1 violated for state generator {i}, residual {residuals[i]:g}")
     pairings = model.state_gens @ model.effect_gens.T  # pairings[i, j] = e_j . w_i
-    for j, values in enumerate(pairings.T):
-        if not values.size:
-            break
-        low = int(np.argmin(values))
-        high = int(np.argmax(values))
-        if values[low] < -tol:
-            report.issues.append(
-                f"effect generator {j} negative on state generator {low}, value {values[low]:g}"
-            )
-        if values[high] > 1.0 + tol:
-            report.issues.append(
-                f"effect generator {j} exceeds 1 on state generator {high}, value {values[high]:g}"
-            )
+    lows, highs = pairings.min(axis=0, initial=np.inf), pairings.max(axis=0, initial=-np.inf)
+    for j in np.flatnonzero((lows < -tol) | (highs > 1.0 + tol)):
+        if lows[j] < -tol:
+            low = int(np.argmin(pairings[:, j]))
+            report.issues.append(f"effect generator {j} negative on state generator {low}, value {lows[j]:g}")
+        if highs[j] > 1.0 + tol:
+            high = int(np.argmax(pairings[:, j]))
+            report.issues.append(f"effect generator {j} exceeds 1 on state generator {high}, value {highs[j]:g}")
     rank = int(np.linalg.matrix_rank(model.state_gens)) if model.state_gens.size else 0
     if rank < model.dim:
         report.warnings.append(f"state cone is not full-dimensional (rank {rank} < {model.dim})")
@@ -143,8 +137,8 @@ def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationRepor
     # One Gram argmax shortlists each facet's nearest unit generator (none is infinitely far), then one distance.
     nearest = units[(facets @ units.T).argmax(axis=1)] if len(units) else np.full_like(facets, np.inf)
     matched = np.linalg.norm(facets - nearest, axis=1) <= tol
-    report.unrestricted_effects = bool(pairings.min(initial=0.0) >= -tol) and all(
-        hit or member_of(effects, f, tol) for f, hit in zip(facets, matched)
+    report.unrestricted_effects = bool(
+        pairings.min(initial=0.0) >= -tol and (matched.all() or inside(effects.facets, facets[~matched], tol).all())
     )
     if report.unrestricted_effects:  # dual(E) = dual(dual(S)) = S: y is in E iff y . w >= 0 for every w in S
         units = model.state_cone.generators / np.linalg.norm(model.state_cone.generators, axis=1, keepdims=True)
@@ -164,17 +158,16 @@ def validate_ensemble(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Validatio
     """Check prior-simplex membership and per-state validity; assumes the model itself was validated."""
     report = ValidationReport()
     priors = ensemble.priors
-    for i, q in enumerate(priors):
-        if q < -tol:
-            report.issues.append(f"prior {i} negative ({q:g})")
+    for i in np.flatnonzero(priors < -tol):
+        report.issues.append(f"prior {i} negative ({priors[i]:g})")
     total = float(priors.sum())
     if abs(total - 1.0) > tol:
         report.issues.append(f"priors sum {total:g}")
-    u = ensemble.model.unit_effect
-    for i, w in enumerate(ensemble.states):
-        residual = abs(float(u @ w) - 1.0)
-        if residual > tol:
-            report.issues.append(f"state {i} is not normalized (u[w] residual {residual:g})")
-        if not member_of(ensemble.model.state_cone, w, tol):
+    residuals = np.abs(ensemble.states @ ensemble.model.unit_effect - 1.0)
+    contained = inside(ensemble.model.state_cone.facets, ensemble.states, tol)
+    for i in np.flatnonzero((residuals > tol) | ~contained):
+        if residuals[i] > tol:
+            report.issues.append(f"state {i} is not normalized (u[w] residual {residuals[i]:g})")
+        if not contained[i]:
             report.issues.append(f"state {i} is outside the state cone")
     return report

@@ -16,10 +16,17 @@ from gptdisc import (
     member_of,
     polygon_model,
 )
+import gptdisc.cone as cone_module
 from gptdisc.lp import feasibility_gap
 from gptdisc.polygon import no_measurement_ensemble
 
-from conftest import cross_polytope_model, same_generator_set
+from conftest import (
+    boxworld_model,
+    cross_polytope_model,
+    hypercube_model,
+    random_polytope_model,
+    same_generator_set,
+)
 
 
 def orthant(d=3):
@@ -259,3 +266,79 @@ def test_dual_membership_matches_order_relation(coords):
     if direct != via_dual:
         # Disagreement is only allowed within the tolerance band of the boundary.
         assert float(np.min(cone.generators @ v)) == pytest.approx(0.0, abs=1e-6)
+
+
+def _extreme_generators(cone: PolyhedralCone) -> PolyhedralCone:
+    """The generators that are not in the cone of the others, decided by the LP reference."""
+    gens = cone.generators
+    extreme = [feasibility_gap(np.delete(gens, i, axis=0).T, g, tol=1e-9) > 1e-9 for i, g in enumerate(gens)]
+    return PolyhedralCone(cone.dim, gens[extreme])
+
+
+def _assert_exact_dual(cone: PolyhedralCone, extreme: PolyhedralCone, tol: float = 1e-9) -> None:
+    """Each output ray is unit, feasible and tight on generators of rank d - 1; the involution recovers ``extreme``."""
+    dual = dual_cone(cone)
+    units = cone.generators / np.linalg.norm(cone.generators, axis=1, keepdims=True)
+    products = units @ dual.generators.T
+    assert_allclose(np.linalg.norm(dual.generators, axis=1), 1.0, atol=1e-12)
+    assert products.min() >= -tol
+    for column in products.T:
+        assert np.linalg.matrix_rank(units[np.abs(column) <= tol]) == cone.dim - 1
+    assert same_generator_set(dual_cone(dual), extreme, 1e-9)
+
+
+@pytest.mark.parametrize("order", range(3, 65))
+def test_dual_of_shuffled_polygon_is_exact(order):
+    states = polygon_model(order).state_cone
+    _assert_exact_dual(PolyhedralCone(3, np.random.default_rng(order).permutation(states.generators)), states)
+
+
+@pytest.mark.parametrize("order", range(3, 25))
+def test_dual_of_polygon_with_edge_midpoints_and_centroid_is_exact(order):
+    # A midpoint cut after both ends of its edge removes no ray; the edge's facet ray is marked tight on it.
+    vertices = polygon_model(order).state_gens
+    midpoints = (vertices + np.roll(vertices, -1, axis=0)) / 2.0
+    gens = np.vstack([vertices, midpoints, [0.0, 0.0, 1.0]])
+    _assert_exact_dual(PolyhedralCone(3, np.random.default_rng(order).permutation(gens)), PolyhedralCone(3, vertices))
+
+
+@pytest.mark.parametrize("family", [hypercube_model, cross_polytope_model])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_dual_of_cube_and_cross_polytope_cones_is_exact(family, n):
+    model = family(n)
+    for cone in (model.state_cone, model.effect_cone):
+        _assert_exact_dual(cone, cone)
+
+
+def test_dual_of_boxworld_state_cone_is_exact():
+    cone = boxworld_model().state_cone
+    _assert_exact_dual(cone, cone)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dual_of_random_polytope_state_cone_is_exact(seed):
+    d = 3 + seed % 4
+    cone = random_polytope_model(np.random.default_rng(seed), d, d + 2 + seed % 7).state_cone
+    _assert_exact_dual(cone, _extreme_generators(cone))
+
+
+def test_cut_that_removes_no_ray_still_marks_its_tight_rays(monkeypatch):
+    # Generator 5 is the midpoint of generators 0 and 1, so its cut removes no ray.  The rays tight on it
+    # keep it as a shared cut, and the last cut's candidate pairs (at least d - 2 = 3 shared cuts) count it.
+    gens = np.array([
+        [0.0, 0.0, -1.0, 0.0, 1.0], [0.0, -1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.5, -0.5, 1.0],
+        [0.5, 0.0, 0.0, -0.5, 1.0], [-0.5, 0.0, 0.5, 0.0, 1.0], [0.0, -0.5, -0.5, 0.0, 1.0],
+        [0.0, 0.5, 0.5, 0.0, 1.0], [-0.5, 0.0, -0.5, 0.0, 1.0],
+    ])
+    units = gens / np.linalg.norm(gens, axis=1, keepdims=True)
+    rays = dual_cone(PolyhedralCone(5, gens[:-1])).generators  # the rays the last cut meets
+    products = rays @ units[-1]
+    tight = (np.abs(rays @ units[:-1].T) <= 1e-10).astype(int)
+    plus, minus = tight[products > 1e-10], tight[products < -1e-10]
+    candidates = int((plus @ minus.T >= 3).sum())
+    unmarked = int((np.delete(plus, 5, axis=1) @ np.delete(minus, 5, axis=1).T >= 3).sum())
+    assert unmarked < candidates
+    counts = []
+    monkeypatch.setattr(cone_module, "_check_entries", counts.append)
+    dual_cone(PolyhedralCone(5, gens))
+    assert counts[-1] == candidates * len(rays)

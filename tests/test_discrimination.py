@@ -10,7 +10,9 @@ from gptdisc import (
     InvalidInputError,
     Measurement,
     build_primal,
+    cone_ge,
     congruence_check,
+    member_of,
     no_measurement_value,
     polygon_model,
     solve_discrimination,
@@ -249,6 +251,51 @@ def test_kkt_rejects_claims_not_read_off_k(ensemble, tamper, field):
     report = verify_kkt(ensemble, tamper(sol))
     assert not report.passes(1e-9)
     assert np.max(getattr(report, field)) > 0.2
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("symmetry_operator", np.array([0.0, np.nan, 0.5]), id="nan-K"),
+        pytest.param("symmetry_operator", np.array([np.inf, 0.0, 0.5]), id="inf-K"),
+        pytest.param("p_guess", float("nan"), id="nan-p-guess"),
+    ],
+)
+def test_kkt_rejects_nonfinite_symmetry_operator_and_p_guess(field, value):
+    sol = solve_discrimination(uniform_vertex_ensemble(4))
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        verify_kkt(sol.ensemble, dataclasses.replace(sol, **{field: value}))
+
+
+def _cone_check_models():
+    yield from (hypercube_model(3), hypercube_model(4), cross_polytope_model(3), cross_polytope_model(4), boxworld_model())
+    for seed in range(20):
+        d = 3 + seed % 4
+        yield random_polytope_model(np.random.default_rng(seed), d, d + 2 + seed % 7)
+
+
+def test_batched_kkt_cone_checks_match_per_row_checks():
+    rng = np.random.default_rng(0)
+    mixed = 0
+    for model in _cone_check_models():
+        assert validate_model(model).valid
+        k = model.state_gens.shape[0]
+        ensemble = Ensemble(model=model, states=model.state_gens, priors=rng.dirichlet(np.ones(k)))
+        sol = solve_discrimination(ensemble)
+        # Shrinking K and moving half of the effects along -u makes some entries False.
+        tampered = dataclasses.replace(
+            sol,
+            symmetry_operator=sol.symmetry_operator * rng.uniform(0.5, 1.0),
+            measurement=Measurement(sol.measurement.effects - 0.3 * (np.arange(k) % 2)[:, None] * model.unit_effect),
+        )
+        for candidate in (sol, tampered):
+            report = verify_kkt(ensemble, candidate)
+            margins = [(candidate.symmetry_operator, q * w) for q, w in zip(ensemble.priors, ensemble.states)]
+            assert report.positivity_ok == tuple(cone_ge(a, b, model.effect_cone) for a, b in margins)
+            effects = candidate.measurement.effects
+            assert report.effects_in_cone == tuple(member_of(model.effect_cone, e) for e in effects)
+            mixed += len(set(report.positivity_ok)) == 2 and len(set(report.effects_in_cone)) == 2
+    assert mixed >= 20
 
 
 def test_kkt_value_and_weight_residuals_are_zero_on_solver_output():

@@ -129,6 +129,39 @@ def test_state_outside_cone_reported():
     assert any("outside the state cone" in issue for issue in report.issues)
 
 
+def test_every_negative_prior_is_reported_in_order():
+    model = polygon_model(4)
+    ensemble = Ensemble(model=model, states=model.state_gens[:3], priors=np.array([-0.25, 1.5, -0.25]))
+    assert validate_ensemble(ensemble).issues == ["prior 0 negative (-0.25)", "prior 2 negative (-0.25)"]
+
+
+def test_state_faults_are_reported_per_state_in_order():
+    model = polygon_model(4)
+    r = model.state_gens[0][0]
+    # State 1 is unnormalized and outside, state 2 only outside, state 3 only unnormalized.
+    states = np.array([model.state_gens[1], [3.0 * r, 0.0, 2.0], [2.0 * r, 0.0, 1.0], [0.0, 0.0, 2.0]])
+    ensemble = Ensemble(model=model, states=states, priors=np.full(4, 0.25))
+    assert validate_ensemble(ensemble).issues == [
+        "state 1 is not normalized (u[w] residual 1)",
+        "state 1 is outside the state cone",
+        "state 2 is outside the state cone",
+        "state 3 is not normalized (u[w] residual 1)",
+    ]
+
+
+def test_effect_generator_faults_are_reported_per_generator_in_order():
+    model = polygon_model(4)
+    effects = model.effect_gens.copy()
+    effects[1] = [1.0, 0.0, 0.2]  # negative on state 2, above 1 on state 0
+    effects[3] = [0.0, -0.2, 0.1]  # negative on state 1 only
+    broken = GptModel(dim=3, state_gens=model.state_gens, effect_gens=effects, unit_effect=model.unit_effect)
+    assert validate_model(broken).issues == [
+        "effect generator 1 negative on state generator 2, value -0.989207",
+        "effect generator 1 exceeds 1 on state generator 0, value 1.38921",
+        "effect generator 3 negative on state generator 1, value -0.137841",
+    ]
+
+
 def test_zero_priors_allowed():
     model = polygon_model(4)
     ensemble = Ensemble(
