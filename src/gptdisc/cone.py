@@ -1,14 +1,14 @@
 """Polyhedral cone utilities: membership, dual cones, and the effect order.
 
 Cones are kept in generator (V-) representation.  Dual cones come from
-exact double description, one cut per generator: each cut appends its
-adjacent ray combinations and one column of tight rays, and adjacency is
-decided from those tight sets by set arithmetic alone, so no LP is
-solved.  The facets of a cone are the generators of its dual, computed
-at most once per cone object (an unrestricted effect cone takes the unit
-state generators); one matrix product against them decides membership
-of every row of a point matrix.  The work of a dual is bounded by
-``MAX_DUAL_ENTRIES``, not by the ambient dimension.
+exact double description, one cut per generator: each cut writes its
+tight column and adjacent ray combinations in place, into buffers that
+double when full, and adjacency is decided from those tight sets by set
+arithmetic alone, so no LP is solved.  The facets of a cone are the
+generators of its dual, computed at most once per cone object (an
+unrestricted effect cone takes the unit state generators); one matrix
+product against them decides membership of every row of a point matrix.
+The work of a dual is bounded by ``MAX_DUAL_ENTRIES``, not by the dimension.
 """
 
 from __future__ import annotations
@@ -55,6 +55,14 @@ class PolyhedralCone:
         gens.setflags(write=False)
         object.__setattr__(self, "generators", gens)
 
+    @classmethod
+    def _of_unit_rays(cls, dim: int, rays: np.ndarray) -> PolyhedralCone:
+        """The cone of ``rays`` that are already finite, unit and pairwise non-parallel, without a copy or a check."""
+        rays.setflags(write=False)
+        cone = object.__new__(cls)
+        vars(cone).update(dim=dim, generators=rays)
+        return cone
+
     @property
     def n_generators(self) -> int:
         return self.generators.shape[0]
@@ -68,22 +76,18 @@ class PolyhedralCone:
 def member_of(cone: PolyhedralCone, v, tol: float = 1e-9) -> bool:
     """True iff ``v`` is a nonnegative combination of the cone generators within ``tol``.
 
-    That is ``f . v >= -tol`` for every unit facet normal ``f`` (see
-    :func:`inside`), so no LP is solved.  Raises :class:`UnsupportedSizeError`
-    when the facets are not cached yet and computing them passes ``MAX_DUAL_ENTRIES``.
+    That is ``f . v >= -tol`` for every unit facet normal ``f`` (see :func:`inside`), so no LP
+    is solved.  Raises :class:`InvalidInputError` unless ``v`` is a finite vector of length ``dim``,
+    and :class:`UnsupportedSizeError` when uncached facets would pass ``MAX_DUAL_ENTRIES``.
     """
-    vec = np.asarray(v, dtype=float)
-    if vec.shape != (cone.dim,):
-        raise InvalidInputError(f"vector has shape {vec.shape}, expected ({cone.dim},)")
+    vec = finite_array(v, "vector", (cone.dim,))
     return bool(inside(cone.facets, vec[None], tol)[0])
 
 
 def cone_ge(v, w, test_cone: PolyhedralCone, tol: float = 1e-9) -> bool:
     """Order relation induced by ``test_cone``: ``v >= w`` iff ``g.(v-w) >= -tol`` for every generator ``g``."""
-    a = np.asarray(v, dtype=float)
-    b = np.asarray(w, dtype=float)
-    if a.shape != (test_cone.dim,) or b.shape != (test_cone.dim,):
-        raise InvalidInputError("dimension mismatch in cone_ge")
+    a = finite_array(v, "v", (test_cone.dim,))
+    b = finite_array(w, "w", (test_cone.dim,))
     return bool(inside(test_cone.generators, (a - b)[None], tol)[0])
 
 
@@ -99,60 +103,86 @@ def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
     halfspace per unit generator, in generator order.  A cut that meets
     the lineality space turns its best line into a ray and projects the
     other lines and rays onto the cut's hyperplane.  Any other cut keeps
-    the rays on its nonnegative side and appends the unit combination of
+    the rays on its nonnegative side and adds the unit combination of
     each adjacent (+, -) pair: no third ray is tight on every cut tight at
-    both (Fukuda & Prodon 1996).  Every cut, one that removes no ray too,
-    appends its column of tight rays to a float32 0/1 matrix, whose
-    products count shared cuts exactly below 2**24 cuts; no LP is solved.
-    Raises :class:`UnsupportedSizeError` before a product passes
-    ``MAX_DUAL_ENTRIES`` entries.  Output rays are unit length, and each
-    remaining line ``l`` is returned as the pair ``l, -l``.  For pointed
-    full-dimensional cones, applying this twice recovers the original
-    generator set up to positive scaling and ordering.
+    both (Fukuda & Prodon 1996).  Each cut writes its column of tight rays
+    into a float32 0/1 matrix of full width, whose products over earlier
+    columns count shared cuts exactly below 2**24 cuts.  Rays and tight
+    sets grow in place: new rays reuse removed rays' rows, rows from the
+    end fill the remaining holes, and buffers double when full, so the
+    output order is not guaranteed.  Raises :class:`UnsupportedSizeError`,
+    naming the cut, before a product passes ``MAX_DUAL_ENTRIES`` entries.
+    Output rays are unit and pairwise non-parallel, so they skip the
+    constructor's checks; each remaining line ``l`` comes as ``l, -l``.
     """
     d = cone.dim
+    cuts = cone.generators / np.linalg.norm(cone.generators, axis=1, keepdims=True)
     lines = np.eye(d)
-    rays = np.zeros((0, d))
-    tight = np.zeros((0, 0), dtype=np.float32)  # tight[i, j] = 1: ray i is tight on cut j
-    for cut in cone.generators / np.linalg.norm(cone.generators, axis=1, keepdims=True):
+    # Rows :count are the live rays; tight[i, j] = 1: ray i is tight on cut j, for the cuts made so far.
+    rays = np.empty((max(len(cuts), d), d))
+    tight = np.empty((len(rays), len(cuts)), dtype=np.float32)
+    count = 0
+    for j, cut in enumerate(cuts):
         if len(lines) and np.abs(line_products := lines @ cut).max() > _TIGHT:
             pivot = int(np.argmax(np.abs(line_products)))
             line = lines[pivot] / line_products[pivot]  # line . cut = 1
             lines = np.delete(lines - np.outer(line_products, line), pivot, axis=0)
             lines /= np.linalg.norm(lines, axis=1, keepdims=True)
-            rays = np.concatenate([rays - np.outer(rays @ cut, line), line[None]])
-            rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+            rays, tight = _room(rays, count, count + 1), _room(tight, count, count + 1)
+            rays[:count] -= np.outer(rays[:count] @ cut, line)
+            rays[count] = line
+            rays[: count + 1] /= np.linalg.norm(rays[: count + 1], axis=1, keepdims=True)
             # Lines are tight on every earlier cut; projected rays are now tight on this one.
-            tight = np.concatenate([tight, np.ones((1, tight.shape[1]), dtype=np.float32)])
-            column = np.arange(len(rays)) < len(rays) - 1
-        else:
-            products = rays @ cut
-            sign = (products > _TIGHT).view(np.int8) - (products < -_TIGHT).view(np.int8)
-            column = sign == 0
-            minus = np.flatnonzero(sign < 0)
-            if len(minus):
-                plus = np.flatnonzero(sign > 0)
-                # An adjacent pair spans a 2-face, so at least d - lines - 2 cuts are tight at both.
-                _check_entries(len(plus) * len(minus))
-                shared = tight[plus] @ tight[minus].T
-                pi, mi = np.nonzero(shared >= d - len(lines) - 2)
-                common = tight[plus[pi]] * tight[minus[mi]]
-                # The pair is adjacent when no third ray is tight on every cut in ``common``.
-                _check_entries(len(pi) * len(rays))
-                adjacent = ((common @ tight.T) == shared[pi, mi, None]).sum(axis=1) == 2
-                p, m = plus[pi[adjacent]], minus[mi[adjacent]]
-                combos = products[p, None] * rays[m] - products[m, None] * rays[p]
-                keep = sign >= 0
-                rays = np.concatenate([rays[keep], combos / np.linalg.norm(combos, axis=1, keepdims=True)])
-                tight = np.concatenate([tight[keep], common[adjacent]])
-                column = np.concatenate([column[keep], np.ones(len(p), dtype=bool)])
-        tight = np.concatenate([tight, column[:, None]], axis=1)
-    return PolyhedralCone(d, np.concatenate([rays, lines, -lines]))
+            tight[count, :j], tight[:count, j], tight[count, j] = 1, 1, 0
+            count += 1
+            continue
+        products = rays[:count] @ cut
+        tight[:count, j] = np.abs(products) <= _TIGHT
+        minus = (products < -_TIGHT).nonzero()[0]
+        if not len(minus):
+            continue
+        plus = (products > _TIGHT).nonzero()[0]
+        # An adjacent pair spans a 2-face, so at least d - lines - 2 cuts are tight at both.
+        _check_entries(len(plus) * len(minus), j, len(cuts))
+        plus_tight, minus_tight = tight[plus, :j], tight[minus, :j]
+        shared = plus_tight @ minus_tight.T
+        pi, mi = np.nonzero(shared >= d - len(lines) - 2)
+        common = plus_tight[pi] * minus_tight[mi]
+        # The pair is adjacent when no third ray is tight on every cut in ``common``.
+        _check_entries(len(pi) * count, j, len(cuts))
+        adjacent = ((common @ tight[:count, :j].T) == shared[pi, mi, None]).sum(axis=1) == 2
+        p, m = plus[pi[adjacent]], minus[mi[adjacent]]
+        combos = products[p, None] * rays[m] - products[m, None] * rays[p]
+        end = count + len(p) - len(minus)
+        rays, tight = _room(rays, count, end), _room(tight, count, end)
+        rows = np.concatenate([minus[: len(p)], np.arange(count, end)])  # removed rays' rows, then the end
+        rays[rows] = combos / np.linalg.norm(combos, axis=1, keepdims=True)
+        tight[rows, :j] = common[adjacent]
+        tight[rows, j] = 1
+        if end < count:  # live rows past ``end`` fill the holes below it
+            holes = minus[len(p) :]
+            kept = np.ones(count, dtype=bool)
+            kept[holes] = False
+            tail = end + kept[end:].nonzero()[0]
+            rays[holes[: len(tail)]] = rays[tail]
+            tight[holes[: len(tail)], : j + 1] = tight[tail, : j + 1]
+        count = end
+    return PolyhedralCone._of_unit_rays(d, np.concatenate([rays[:count], lines, -lines]))
 
 
-def _check_entries(count: int) -> None:
+def _room(buffer: np.ndarray, count: int, rows: int) -> np.ndarray:
+    """``buffer`` if it has ``rows`` rows, else its first ``count`` rows in a buffer at least twice as long."""
+    if rows <= len(buffer):
+        return buffer
+    grown = np.empty((max(rows, 2 * len(buffer)), buffer.shape[1]), dtype=buffer.dtype)
+    grown[:count] = buffer[:count]
+    return grown
+
+
+def _check_entries(count: int, cut: int, n_cuts: int) -> None:
     if count > MAX_DUAL_ENTRIES:
-        raise UnsupportedSizeError(f"dual cone product has {count} entries, over MAX_DUAL_ENTRIES = {MAX_DUAL_ENTRIES}")
+        limit = f"MAX_DUAL_ENTRIES = {MAX_DUAL_ENTRIES}"
+        raise UnsupportedSizeError(f"dual cone product has {count} entries, over {limit} at cut {cut + 1} of {n_cuts}")
 
 
 def cones_equal(a: PolyhedralCone, b: PolyhedralCone, tol: float = 1e-9) -> bool:

@@ -342,7 +342,7 @@ def test_solve_past_the_dual_cone_cap_exits_one_with_an_error_line(tmp_path, cap
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert captured.out == "" and len(lines) == 1  # no "oracle skipped" or restricted-effects warning
-    assert lines[0].startswith("error: dual cone product has") and lines[0].endswith("over MAX_DUAL_ENTRIES = 10")
+    assert lines[0] == "error: dual cone product has 12 entries, over MAX_DUAL_ENTRIES = 10 at cut 7 of 12"
 
 
 def test_verify_accepts_two_outcome_alternative(square_files, tmp_path, capsys):

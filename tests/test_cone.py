@@ -44,11 +44,27 @@ def test_membership_rejects_small_negative_component():
 def test_membership_square_state_cone_contains_mixture():
     model = polygon_model(4)
     assert member_of(model.state_cone, np.array([0.0, 0.0, 1.0]))
+    assert member_of(model.state_cone, [0, 0, 1]) is True  # integers are read as floats; one bool comes back
 
 
 def test_membership_dimension_mismatch():
     with pytest.raises(InvalidInputError):
         member_of(orthant(3), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0], [True, False, True], ["a", "b", "c"], [0.0, 1.0]],
+    ids=["nan", "inf", "bool", "str", "short"],
+)
+def test_membership_and_order_reject_malformed_vectors(bad):
+    square = polygon_model(4).state_cone
+    with pytest.raises(InvalidInputError):
+        member_of(square, bad)
+    with pytest.raises(InvalidInputError):
+        cone_ge(bad, [0.0, 0.0, 1.0], square)
+    with pytest.raises(InvalidInputError):
+        cone_ge([0.0, 0.0, 1.0], bad, square)
 
 
 def test_generators_deduplicated_up_to_positive_scale():
@@ -106,6 +122,14 @@ def test_dual_cone_work_cap(monkeypatch):
         member_of(effects, np.eye(7)[-1])
 
 
+def test_dual_cone_work_cap_names_the_cut(monkeypatch):
+    # The first three cuts of a polygon turn lines into rays.  The fourth vertex sees one edge of the
+    # first triangle, so its cut is the first to form a product: 2 plus rays times 1 minus ray.
+    monkeypatch.setattr("gptdisc.cone.MAX_DUAL_ENTRIES", 1)
+    with pytest.raises(UnsupportedSizeError, match=r"^dual cone product has 2 entries, over MAX_DUAL_ENTRIES = 1 at cut 4 of 5$"):
+        dual_cone(polygon_model(5).state_cone)
+
+
 def test_dual_of_full_space_is_origin():
     full = PolyhedralCone(3, np.vstack([np.eye(3), -np.eye(3)]))
     dual = dual_cone(full)
@@ -117,7 +141,7 @@ def test_dual_of_full_space_is_origin():
 def test_order_relation_reflexive():
     model = polygon_model(4)
     v = np.array([0.3, -0.2, 0.9])
-    assert cone_ge(v, v, model.effect_cone)
+    assert cone_ge(v, v, model.effect_cone) is True
     # The empty cone induces no constraint, so any v dominates any w.
     assert cone_ge(-v, v, PolyhedralCone(3, []))
 
@@ -275,16 +299,27 @@ def _extreme_generators(cone: PolyhedralCone) -> PolyhedralCone:
     return PolyhedralCone(cone.dim, gens[extreme])
 
 
+def _assert_constructor_would_keep(dual: PolyhedralCone) -> None:
+    """``dual_cone`` skips the constructor's checks: its rays must already be finite, unit, read-only and distinct."""
+    rays = dual.generators
+    assert np.isfinite(rays).all() and not rays.flags.writeable
+    assert_allclose(np.linalg.norm(rays, axis=1), 1.0, atol=1e-12)
+    assert not np.triu(rays @ rays.T > 1.0 - 1e-9, k=1).any()  # no two rays parallel
+    assert np.array_equal(PolyhedralCone(dual.dim, rays).generators, rays)
+
+
 def _assert_exact_dual(cone: PolyhedralCone, extreme: PolyhedralCone, tol: float = 1e-9) -> None:
     """Each output ray is unit, feasible and tight on generators of rank d - 1; the involution recovers ``extreme``."""
     dual = dual_cone(cone)
     units = cone.generators / np.linalg.norm(cone.generators, axis=1, keepdims=True)
     products = units @ dual.generators.T
-    assert_allclose(np.linalg.norm(dual.generators, axis=1), 1.0, atol=1e-12)
+    _assert_constructor_would_keep(dual)
     assert products.min() >= -tol
     for column in products.T:
         assert np.linalg.matrix_rank(units[np.abs(column) <= tol]) == cone.dim - 1
-    assert same_generator_set(dual_cone(dual), extreme, 1e-9)
+    twice = dual_cone(dual)
+    _assert_constructor_would_keep(twice)
+    assert same_generator_set(twice, extreme, 1e-9)
 
 
 @pytest.mark.parametrize("order", range(3, 65))
@@ -339,6 +374,102 @@ def test_cut_that_removes_no_ray_still_marks_its_tight_rays(monkeypatch):
     unmarked = int((np.delete(plus, 5, axis=1) @ np.delete(minus, 5, axis=1).T >= 3).sum())
     assert unmarked < candidates
     counts = []
-    monkeypatch.setattr(cone_module, "_check_entries", counts.append)
+    monkeypatch.setattr(cone_module, "_check_entries", lambda count, *where: counts.append(count))
     dual_cone(PolyhedralCone(5, gens))
     assert counts[-1] == candidates * len(rays)
+
+
+def test_check_entries_counts_match_the_recorded_sequence(monkeypatch):
+    # Recorded from the double description that grew its arrays by concatenation; the in-place buffers
+    # must run the same cuts with the same adjacency test, so every product has the same size.
+    expected = {
+        "cube6": [
+            2, 6, 2, 5, 3, 15, 3, 0, 2, 7, 3, 14, 3, 0, 4, 28, 4, 0, 4, 9, 4, 0, 2, 9, 3, 18, 3, 10, 4, 36, 4, 11,
+            4, 20, 4, 0, 5, 45, 5, 52, 5, 48, 5, 0, 5, 55, 5, 0, 5, 11, 5, 0, 2, 11, 3, 22, 3, 12, 4, 33, 4, 26,
+            4, 24, 4, 0, 5, 55, 5, 42, 5, 39, 5, 0, 5, 36, 5, 0, 5, 12, 5, 0, 6, 66, 6, 80, 6, 75, 6, 0, 6, 70,
+            6, 15, 6, 14, 6, 0, 6, 78, 6, 30, 6, 28, 6, 0, 6, 26, 6, 0, 6, 13, 6, 0,
+        ],
+        "cross6": [2, 14, 4, 32, 8, 88, 16, 288, 32, 1056],
+        "boxworld": [2, 6, 2, 14, 2, 22, 8, 96, 18, 252, 18, 210, 32, 384, 15, 0, 14, 0, 13, 0, 12, 0, 11, 0, 10, 0, 9, 0, 8, 0],
+    }
+    models = {"cube6": hypercube_model(6), "cross6": cross_polytope_model(6), "boxworld": boxworld_model()}
+    counts = []
+    monkeypatch.setattr(cone_module, "_check_entries", lambda count, *where: counts.append(count))
+    for name, model in models.items():
+        counts.clear()
+        dual_cone(model.state_cone)
+        assert counts == expected[name], name
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_ray_buffers_grow_past_the_cut_count(n):
+    # 2n cuts and 2^n facets: the buffers start with one row per cut, so they double at least twice.
+    cone = cross_polytope_model(n).state_cone
+    dual = dual_cone(cone)
+    assert dual.n_generators == 2**n > 4 * cone.n_generators
+    assert same_generator_set(dual, _facet_normals(cone.generators), 1e-9)
+
+
+def _prefix_steps(gens: np.ndarray) -> list[tuple[int, int]]:
+    """Check ``dual_cone`` against facet enumeration on every full-rank prefix of ``gens``.
+
+    Returns the number of reference rays each later cut removes and adds.
+    """
+    d = gens.shape[1]
+    steps, before = [], None
+    for j in range(len(gens)):
+        if np.linalg.matrix_rank(gens[: j + 1]) < d:
+            continue
+        reference = _facet_normals(gens[: j + 1])
+        assert same_generator_set(dual_cone(PolyhedralCone(d, gens[: j + 1])), reference, 1e-7), j
+        if before is not None:
+            removed = int((before.generators @ gens[j] < -1e-9).sum())
+            steps.append((removed, reference.n_generators - before.n_generators + removed))
+        before = reference
+    return steps
+
+
+def _polygon_cuts() -> np.ndarray:
+    """A 12-gon's vertices in a scattered order, its centroid, a repeated and a rescaled vertex, then three far points."""
+    t = 2.0 * np.pi * np.arange(12) / 12.0
+    ring = np.column_stack([np.cos(t), np.sin(t), np.ones(12)])
+    far = np.column_stack([3.0 * np.cos(t[[1, 6, 9]] + 0.1), 3.0 * np.sin(t[[1, 6, 9]] + 0.1), np.ones(3)])
+    return np.vstack([ring[[0, 4, 8, 2, 5, 9, 11]], [[0.0, 0.0, 1.0]], ring[[1, 7, 4]], 2.5 * ring[[5]], ring[[3, 6, 10]], far])
+
+
+def _simplex_cuts(seed: int) -> np.ndarray:
+    """Ten Gaussian points of the plane x_5 = 1 with duplicated and rescaled copies, then three far points."""
+    rng = np.random.default_rng(seed)
+    points = np.hstack([rng.normal(size=(10, 4)), np.ones((10, 1))])
+    far = np.hstack([8.0 * rng.normal(size=(3, 4)), np.ones((3, 1))])
+    return np.vstack([points[:7], 3.0 * points[[2]], points[7:], points[[0]], far])
+
+
+def test_every_prefix_dual_matches_facet_enumeration():
+    # Cuts that remove more rays than they add leave holes that rows from the end fill; cuts that
+    # remove none only write their column; repeated and parallel generators are deduplicated first.
+    steps = [step for cuts in [_polygon_cuts(), *map(_simplex_cuts, range(4))] for step in _prefix_steps(cuts)]
+    assert any(removed > added for removed, added in steps)
+    assert any(removed == 0 for removed, added in steps)
+    assert any(0 < removed < added for removed, added in steps)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_dual_of_rank_deficient_and_line_cones_decides_lp_membership(seed):
+    # The dual's rays and its lines l, -l accept exactly the points the LP reference finds in the cone.
+    cone = _rank_deficient_or_line_cone(seed)
+    dual = dual_cone(cone)
+    _assert_constructor_would_keep(dual)
+    assert (cone.generators @ dual.generators.T).min(initial=0.0) >= -1e-9
+    rng = np.random.default_rng(1000 + seed)
+    in_cone = rng.random((20, cone.n_generators)) @ cone.generators
+    in_span = (rng.random((20, cone.n_generators)) - 0.3) @ cone.generators  # some weights negative
+    points = np.vstack([rng.normal(size=(20, cone.dim)), in_cone, in_span])
+    compared = 0
+    for v in points:
+        gap = feasibility_gap(cone.generators.T, v, tol=1e-9)
+        if 1e-12 < gap < 1e-6:
+            continue  # too close to the boundary for two tolerance conventions to agree
+        assert member_of(cone, v) == (gap <= 1e-9), (v, gap)
+        compared += 1
+    assert compared >= 45
