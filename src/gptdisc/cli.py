@@ -137,7 +137,7 @@ def cmd_demo(args) -> None:
         payload["alternates"] = [
             {
                 "name": alt_name,
-                "measurement": measurement.effects,
+                "coefficients": measurement.coefficients,
                 "kkt": {**dataclasses.asdict(report), "passed": report.passes()},
             }
             for alt_name, measurement, report in result.alternates

@@ -5,8 +5,7 @@ exact double description, one cut per generator: each cut writes its
 tight column and adjacent ray combinations in place, into buffers that
 double when full, and adjacency is decided from those tight sets by set
 arithmetic alone, so no LP is solved.  The facets of a cone are the
-generators of its dual, computed at most once per cone object (an
-unrestricted effect cone takes the unit state generators); one matrix
+generators of its dual, computed at most once per cone object; one matrix
 product against them decides membership of every row of a point matrix.
 The work of a dual is bounded by ``MAX_DUAL_ENTRIES``, not by the dimension.
 """

@@ -14,7 +14,8 @@ Every complementary number is read off ``v_x = K - q_x w_x``: the weight
 normalized complementary state ``d_x = v_x / r_x``, so that
 ``K = q_x w_x + r_x d_x``; optimal effects obey slackness, ``e_x[v_x] = 0``.
 ``d_x`` is a state only when effects are unrestricted (a restricted
-effect cone has a larger dual).  A solution stores no LP objective
+effect cone has a larger dual).  Measurements are stated as coefficients
+``C >= 0`` on the effect generators.  A solution stores no LP objective
 values; :func:`verify_kkt` recomputes the duality gap and is the one
 check of the stated numbers and optimality conditions on untrusted solutions.
 """
@@ -130,9 +131,9 @@ def build_primal(ensemble: Ensemble) -> LpProblem:
 
 
 def measurement_from_primal(ensemble: Ensemble, x: np.ndarray) -> Measurement:
-    """Effects ``e_x = sum_j C_j g_j`` over the ``g_j`` whose ``t_j`` outcome x attains, ties to the lowest x."""
+    """Coefficients ``C[x, j] = C_j`` where outcome x attains ``t_j``, ties to the lowest x, and 0 elsewhere."""
     owners = _rewards(ensemble).argmax(axis=0)
-    return Measurement(((owners == np.arange(ensemble.n_states)[:, None]) * x) @ ensemble.model.effect_gens)
+    return Measurement((owners == np.arange(ensemble.n_states)[:, None]) * x)
 
 
 def no_measurement_value(ensemble: Ensemble) -> float:
@@ -195,19 +196,19 @@ def verify_kkt(
     """Recompute every optimality residual of ``solution`` from scratch.
 
     Works on untrusted solutions: nothing from the solver is assumed, and
-    all quantities are derived from the ensemble, the measurement, ``K``
-    and the complementary pairs.  A passing report certifies optimality
+    all quantities are derived from the ensemble, the coefficients ``C``,
+    ``K`` and the complementary pairs.  A passing report certifies optimality
     (KKT conditions are sufficient here because strong duality holds) and
     every number the solution states, ``p_guess`` and the weights included.
     Raises :class:`InvalidInputError` when ``K`` or ``p_guess`` is not finite.
     """
     model = ensemble.model
-    dim = model.dim
-    k = finite_array(solution.symmetry_operator, "symmetry operator K", (dim,))
+    k = finite_array(solution.symmetry_operator, "symmetry operator K", (model.dim,))
     p_guess = float(finite_array(solution.p_guess, "p_guess", ()))
-    effects = solution.measurement.effects
-    if effects.shape != (ensemble.n_states, dim):
+    coefficients = solution.measurement.coefficients
+    if coefficients.shape != (ensemble.n_states, len(model.effect_gens)):
         raise InvalidInputError("solution shapes do not match the ensemble")
+    effects = coefficients @ model.effect_gens
 
     weighted = ensemble.weighted_states()
     margins = k - weighted  # v_x
@@ -223,7 +224,7 @@ def verify_kkt(
         orthogonality_residuals=np.abs(_row_dots(effects, margins)),
         measurement_residual=measurement_residual,
         gap=abs(primal_value - value),
-        effects_in_cone=tuple(inside(model.effect_cone.facets, effects, tol).tolist()),
+        effects_in_cone=tuple((coefficients.min(axis=1, initial=0.0) >= -tol).tolist()),
         value_residual=abs(p_guess - value),
         weight_residuals=np.abs(weights - (value - ensemble.priors)),
     )

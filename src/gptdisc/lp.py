@@ -210,8 +210,8 @@ def feasibility_gap(eq_matrix, eq_rhs, tol: float = 1e-9) -> float:
     """Smallest L1 residual ``min ||A x - b||_1`` over ``x >= 0``.
 
     Zero (up to ``tol``) exactly when ``A x = b`` has a nonnegative
-    solution.  Nothing in the package calls it (membership reads facets at
-    every dimension); it is an independent membership reference for tests.
+    solution; with a cone's generators as columns, model validation decides
+    membership in the effect cone this way, without the cone's facets.
     """
     a = np.atleast_2d(np.asarray(eq_matrix, dtype=float))
     b = np.atleast_1d(np.asarray(eq_rhs, dtype=float))

@@ -4,7 +4,7 @@ A model is an ambient dimension ``d``, a finite set of extremal
 normalized states, a finite set of extremal effects, and the unit
 effect ``u``.  States pair with effects through the Euclidean inner
 product; valid effects map every state into ``[0, 1]`` and measurements
-are effect lists summing to ``u``.
+are coefficients on the effect generators whose effects sum to ``u``.
 
 States are stored normalized (``u[w] = 1``); validation reports
 unnormalized inputs as errors instead of silently rescaling them.  The
@@ -20,8 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .cone import PolyhedralCone, inside, member_of
+from .cone import PolyhedralCone, inside
 from .errors import InvalidInputError, finite_array
+from .lp import feasibility_gap
 
 DEFAULT_TOL = 1e-9
 #: Largest tolerance the solver and the ``--tol`` option accept.
@@ -82,12 +83,12 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class Measurement:
-    """An N-outcome measurement: effects indexed by the guessed state label."""
+    """An N-outcome measurement: effect ``e_x = sum_j C[x, j] g_j`` on the model's effect generators, in file order."""
 
-    effects: np.ndarray
+    coefficients: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "effects", finite_array(self.effects, "effects", (None, None)))
+        object.__setattr__(self, "coefficients", finite_array(self.coefficients, "coefficients", (None, None)))
 
 
 @dataclass
@@ -111,9 +112,9 @@ def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationRepor
     not pointed always fails normalization.  Also reports whether the
     effect cone equals the full dual of the state cone: every pairing is
     nonnegative and every state facet lies within ``tol`` of a unit effect
-    generator or else in the effect cone, which then takes the unit state
-    generators as facets.  A dual past ``MAX_DUAL_ENTRIES`` is not a fault
-    of the model: it raises :class:`UnsupportedSizeError`.
+    generator or else in the effect cone by :func:`feasibility_gap`, tried
+    facet by facet until one fails.  Only the state cone is dualized; past
+    ``MAX_DUAL_ENTRIES`` it raises :class:`UnsupportedSizeError`.
     """
     report = ValidationReport()
     u = model.unit_effect
@@ -132,24 +133,23 @@ def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationRepor
     rank = int(np.linalg.matrix_rank(model.state_gens)) if model.state_gens.size else 0
     if rank < model.dim:
         report.warnings.append(f"state cone is not full-dimensional (rank {rank} < {model.dim})")
-    effects, facets = model.effect_cone, model.state_cone.facets
-    units = effects.generators / np.linalg.norm(effects.generators, axis=1, keepdims=True)
+    effects, facets = model.effect_cone.generators, model.state_cone.facets
+    units = effects / np.linalg.norm(effects, axis=1, keepdims=True)
     # One Gram argmax shortlists each facet's nearest unit generator (none is infinitely far), then one distance.
     nearest = units[(facets @ units.T).argmax(axis=1)] if len(units) else np.full_like(facets, np.inf)
     matched = np.linalg.norm(facets - nearest, axis=1) <= tol
-    report.unrestricted_effects = bool(
-        pairings.min(initial=0.0) >= -tol and (matched.all() or inside(effects.facets, facets[~matched], tol).all())
-    )
+    fits = (feasibility_gap(effects.T, f, tol) <= tol for f in facets[~matched])  # lazy: stops at the first miss
+    report.unrestricted_effects = bool(pairings.min(initial=0.0) >= -tol and all(fits))
     if report.unrestricted_effects:  # dual(E) = dual(dual(S)) = S: y is in E iff y . w >= 0 for every w in S
-        units = model.state_cone.generators / np.linalg.norm(model.state_cone.generators, axis=1, keepdims=True)
-        units.setflags(write=False)
-        vars(effects).setdefault("facets", units)
+        states = model.state_cone.generators
+        u_in_effects = inside(states / np.linalg.norm(states, axis=1, keepdims=True), u[None], tol)[0]
     else:
         report.warnings.append(
             "effect cone differs from the full dual of the state cone (restricted effects); "
             "the solver uses the supplied cone as given"
         )
-    if not member_of(model.effect_cone, u, tol):
+        u_in_effects = feasibility_gap(effects.T, u, tol) <= tol
+    if not u_in_effects:
         report.issues.append("unit effect is not in the cone of the effect generators")
     return report
 

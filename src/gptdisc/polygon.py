@@ -86,13 +86,13 @@ def demo_n4() -> DemoN4Result:
     """
     ensemble = uniform_vertex_ensemble(4)
     solution = solve_discrimination(ensemble)
-    f = ensemble.model.effect_gens
+    halves = np.eye(4) / 2.0  # row j: half of effect generator f_j
     candidates = [
-        ("halved-effects", Measurement(f / 2.0)),
+        ("halved-effects", Measurement(halves)),
         # f0 leaves {w0, w3} possible, f2 leaves {w1, w2}; guess uniformly.
-        ("f0-f2-randomized", Measurement(np.array([f[0] / 2, f[2] / 2, f[2] / 2, f[0] / 2]))),
+        ("f0-f2-randomized", Measurement(halves[[0, 2, 2, 0]])),
         # f1 leaves {w0, w1} possible, f3 leaves {w2, w3}.
-        ("f1-f3-randomized", Measurement(np.array([f[1] / 2, f[1] / 2, f[3] / 2, f[3] / 2]))),
+        ("f1-f3-randomized", Measurement(halves[[1, 1, 3, 3]])),
     ]
     alternates = tuple(
         (name, measurement, verify_kkt(ensemble, replace(solution, measurement=measurement)))

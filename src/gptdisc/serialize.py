@@ -169,7 +169,7 @@ def solution_to_dict(
 ) -> dict:
     payload = {
         "p_guess": solution.p_guess,
-        "measurement": solution.measurement.effects,
+        "coefficients": solution.measurement.coefficients,
         "K": solution.symmetry_operator,
         "complementary": solution.complementary,
         "kkt": kkt,
@@ -185,13 +185,13 @@ def solution_from_dict(data, ensemble: Ensemble) -> DiscriminationSolution:
 
     ``p_guess`` and the weights ``r`` are claims that :func:`verify_kkt`
     checks against ``u[K]``, and it recomputes the duality gap, so a
-    tampered certificate cannot vouch for itself.  Keys not read here,
-    such as the top-level ``gap`` of older files, are ignored.
+    tampered certificate cannot vouch for itself.  Keys not read here, such
+    as ``gap`` or the effects under ``measurement`` of older files, are ignored.
     """
     if not isinstance(data, dict):
         raise InvalidInputError("solution must be a JSON object")
-    dim = ensemble.model.dim
-    effects = finite_array(_require(data, "measurement", "solution"), "solution measurement", ensemble.states.shape)
+    g, dim = ensemble.model.effect_gens.shape
+    coefficients = finite_array(_require(data, "coefficients", "solution"), "solution coefficients", (ensemble.n_states, g))
     k = finite_array(_require(data, "K", "solution"), "solution K", (dim,))
     entries = _require(data, "complementary", "solution")
     if not isinstance(entries, list):
@@ -206,7 +206,7 @@ def solution_from_dict(data, ensemble: Ensemble) -> DiscriminationSolution:
     return DiscriminationSolution(
         ensemble=ensemble,
         p_guess=p_guess,
-        measurement=Measurement(effects),
+        measurement=Measurement(coefficients),
         symmetry_operator=k,
         complementary=tuple(pairs),
     )

@@ -78,6 +78,11 @@ def full_measurement_lp(ensemble: Ensemble) -> LpProblem:
     return LpProblem(objective, np.tile(gens.T, n), ensemble.model.unit_effect)
 
 
+def effects_of(solution) -> np.ndarray:
+    """The effects ``e_x = sum_j C[x, j] g_j`` of a solution's measurement, as rows."""
+    return solution.measurement.coefficients @ solution.ensemble.model.effect_gens
+
+
 def same_generator_set(a: PolyhedralCone, b: PolyhedralCone, tol: float = 1e-9) -> bool:
     """True iff the generator sets coincide up to positive scaling and order."""
     if a.dim != b.dim or a.n_generators != b.n_generators:

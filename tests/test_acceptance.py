@@ -30,7 +30,7 @@ from gptdisc.lp import OPTIMAL
 from gptdisc.oracle import brute_force_lp
 from gptdisc.polygon import AXIS_FEASIBILITY_THRESHOLD, QUANTUM_ANALOGUE_THRESHOLD
 
-from conftest import random_polygon_ensemble, same_generator_set, slack_form
+from conftest import effects_of, random_polygon_ensemble, same_generator_set, slack_form
 
 
 @contextmanager
@@ -52,7 +52,7 @@ def test_criterion_1_triangle_demo():
         report = verify_kkt(sol.ensemble, sol, tol=1e-9)
         elapsed = time.perf_counter() - start
         assert sol.p_guess == pytest.approx(1.0, abs=1e-9)
-        assert_allclose(sol.measurement.effects, sol.ensemble.model.effect_gens, atol=1e-9)
+        assert_allclose(effects_of(sol), sol.ensemble.model.effect_gens, atol=1e-9)
         assert report.passes(1e-9)
         assert elapsed < 1.0
 

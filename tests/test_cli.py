@@ -289,7 +289,7 @@ def _nan_weight_on_degenerate_pair(data):
         # At p = 0.5 the mixture's pair is degenerate (d is null): its r is the only number it states.
         pytest.param(no_measurement_ensemble(0.5), _nan_weight_on_degenerate_pair, id="nan-r-degenerate"),
         pytest.param(uniform_vertex_ensemble(4), lambda data: data.update(complementary=5), id="complementary-not-list"),
-        pytest.param(uniform_vertex_ensemble(4), lambda data: data["measurement"].pop(), id="measurement-missing-row"),
+        pytest.param(uniform_vertex_ensemble(4), lambda data: data["coefficients"].pop(), id="measurement-missing-row"),
     ],
 )
 def test_verify_rejects_malformed_solution_numbers(ensemble, tamper, tmp_path):
@@ -334,29 +334,59 @@ def test_solve_past_the_dual_cone_cap_exits_one_with_an_error_line(tmp_path, cap
     model = GptModel(dim=3, state_gens=square.state_gens, effect_gens=effects, unit_effect=square.unit_effect)
     ensemble_path = tmp_path / "restricted.json"
     ensemble_path.write_text(dumps(ensemble_to_dict(Ensemble(model=model, states=square.state_gens[:2], priors=[0.5, 0.5]))))
+    polygon_path = tmp_path / "polygon.json"  # the order-12 polygon: twelve state generators
+    polygon_path.write_text(dumps(ensemble_to_dict(uniform_vertex_ensemble(12))))
+    # The square's state dual stays under 10 entries, and no path dualizes the twelve effect generators.
+    monkeypatch.setattr("gptdisc.cone.MAX_DUAL_ENTRIES", 10)
     assert main(["solve", str(ensemble_path), "--oracle"]) == 0
     capsys.readouterr()
-    # The state dual's products stay under 10 entries; the effect dual's do not.
-    monkeypatch.setattr("gptdisc.cone.MAX_DUAL_ENTRIES", 10)
-    assert main(["solve", str(ensemble_path), "--oracle"]) == 1
+    # The 12-gon's state dual does not.
+    assert main(["solve", str(polygon_path), "--oracle"]) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
-    assert captured.out == "" and len(lines) == 1  # no "oracle skipped" or restricted-effects warning
+    assert captured.out == "" and len(lines) == 1  # no "oracle skipped" warning
     assert lines[0] == "error: dual cone product has 12 entries, over MAX_DUAL_ENTRIES = 10 at cut 7 of 12"
 
 
-def test_verify_accepts_two_outcome_alternative(square_files, tmp_path, capsys):
+def _square_solution(square_files, tmp_path):
     _, ensemble_path = square_files
     solution_path = tmp_path / "solution.json"
     assert main(["solve", str(ensemble_path), "--out", str(solution_path)]) == 0
-    data = json.loads(solution_path.read_text())
-    model = polygon_model(4)
-    f = model.effect_gens
-    zeros = [0.0, 0.0, 0.0]
-    data["measurement"] = [list(f[0]), zeros, list(f[2]), zeros]
+    return ensemble_path, solution_path, json.loads(solution_path.read_text())
+
+
+def test_verify_accepts_two_outcome_alternative(square_files, tmp_path):
+    ensemble_path, _, data = _square_solution(square_files, tmp_path)
+    data["coefficients"] = [[1.0, 0.0, 0.0, 0.0], [0.0] * 4, [0.0, 0.0, 1.0, 0.0], [0.0] * 4]  # effects f0, 0, f2, 0
     alt_path = tmp_path / "alternative.json"
     alt_path.write_text(json.dumps(data))
     assert main(["verify", str(ensemble_path), str(alt_path)]) == 0
+
+
+def test_verify_fails_on_a_negative_coefficient(square_files, tmp_path, capsys):
+    ensemble_path, solution_path, data = _square_solution(square_files, tmp_path)
+    # f0 + f2 = f1 + f3 = u: the shift keeps every effect, but its coefficients are no longer a certificate.
+    data["coefficients"][1] = [c + 2.0 * s for c, s in zip(data["coefficients"][1], [1.0, -1.0, 1.0, -1.0])]
+    solution_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(ensemble_path), str(solution_path)]) == 4
+    assert "effects-in-cone [True, False, True, True]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("effects_as", ["coefficients", "measurement"])
+def test_verify_rejects_a_measurement_stated_as_effects(effects_as, square_files, tmp_path, capsys):
+    # The square has g = 4 effect generators in d = 3.  Files that state effects, not coefficients, exit 1.
+    ensemble_path, solution_path, data = _square_solution(square_files, tmp_path)
+    effects = np.array(data.pop("coefficients")) @ polygon_model(4).effect_gens
+    data[effects_as] = effects.tolist()
+    solution_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(ensemble_path), str(solution_path)]) == 1
+    expected = {
+        "coefficients": "error: solution coefficients has shape (4, 3), expected (4, 4)",
+        "measurement": "error: solution is missing required field 'coefficients'",
+    }
+    assert capsys.readouterr().err.splitlines() == [expected[effects_as]]
 
 
 def test_export_vertices_counts(tmp_path):

@@ -31,6 +31,7 @@ from conftest import (
     boxworld_model,
     counted_dual_cones,
     cross_polytope_model,
+    effects_of,
     full_measurement_lp,
     hypercube_model,
     random_polygon_ensemble,
@@ -89,7 +90,7 @@ def test_average_state_is_dual_feasible_with_value_one():
 def test_triangle_solution_certificate():
     sol = solve_discrimination(uniform_vertex_ensemble(3))
     assert_allclose(sol.p_guess, 1.0, atol=1e-9)
-    assert_allclose(sol.measurement.effects, sol.ensemble.model.effect_gens, atol=1e-9)
+    assert_allclose(effects_of(sol), sol.ensemble.model.effect_gens, atol=1e-9)
     for pair in sol.complementary:
         assert pair.r == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert_allclose(sol.complementary[0].d, [-np.sqrt(2.0) / 2.0, 0.0, 1.0], atol=1e-9)
@@ -180,7 +181,7 @@ def test_kkt_array_pass_matches_per_outcome_reference():
                     stability = abs(pair.r)
                 else:
                     stability = float(np.linalg.norm(margin - pair.r * pair.d))
-                orthogonality = abs(float(candidate.measurement.effects[x] @ margin))
+                orthogonality = abs(float(effects_of(candidate)[x] @ margin))
                 assert report.stability_residuals[x] == stability
                 assert report.orthogonality_residuals[x] == orthogonality
 
@@ -191,10 +192,7 @@ def test_kkt_accepts_two_outcome_alternative():
     ensemble = uniform_vertex_ensemble(4)
     sol = solve_discrimination(ensemble)
     f = ensemble.model.effect_gens
-    zeros = np.zeros(3)
-    alt = dataclasses.replace(
-        sol, measurement=Measurement(np.array([f[0], zeros, f[2], zeros]))
-    )
+    alt = dataclasses.replace(sol, measurement=Measurement(np.diag([1.0, 0.0, 1.0, 0.0])))  # effects f0, 0, f2, 0
     report = verify_kkt(ensemble, alt)
     assert report.passes(1e-9)
     d0 = sol.complementary[0].d
@@ -282,18 +280,23 @@ def test_batched_kkt_cone_checks_match_per_row_checks():
         k = model.state_gens.shape[0]
         ensemble = Ensemble(model=model, states=model.state_gens, priors=rng.dirichlet(np.ones(k)))
         sol = solve_discrimination(ensemble)
-        # Shrinking K and moving half of the effects along -u makes some entries False.
+        # Shrinking K and moving half of the effects along -u (whose coefficients are C summed over x)
+        # makes some entries False.
+        coefficients = sol.measurement.coefficients
         tampered = dataclasses.replace(
             sol,
             symmetry_operator=sol.symmetry_operator * rng.uniform(0.5, 1.0),
-            measurement=Measurement(sol.measurement.effects - 0.3 * (np.arange(k) % 2)[:, None] * model.unit_effect),
+            measurement=Measurement(coefficients - 0.3 * (np.arange(k) % 2)[:, None] * coefficients.sum(axis=0)),
         )
         for candidate in (sol, tampered):
             report = verify_kkt(ensemble, candidate)
             margins = [(candidate.symmetry_operator, q * w) for q, w in zip(ensemble.priors, ensemble.states)]
             assert report.positivity_ok == tuple(cone_ge(a, b, model.effect_cone) for a, b in margins)
-            effects = candidate.measurement.effects
-            assert report.effects_in_cone == tuple(member_of(model.effect_cone, e) for e in effects)
+            rows = candidate.measurement.coefficients
+            assert report.effects_in_cone == tuple(all(c >= -1e-9 for c in row) for row in rows)
+            # Nonnegative coefficients are a membership certificate: every accepted effect is in the cone.
+            for accepted, e in zip(report.effects_in_cone, effects_of(candidate)):
+                assert not accepted or member_of(model.effect_cone, e)
             mixed += len(set(report.positivity_ok)) == 2 and len(set(report.effects_in_cone)) == 2
     assert mixed >= 20
 
@@ -337,7 +340,7 @@ def test_orthogonality_at_optimum_on_random_instances():
         sol = solve_discrimination(ensemble)
         for x in range(ensemble.n_states):
             margin = sol.symmetry_operator - ensemble.priors[x] * ensemble.states[x]
-            assert abs(float(sol.measurement.effects[x] @ margin)) <= 1e-9
+            assert abs(float(effects_of(sol)[x] @ margin)) <= 1e-9
 
 
 def test_zero_prior_padding_keeps_value():
@@ -376,9 +379,9 @@ def test_repeated_states_kept_as_distinct_outcomes():
         priors=np.array([0.5, 0.5]),
     )
     sol = solve_discrimination(ensemble)
-    assert sol.measurement.effects.shape[0] == 2
+    assert sol.measurement.coefficients.shape == (2, 4)
     # Every generator earns the same on both outcomes; ties go to the lowest label.
-    assert np.all(sol.measurement.effects[1] == 0.0)
+    assert np.all(sol.measurement.coefficients[1] == 0.0)
     assert sol.p_guess == pytest.approx(0.5, abs=1e-9)
 
 
@@ -414,7 +417,7 @@ def test_measurement_reconstruction_matches_generators():
     problem = build_primal(ensemble)
     sol = solve_lp(problem)
     measurement = measurement_from_primal(ensemble, sol.x)
-    total = measurement.effects.sum(axis=0)
+    total = (measurement.coefficients @ ensemble.model.effect_gens).sum(axis=0)
     assert_allclose(total, ensemble.model.unit_effect, atol=1e-12)
 
 
@@ -445,7 +448,7 @@ def test_collapsed_lp_certifies_the_full_measurement_lp():
         lifted = LpSolution(OPTIMAL, x=scattered.reshape(-1), objective=sol.objective, y=sol.y)
         assert check_certificate(full, lifted), (ensemble.model.dim, ensemble.n_states)
         measurement = measurement_from_primal(ensemble, sol.x)
-        assert_allclose(measurement.effects, scattered @ ensemble.model.effect_gens, atol=0.0)
+        assert_allclose(measurement.coefficients, scattered, atol=0.0)
 
 
 def test_uniform_polygons_match_axis_operator_through_order_128():
@@ -529,11 +532,27 @@ def test_certified_pipeline_decides_membership_without_lp(monkeypatch):
     _certified_pipeline(uniform_vertex_ensemble(24))
 
 
+def _restricted_pipeline(ensemble):
+    """Validation finds restricted effects and no issue; the solution's certificate passes. Returns ``p_guess``."""
+    model_report = validate_model(ensemble.model)
+    assert model_report.issues == [] and model_report.unrestricted_effects is False
+    assert validate_ensemble(ensemble).valid
+    sol = solve_discrimination(ensemble)
+    assert verify_kkt(ensemble, sol).passes()
+    return sol.p_guess
+
+
 def test_certified_pipeline_dualizes_only_the_state_cone(monkeypatch):
     calls = counted_dual_cones(monkeypatch)
     for order in range(3, 33):
         calls.clear()
         _certified_pipeline(uniform_vertex_ensemble(order))
+        assert calls == [order]
+    for order in range(4, 33):  # every other effect: a restricted effect cone, decided without its dual
+        model = polygon_model(order)
+        model = dataclasses.replace(model, effect_gens=model.effect_gens[::2])
+        calls.clear()
+        _restricted_pipeline(Ensemble(model=model, states=model.state_gens, priors=np.full(order, 1.0 / order)))
         assert calls == [order]
 
 
@@ -543,6 +562,42 @@ def test_eight_dimensional_polytope_never_dualizes_its_effect_generators(monkeyp
     calls = counted_dual_cones(monkeypatch)
     _certified_pipeline(Ensemble(model=model, states=model.state_gens, priors=np.full(20, 1.0 / 20.0)))
     assert calls == [20]
+    # Without effect generator 0 these effect cones are restricted; their duals took seconds or passed
+    # MAX_DUAL_ENTRIES, but only the state cone is dualized, and the optimum stays the unrestricted one.
+    for d, k in ((8, 20), (8, 24), (9, 18)):
+        full = random_polytope_model(np.random.default_rng(1), d, k)
+        priors = np.full(k, 1.0 / k)
+        expected = solve_discrimination(Ensemble(model=full, states=full.state_gens, priors=priors)).p_guess
+        restricted = dataclasses.replace(full, effect_gens=full.effect_gens[1:])
+        calls.clear()
+        assert _restricted_pipeline(Ensemble(model=restricted, states=full.state_gens, priors=priors)) == pytest.approx(
+            expected, abs=1e-9
+        )
+        assert calls == [k]
+    assert expected == pytest.approx(0.28434712957834846, abs=1e-9)  # (9, 18)
+
+
+def test_kkt_reads_effect_membership_off_the_coefficients():
+    # On the square f0 + f2 = f1 + f3 = u, so adding t (f0 - f1 + f2 - f3) to one outcome keeps every effect.
+    ensemble = uniform_vertex_ensemble(4)
+    sol = solve_discrimination(ensemble)
+    assert verify_kkt(ensemble, sol).effects_in_cone == (True,) * 4
+    shift = np.zeros((4, 4))
+    shift[1] = 2.0 * np.array([1.0, -1.0, 1.0, -1.0])
+    tampered = dataclasses.replace(sol, measurement=Measurement(sol.measurement.coefficients + shift))
+    assert_allclose(effects_of(tampered), effects_of(sol), atol=1e-15)
+    assert tampered.measurement.coefficients.min() < 0.0
+    report = verify_kkt(ensemble, tampered)
+    assert report.effects_in_cone == (True, False, True, True)
+    assert report.measurement_residual <= 1e-9 and report.gap <= 1e-9 and not report.passes()
+
+
+def test_kkt_rejects_coefficients_of_the_wrong_shape():
+    ensemble = uniform_vertex_ensemble(4)  # d = 3, g = 4
+    sol = solve_discrimination(ensemble)
+    for coefficients in (effects_of(sol), sol.measurement.coefficients[:3]):
+        with pytest.raises(InvalidInputError, match="shapes"):
+            verify_kkt(ensemble, dataclasses.replace(sol, measurement=Measurement(coefficients)))
 
 
 @pytest.mark.parametrize("n", range(2, 10))

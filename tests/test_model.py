@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from gptdisc import (
     Measurement,
     PolyhedralCone,
     cones_equal,
-    dual_cone,
     evaluate,
     member_of,
     polygon_model,
@@ -27,7 +28,6 @@ from conftest import (
     cross_polytope_model,
     hypercube_model,
     random_polytope_model,
-    same_generator_set,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -174,9 +174,9 @@ def test_zero_priors_allowed():
 
 def test_measurement_effects_sum_to_unit_on_states():
     model = polygon_model(4)
-    measurement = Measurement(model.effect_gens / 2.0)
+    measurement = Measurement(np.eye(4) / 2.0)
     for w in model.state_gens:
-        total = sum(evaluate(e, w) for e in measurement.effects)
+        total = sum(evaluate(e, w) for e in measurement.coefficients @ model.effect_gens)
         assert total == pytest.approx(1.0, abs=4e-9)
 
 
@@ -262,13 +262,27 @@ def _reference_models():
         yield cross_polytope_model(n)
 
 
-def test_validated_effect_facets_are_the_effect_dual():
-    for model in _reference_models():
-        assert validate_model(model).unrestricted_effects is True
-        facets = model.effect_cone.facets
-        assert_allclose(np.linalg.norm(facets, axis=1), 1.0, atol=1e-12)
-        assert not facets.flags.writeable
-        assert same_generator_set(PolyhedralCone(model.dim, facets), dual_cone(model.effect_cone), 1e-9)
+def test_validation_never_computes_effect_facets(monkeypatch):
+    import gptdisc.model
+
+    calls = []
+    real_feasibility_gap = gptdisc.model.feasibility_gap
+
+    def counting_feasibility_gap(*args, **kwargs):
+        calls.append(args[1])
+        return real_feasibility_gap(*args, **kwargs)
+
+    monkeypatch.setattr(gptdisc.model, "feasibility_gap", counting_feasibility_gap)
+    for order in range(4, 33):
+        full = polygon_model(order)
+        halved = dataclasses.replace(full, effect_gens=full.effect_gens[::2])
+        # Restricted: the first unmatched facet fails its LP, which ends the decision; then one LP for u.
+        for model, lps in ((full, 0), (halved, 2)):
+            calls.clear()
+            report = validate_model(model)
+            assert report.issues == [] and report.unrestricted_effects is (lps == 0)
+            assert len(calls) == lps
+            assert "facets" not in vars(model.effect_cone)
 
 
 def test_validated_effect_membership_agrees_with_a_fresh_cone():

@@ -18,7 +18,7 @@ from gptdisc.polygon import (
     no_measurement_ensemble,
 )
 
-from conftest import counted_dual_cones
+from conftest import counted_dual_cones, effects_of
 
 SQRT2 = np.sqrt(2.0)
 SQRT6 = np.sqrt(6.0)
@@ -82,7 +82,7 @@ def test_odd_order_aligned_pairing_is_one(order):
 def test_triangle_demo():
     sol = demo_n3()
     assert sol.p_guess == pytest.approx(1.0, abs=1e-9)
-    assert_allclose(sol.measurement.effects, sol.ensemble.model.effect_gens, atol=1e-9)
+    assert_allclose(effects_of(sol), sol.ensemble.model.effect_gens, atol=1e-9)
     for pair in sol.complementary:
         assert pair.r == pytest.approx(2.0 / 3.0, abs=1e-9)
 
