@@ -33,7 +33,6 @@ from .model import (
     DEFAULT_TOL,
     Ensemble,
     GptModel,
-    Measurement,
     ValidationReport,
     evaluate,
     validate_ensemble,
@@ -87,7 +86,6 @@ __all__ = [
     "DEFAULT_TOL",
     "Ensemble",
     "GptModel",
-    "Measurement",
     "ValidationReport",
     "evaluate",
     "validate_ensemble",

@@ -137,10 +137,10 @@ def cmd_demo(args) -> None:
         payload["alternates"] = [
             {
                 "name": alt_name,
-                "coefficients": measurement.coefficients,
+                "coefficients": coefficients,
                 "kkt": {**dataclasses.asdict(report), "passed": report.passes()},
             }
-            for alt_name, measurement, report in result.alternates
+            for alt_name, coefficients, report in result.alternates
         ]
     _write_out(args.out, dumps(payload))
 

@@ -15,21 +15,22 @@ normalized complementary state ``d_x = v_x / r_x``, so that
 ``K = q_x w_x + r_x d_x``; optimal effects obey slackness, ``e_x[v_x] = 0``.
 ``d_x`` is a state only when effects are unrestricted (a restricted
 effect cone has a larger dual).  Measurements are stated as coefficients
-``C >= 0`` on the effect generators.  A solution stores no LP objective
-values; :func:`verify_kkt` recomputes the duality gap and is the one
-check of the stated numbers and optimality conditions on untrusted solutions.
+``C >= 0`` on the effect generators.  A :class:`DiscriminationSolution`
+checks its own numbers when it is built and stores no LP objective
+values; :func:`verify_kkt` recomputes the duality gap and checks every
+optimality condition, so untrusted solutions need no other check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cone import inside
 from .errors import InternalInconsistencyError, InvalidInputError, finite_array
 from .lp import OPTIMAL, LpProblem, check_certificate, solve_lp
-from .model import DEFAULT_TOL, MAX_TOL, Ensemble, Measurement, validate_ensemble, validate_model
+from .model import DEFAULT_TOL, Ensemble, check_tol, validate_ensemble, validate_model
 
 
 @dataclass(frozen=True)
@@ -50,13 +51,37 @@ class ComplementaryPair:
 
 @dataclass(frozen=True)
 class DiscriminationSolution:
-    """Optimal discrimination data: value, measurement, symmetry operator, pairs."""
+    """Optimal discrimination data: value, measurement coefficients ``C``, symmetry operator ``K``, pairs.
+
+    Outcome x has effect ``e_x = sum_j C[x, j] g_j`` on the effect generators, in file order.  Construction is
+    the one reader of these numbers: it raises :class:`InvalidInputError` unless ``p_guess`` is a finite scalar,
+    ``C`` is N x g, ``K`` has d entries and there is one pair per state, with a finite ``r`` and, where stated,
+    a finite d-vector ``d``.  The checked ``r``, the mask of stated ``d`` and those ``d`` as rows are kept as
+    ``weights``, ``stated`` and ``stated_d``.
+    """
 
     ensemble: Ensemble
     p_guess: float
-    measurement: Measurement
+    coefficients: np.ndarray
     symmetry_operator: np.ndarray
     complementary: tuple[ComplementaryPair, ...]
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    stated: np.ndarray = field(init=False, repr=False, compare=False)
+    stated_d: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n, (g, dim) = self.ensemble.n_states, self.ensemble.model.effect_gens.shape
+        object.__setattr__(self, "p_guess", float(finite_array(self.p_guess, "p_guess", ())))
+        object.__setattr__(self, "coefficients", finite_array(self.coefficients, "solution coefficients", (n, g)))
+        object.__setattr__(self, "symmetry_operator", finite_array(self.symmetry_operator, "solution K", (dim,)))
+        pairs = self.complementary
+        if len(pairs) != n:
+            raise InvalidInputError("one complementary pair per state is required")
+        object.__setattr__(self, "weights", finite_array([pair.r for pair in pairs], "complementary weights r", (n,)))
+        object.__setattr__(self, "stated", np.array([not pair.degenerate for pair in pairs], dtype=bool))
+        d = [pair.d for pair in pairs if not pair.degenerate]
+        d = finite_array(d if d else np.zeros((0, dim)), "complementary states d", (None, dim))
+        object.__setattr__(self, "stated_d", d)
 
 
 @dataclass(frozen=True)
@@ -101,21 +126,6 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(rows, rows))
 
 
-def _stated_states(solution: DiscriminationSolution, ensemble: Ensemble) -> tuple[np.ndarray, ...]:
-    """The one reader of a solution's pairs: the weights ``r``, the mask of pairs that state a ``d``, those ``d``.
-
-    Raises :class:`InvalidInputError` unless there is one pair per state and every ``r`` and ``d`` is finite.
-    """
-    pairs = solution.complementary
-    if len(pairs) != ensemble.n_states:
-        raise InvalidInputError("one complementary pair per state is required")
-    weights = finite_array([pair.r for pair in pairs], "complementary weights r", (len(pairs),))
-    dim = ensemble.model.dim
-    d = [pair.d for pair in pairs if not pair.degenerate]
-    d = finite_array(d if d else np.zeros((0, dim)), "complementary states d", (None, dim))
-    return weights, np.array([not pair.degenerate for pair in pairs], dtype=bool), d
-
-
 def _rewards(ensemble: Ensemble) -> np.ndarray:
     """``q_x g_j[w_x]`` with outcomes as rows and effect generators as columns."""
     return ensemble.priors[:, None] * (ensemble.states @ ensemble.model.effect_gens.T)
@@ -130,10 +140,10 @@ def build_primal(ensemble: Ensemble) -> LpProblem:
     return LpProblem(-_rewards(ensemble).max(axis=0), ensemble.model.effect_gens.T, ensemble.model.unit_effect)
 
 
-def measurement_from_primal(ensemble: Ensemble, x: np.ndarray) -> Measurement:
+def measurement_from_primal(ensemble: Ensemble, x: np.ndarray) -> np.ndarray:
     """Coefficients ``C[x, j] = C_j`` where outcome x attains ``t_j``, ties to the lowest x, and 0 elsewhere."""
     owners = _rewards(ensemble).argmax(axis=0)
-    return Measurement((owners == np.arange(ensemble.n_states)[:, None]) * x)
+    return (owners == np.arange(ensemble.n_states)[:, None]) * x
 
 
 def no_measurement_value(ensemble: Ensemble) -> float:
@@ -154,8 +164,7 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
     fails :func:`check_certificate`, or ``p_guess`` falls outside the
     sandwich bound ``[max_x q_x, 1]``.
     """
-    if not 0.0 < tol <= MAX_TOL:
-        raise InvalidInputError(f"tol must lie in (0, {MAX_TOL:g}], got {tol!r}")
+    check_tol(tol)
     check = validate_ensemble(ensemble, tol=max(tol, 1e-12))
     if not check.valid:
         raise InvalidInputError("; ".join(check.issues))
@@ -179,12 +188,10 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
     states = (k - ensemble.weighted_states()) / np.where(weights > tol, weights, 1.0)[:, None]  # d_x = v_x / r_x
     states.setflags(write=False)
     pairs = tuple(ComplementaryPair(r=float(r), d=d if r > tol else None) for r, d in zip(weights, states))
-
-    k.setflags(write=False)
     return DiscriminationSolution(
         ensemble=ensemble,
         p_guess=p_guess,
-        measurement=measurement_from_primal(ensemble, primal.x),
+        coefficients=measurement_from_primal(ensemble, primal.x),
         symmetry_operator=k,
         complementary=pairs,
     )
@@ -200,13 +207,13 @@ def verify_kkt(
     ``K`` and the complementary pairs.  A passing report certifies optimality
     (KKT conditions are sufficient here because strong duality holds) and
     every number the solution states, ``p_guess`` and the weights included.
-    Raises :class:`InvalidInputError` when ``K`` or ``p_guess`` is not finite.
+    The solution checked those numbers when it was built, so only its fit
+    to ``ensemble`` is checked here: :class:`InvalidInputError` when the
+    number of states, of effect generators or the dimension differ.
     """
     model = ensemble.model
-    k = finite_array(solution.symmetry_operator, "symmetry operator K", (model.dim,))
-    p_guess = float(finite_array(solution.p_guess, "p_guess", ()))
-    coefficients = solution.measurement.coefficients
-    if coefficients.shape != (ensemble.n_states, len(model.effect_gens)):
+    k, coefficients = solution.symmetry_operator, solution.coefficients
+    if coefficients.shape != (ensemble.n_states, len(model.effect_gens)) or k.shape != (model.dim,):
         raise InvalidInputError("solution shapes do not match the ensemble")
     effects = coefficients @ model.effect_gens
 
@@ -215,9 +222,9 @@ def verify_kkt(
     measurement_residual = float(np.linalg.norm(effects.sum(axis=0) - model.unit_effect))
     primal_value = float(np.sum(ensemble.priors * np.einsum("xd,xd->x", effects, ensemble.states)))
     value = float(model.unit_effect @ k)  # u[K]
-    weights, stated, d = _stated_states(solution, ensemble)
+    weights, stated = solution.weights, solution.stated
     stability = np.abs(weights)  # a null d claims only r_x d_x = 0
-    stability[stated] = row_norms(margins[stated] - weights[stated, None] * d)
+    stability[stated] = row_norms(margins[stated] - weights[stated, None] * solution.stated_d)
     return KktReport(
         stability_residuals=stability,
         positivity_ok=tuple(inside(model.effect_cone.generators, margins, tol).tolist()),  # K >= q_x w_x
@@ -225,6 +232,6 @@ def verify_kkt(
         measurement_residual=measurement_residual,
         gap=abs(primal_value - value),
         effects_in_cone=tuple((coefficients.min(axis=1, initial=0.0) >= -tol).tolist()),
-        value_residual=abs(p_guess - value),
+        value_residual=abs(solution.p_guess - value),
         weight_residuals=np.abs(weights - (value - ensemble.priors)),
     )

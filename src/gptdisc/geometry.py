@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import DiscriminationSolution, _stated_states, row_norms
-from .errors import InvalidInputError, PreconditionError, UndefinedRatioError
-from .model import DEFAULT_TOL, Ensemble, evaluate
+from .discrimination import DiscriminationSolution, row_norms
+from .errors import InvalidInputError, PreconditionError, UndefinedRatioError, finite_array
+from .model import DEFAULT_TOL, Ensemble
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,8 @@ def congruence_check(solution: DiscriminationSolution, tol: float = DEFAULT_TOL)
     Degenerate complementary pairs cannot contribute a vertex and are
     skipped; their indices are reported.
     """
-    ens = solution.ensemble
-    weights, stated, d = _stated_states(solution, ens)
-    weighted = ens.weighted_states()[stated]
+    weights, stated, d = solution.weights, solution.stated, solution.stated_d
+    weighted = solution.ensemble.weighted_states()[stated]
     rd = weights[stated, None] * d
     x, y = np.triu_indices(len(d), k=1)  # the pair order of combinations over the stated pairs
     state_edges = weighted[x] - weighted[y]
@@ -89,11 +88,9 @@ def symmetric_axis_k(ensemble: Ensemble, axis, tol: float = DEFAULT_TOL) -> np.n
     is optimal when the ensemble has a transitive symmetry fixing the
     axis, which the caller should confirm through the KKT report.
     """
-    direction = np.asarray(axis, dtype=float)
     model = ensemble.model
-    if direction.shape != (model.dim,):
-        raise InvalidInputError(f"axis must have {model.dim} coordinates")
-    if abs(evaluate(model.unit_effect, direction) - 1.0) > tol:
+    direction = finite_array(axis, "axis", (model.dim,))
+    if abs(float(model.unit_effect @ direction) - 1.0) > tol:
         raise PreconditionError("axis must be normalized (u[axis] = 1)")
     gen_values = model.effect_gens @ direction
     if gen_values.size == 0 or float(gen_values.min()) <= tol:

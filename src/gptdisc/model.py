@@ -1,4 +1,4 @@
-"""GPT models, ensembles and measurements, plus framework-axiom validation.
+"""GPT models and ensembles, plus framework-axiom validation.
 
 A model is an ambient dimension ``d``, a finite set of extremal
 normalized states, a finite set of extremal effects, and the unit
@@ -25,8 +25,14 @@ from .errors import InvalidInputError, finite_array
 from .lp import feasibility_gap
 
 DEFAULT_TOL = 1e-9
-#: Largest tolerance the solver and the ``--tol`` option accept.
+#: Largest tolerance the solver, the validators and the ``--tol`` option accept.
 MAX_TOL = 1e-3
+
+
+def check_tol(tol: float) -> None:
+    """Raise :class:`InvalidInputError` unless ``0 < tol <= MAX_TOL``, a range that NaN and infinities miss."""
+    if not 0.0 < tol <= MAX_TOL:
+        raise InvalidInputError(f"tol must lie in (0, {MAX_TOL:g}], got {tol!r}")
 
 
 def evaluate(effect, state) -> float:
@@ -81,16 +87,6 @@ class Ensemble:
         return self.priors[:, None] * self.states
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """An N-outcome measurement: effect ``e_x = sum_j C[x, j] g_j`` on the model's effect generators, in file order."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", finite_array(self.coefficients, "coefficients", (None, None)))
-
-
 @dataclass
 class ValidationReport:
     """Violated invariants (issues) and soft findings (warnings); empty issues means valid."""
@@ -114,8 +110,10 @@ def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationRepor
     nonnegative and every state facet lies within ``tol`` of a unit effect
     generator or else in the effect cone by :func:`feasibility_gap`, tried
     facet by facet until one fails.  Only the state cone is dualized; past
-    ``MAX_DUAL_ENTRIES`` it raises :class:`UnsupportedSizeError`.
+    ``MAX_DUAL_ENTRIES`` it raises :class:`UnsupportedSizeError`, and a
+    ``tol`` outside ``(0, MAX_TOL]`` raises :class:`InvalidInputError`.
     """
+    check_tol(tol)
     report = ValidationReport()
     u = model.unit_effect
     residuals = np.abs(model.state_gens @ u - 1.0)
@@ -155,7 +153,8 @@ def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationRepor
 
 
 def validate_ensemble(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check prior-simplex membership and per-state validity; assumes the model itself was validated."""
+    """Report prior-simplex and per-state problems, assuming a validated model; only a bad ``tol`` raises."""
+    check_tol(tol)
     report = ValidationReport()
     priors = ensemble.priors
     for i in np.flatnonzero(priors < -tol):

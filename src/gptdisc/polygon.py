@@ -26,8 +26,8 @@ from .discrimination import (
     solve_discrimination,
     verify_kkt,
 )
-from .errors import InvalidInputError
-from .model import DEFAULT_TOL, Ensemble, GptModel, Measurement
+from .errors import InvalidInputError, finite_array
+from .model import DEFAULT_TOL, Ensemble, GptModel
 from .oracle import dual_vertex_enumeration
 
 #: Threshold claimed for the analogous five-state quantum ensemble.
@@ -37,9 +37,9 @@ AXIS_FEASIBILITY_THRESHOLD = 1.0 / 3.0
 
 
 def polygon_radius(n: int) -> float:
-    """The vertex radius ``cos(pi/n)^(-1/2)``."""
-    if n < 3:
-        raise InvalidInputError("polygon order must be at least 3")
+    """The vertex radius ``cos(pi/n)^(-1/2)``; ``n`` must be an integer of at least 3."""
+    if not isinstance(n, (int, np.integer)) or n < 3:
+        raise InvalidInputError(f"polygon order must be an integer of at least 3, got {n!r}")
     return 1.0 / math.sqrt(math.cos(math.pi / n))
 
 def polygon_model(n: int) -> GptModel:
@@ -74,7 +74,7 @@ class DemoN4Result:
     """Square-demo output: the solved instance plus the alternate optimal measurements."""
 
     solution: DiscriminationSolution
-    alternates: tuple[tuple[str, Measurement, KktReport], ...]
+    alternates: tuple[tuple[str, np.ndarray, KktReport], ...]
 
 
 def demo_n4() -> DemoN4Result:
@@ -88,15 +88,15 @@ def demo_n4() -> DemoN4Result:
     solution = solve_discrimination(ensemble)
     halves = np.eye(4) / 2.0  # row j: half of effect generator f_j
     candidates = [
-        ("halved-effects", Measurement(halves)),
+        ("halved-effects", halves),
         # f0 leaves {w0, w3} possible, f2 leaves {w1, w2}; guess uniformly.
-        ("f0-f2-randomized", Measurement(halves[[0, 2, 2, 0]])),
+        ("f0-f2-randomized", halves[[0, 2, 2, 0]]),
         # f1 leaves {w0, w1} possible, f3 leaves {w2, w3}.
-        ("f1-f3-randomized", Measurement(halves[[1, 1, 3, 3]])),
+        ("f1-f3-randomized", halves[[1, 1, 3, 3]]),
     ]
     alternates = tuple(
-        (name, measurement, verify_kkt(ensemble, replace(solution, measurement=measurement)))
-        for name, measurement in candidates
+        (name, coefficients, verify_kkt(ensemble, replace(solution, coefficients=coefficients)))
+        for name, coefficients in candidates
     )
     return DemoN4Result(solution=solution, alternates=alternates)
 
@@ -108,6 +108,7 @@ def _square_model() -> GptModel:
 
 def no_measurement_ensemble(p: float) -> Ensemble:
     """Four square vertices with prior ``(1-p)/4`` each, plus their mixture with prior ``p``."""
+    p = float(finite_array(p, "mixture prior p", ()))
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError("mixture prior p must lie in [0, 1]")
     model = _square_model()
@@ -137,7 +138,7 @@ def threshold_scan(p_grid) -> ThresholdScan:
     smallest flagged prior) is then bisected to 1e-6, with the bisection
     decided by the vertex-enumeration oracle rather than the solver.
     """
-    grid = [float(p) for p in p_grid]
+    grid = finite_array(p_grid, "grid", (None,)).tolist()
     if any(p < 0.0 or p > 1.0 for p in grid):
         raise InvalidInputError("grid values must lie in [0, 1]")
 

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .discrimination import ComplementaryPair, DiscriminationSolution, KktReport
-from .errors import InvalidInputError, finite_array
+from .errors import InvalidInputError
 from .geometry import CongruenceReport
-from .model import Ensemble, GptModel, Measurement
+from .model import Ensemble, GptModel
 from .oracle import OracleResult
 
 
@@ -169,7 +169,7 @@ def solution_to_dict(
 ) -> dict:
     payload = {
         "p_guess": solution.p_guess,
-        "coefficients": solution.measurement.coefficients,
+        "coefficients": solution.coefficients,
         "K": solution.symmetry_operator,
         "complementary": solution.complementary,
         "kkt": kkt,
@@ -183,6 +183,7 @@ def solution_to_dict(
 def solution_from_dict(data, ensemble: Ensemble) -> DiscriminationSolution:
     """Rebuild an (untrusted) solution certificate for re-verification.
 
+    The :class:`DiscriminationSolution` constructor checks every number;
     ``p_guess`` and the weights ``r`` are claims that :func:`verify_kkt`
     checks against ``u[K]``, and it recomputes the duality gap, so a
     tampered certificate cannot vouch for itself.  Keys not read here, such
@@ -190,23 +191,16 @@ def solution_from_dict(data, ensemble: Ensemble) -> DiscriminationSolution:
     """
     if not isinstance(data, dict):
         raise InvalidInputError("solution must be a JSON object")
-    g, dim = ensemble.model.effect_gens.shape
-    coefficients = finite_array(_require(data, "coefficients", "solution"), "solution coefficients", (ensemble.n_states, g))
-    k = finite_array(_require(data, "K", "solution"), "solution K", (dim,))
+    coefficients = _require(data, "coefficients", "solution")
+    k = _require(data, "K", "solution")
     entries = _require(data, "complementary", "solution")
     if not isinstance(entries, list):
         raise InvalidInputError("solution field 'complementary' must be a list")
-    pairs = []
-    for entry in entries:
-        r = float(finite_array(_require(entry, "r", "complementary pair"), "complementary weight r", ()))
-        d = entry.get("d")
-        d = None if d is None else finite_array(d, "complementary state d", (dim,))
-        pairs.append(ComplementaryPair(r=r, d=d))
-    p_guess = float(finite_array(_require(data, "p_guess", "solution"), "p_guess", ()))
+    pairs = tuple(ComplementaryPair(r=_require(entry, "r", "complementary pair"), d=entry.get("d")) for entry in entries)
     return DiscriminationSolution(
         ensemble=ensemble,
-        p_guess=p_guess,
-        measurement=Measurement(coefficients),
+        p_guess=_require(data, "p_guess", "solution"),
+        coefficients=coefficients,
         symmetry_operator=k,
-        complementary=tuple(pairs),
+        complementary=pairs,
     )

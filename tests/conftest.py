@@ -80,7 +80,7 @@ def full_measurement_lp(ensemble: Ensemble) -> LpProblem:
 
 def effects_of(solution) -> np.ndarray:
     """The effects ``e_x = sum_j C[x, j] g_j`` of a solution's measurement, as rows."""
-    return solution.measurement.coefficients @ solution.ensemble.model.effect_gens
+    return solution.coefficients @ solution.ensemble.model.effect_gens
 
 
 def same_generator_set(a: PolyhedralCone, b: PolyhedralCone, tol: float = 1e-9) -> bool:

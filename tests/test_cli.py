@@ -389,6 +389,45 @@ def test_verify_rejects_a_measurement_stated_as_effects(effects_as, square_files
     assert capsys.readouterr().err.splitlines() == [expected[effects_as]]
 
 
+def _set_first_pair(key, value):
+    return lambda data: data["complementary"][0].update({key: value})
+
+
+@pytest.mark.parametrize(
+    "tamper, field",
+    [
+        pytest.param(lambda data: data.update(p_guess="0.5"), "p_guess", id="p-guess-string"),
+        pytest.param(lambda data: data.update(p_guess=float("nan")), "p_guess", id="p-guess-nan"),
+        pytest.param(lambda data: data.update(K=data["K"][:2]), "solution K", id="k-short"),
+        pytest.param(lambda data: data["K"].__setitem__(0, float("nan")), "solution K", id="k-nan"),
+        pytest.param(lambda data: data.update(complementary={}), "'complementary'", id="complementary-object"),
+        pytest.param(lambda data: data["complementary"].__setitem__(0, 0.25), "complementary pair", id="pair-number"),
+        pytest.param(lambda data: data["complementary"][0].pop("r"), "complementary pair", id="pair-without-r"),
+        pytest.param(_set_first_pair("r", "0.25"), "complementary weight", id="r-string"),
+        pytest.param(_set_first_pair("r", float("nan")), "complementary weight", id="r-nan"),
+        pytest.param(_set_first_pair("d", "abc"), "complementary state", id="d-string"),
+        pytest.param(_set_first_pair("d", [0.5, 1.0]), "complementary state", id="d-short"),
+        pytest.param(lambda data: data["complementary"].pop(), "complementary pair", id="three-pairs"),
+        pytest.param(lambda data: data["complementary"].append(data["complementary"][0]), "complementary pair",
+                     id="five-pairs"),
+        pytest.param(lambda data: data["coefficients"][0].pop(), "solution coefficients", id="coefficients-ragged"),
+        pytest.param(lambda data: data["coefficients"][0].__setitem__(0, float("nan")), "solution coefficients",
+                     id="coefficients-nan"),
+        pytest.param(lambda data: data["coefficients"].pop(), "solution coefficients", id="coefficients-3x4"),
+    ],
+)
+def test_verify_names_the_malformed_solution_field(tamper, field, square_files, tmp_path, capsys):
+    ensemble_path, solution_path, data = _square_solution(square_files, tmp_path)
+    tamper(data)
+    solution_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(ensemble_path), str(solution_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and field in line
+
+
 def test_export_vertices_counts(tmp_path):
     model_path = tmp_path / "m.json"
     for order, rows in ((3, 6), (4, 8), (5, 10)):

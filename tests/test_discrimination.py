@@ -8,7 +8,6 @@ from gptdisc import (
     Ensemble,
     GptModel,
     InvalidInputError,
-    Measurement,
     build_primal,
     cone_ge,
     congruence_check,
@@ -192,7 +191,7 @@ def test_kkt_accepts_two_outcome_alternative():
     ensemble = uniform_vertex_ensemble(4)
     sol = solve_discrimination(ensemble)
     f = ensemble.model.effect_gens
-    alt = dataclasses.replace(sol, measurement=Measurement(np.diag([1.0, 0.0, 1.0, 0.0])))  # effects f0, 0, f2, 0
+    alt = dataclasses.replace(sol, coefficients=np.diag([1.0, 0.0, 1.0, 0.0]))  # effects f0, 0, f2, 0
     report = verify_kkt(ensemble, alt)
     assert report.passes(1e-9)
     d0 = sol.complementary[0].d
@@ -282,17 +281,17 @@ def test_batched_kkt_cone_checks_match_per_row_checks():
         sol = solve_discrimination(ensemble)
         # Shrinking K and moving half of the effects along -u (whose coefficients are C summed over x)
         # makes some entries False.
-        coefficients = sol.measurement.coefficients
+        coefficients = sol.coefficients
         tampered = dataclasses.replace(
             sol,
             symmetry_operator=sol.symmetry_operator * rng.uniform(0.5, 1.0),
-            measurement=Measurement(coefficients - 0.3 * (np.arange(k) % 2)[:, None] * coefficients.sum(axis=0)),
+            coefficients=coefficients - 0.3 * (np.arange(k) % 2)[:, None] * coefficients.sum(axis=0),
         )
         for candidate in (sol, tampered):
             report = verify_kkt(ensemble, candidate)
             margins = [(candidate.symmetry_operator, q * w) for q, w in zip(ensemble.priors, ensemble.states)]
             assert report.positivity_ok == tuple(cone_ge(a, b, model.effect_cone) for a, b in margins)
-            rows = candidate.measurement.coefficients
+            rows = candidate.coefficients
             assert report.effects_in_cone == tuple(all(c >= -1e-9 for c in row) for row in rows)
             # Nonnegative coefficients are a membership certificate: every accepted effect is in the cone.
             for accepted, e in zip(report.effects_in_cone, effects_of(candidate)):
@@ -379,9 +378,9 @@ def test_repeated_states_kept_as_distinct_outcomes():
         priors=np.array([0.5, 0.5]),
     )
     sol = solve_discrimination(ensemble)
-    assert sol.measurement.coefficients.shape == (2, 4)
+    assert sol.coefficients.shape == (2, 4)
     # Every generator earns the same on both outcomes; ties go to the lowest label.
-    assert np.all(sol.measurement.coefficients[1] == 0.0)
+    assert np.all(sol.coefficients[1] == 0.0)
     assert sol.p_guess == pytest.approx(0.5, abs=1e-9)
 
 
@@ -416,8 +415,7 @@ def test_measurement_reconstruction_matches_generators():
     ensemble = uniform_vertex_ensemble(3)
     problem = build_primal(ensemble)
     sol = solve_lp(problem)
-    measurement = measurement_from_primal(ensemble, sol.x)
-    total = (measurement.coefficients @ ensemble.model.effect_gens).sum(axis=0)
+    total = (measurement_from_primal(ensemble, sol.x) @ ensemble.model.effect_gens).sum(axis=0)
     assert_allclose(total, ensemble.model.unit_effect, atol=1e-12)
 
 
@@ -447,8 +445,7 @@ def test_collapsed_lp_certifies_the_full_measurement_lp():
         scattered[owner, np.arange(g)] = sol.x
         lifted = LpSolution(OPTIMAL, x=scattered.reshape(-1), objective=sol.objective, y=sol.y)
         assert check_certificate(full, lifted), (ensemble.model.dim, ensemble.n_states)
-        measurement = measurement_from_primal(ensemble, sol.x)
-        assert_allclose(measurement.coefficients, scattered, atol=0.0)
+        assert_allclose(measurement_from_primal(ensemble, sol.x), scattered, atol=0.0)
 
 
 def test_uniform_polygons_match_axis_operator_through_order_128():
@@ -584,9 +581,9 @@ def test_kkt_reads_effect_membership_off_the_coefficients():
     assert verify_kkt(ensemble, sol).effects_in_cone == (True,) * 4
     shift = np.zeros((4, 4))
     shift[1] = 2.0 * np.array([1.0, -1.0, 1.0, -1.0])
-    tampered = dataclasses.replace(sol, measurement=Measurement(sol.measurement.coefficients + shift))
+    tampered = dataclasses.replace(sol, coefficients=sol.coefficients + shift)
     assert_allclose(effects_of(tampered), effects_of(sol), atol=1e-15)
-    assert tampered.measurement.coefficients.min() < 0.0
+    assert tampered.coefficients.min() < 0.0
     report = verify_kkt(ensemble, tampered)
     assert report.effects_in_cone == (True, False, True, True)
     assert report.measurement_residual <= 1e-9 and report.gap <= 1e-9 and not report.passes()
@@ -595,9 +592,53 @@ def test_kkt_reads_effect_membership_off_the_coefficients():
 def test_kkt_rejects_coefficients_of_the_wrong_shape():
     ensemble = uniform_vertex_ensemble(4)  # d = 3, g = 4
     sol = solve_discrimination(ensemble)
-    for coefficients in (effects_of(sol), sol.measurement.coefficients[:3]):
-        with pytest.raises(InvalidInputError, match="shapes"):
-            verify_kkt(ensemble, dataclasses.replace(sol, measurement=Measurement(coefficients)))
+    for coefficients in (effects_of(sol), sol.coefficients[:3]):
+        with pytest.raises(InvalidInputError, match="solution coefficients has shape"):
+            verify_kkt(ensemble, dataclasses.replace(sol, coefficients=coefficients))
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        uniform_vertex_ensemble(3),
+        uniform_vertex_ensemble(5),
+        # Four states and four effect generators, as on the square, but in dimension 4.
+        Ensemble(
+            model=GptModel(dim=4, state_gens=np.eye(4), effect_gens=np.eye(4), unit_effect=np.ones(4)),
+            states=np.eye(4),
+            priors=np.full(4, 0.25),
+        ),
+    ],
+    ids=["triangle", "pentagon", "simplex-dim-4"],
+)
+def test_kkt_rejects_a_solution_of_another_ensemble(other):
+    sol = solve_discrimination(uniform_vertex_ensemble(4))
+    with pytest.raises(InvalidInputError, match="shapes do not match"):
+        verify_kkt(other, sol)
+
+
+@pytest.mark.parametrize(
+    "tamper, name",
+    [
+        pytest.param(lambda sol: {"p_guess": float("nan")}, "p_guess", id="nan-p-guess"),
+        pytest.param(lambda sol: {"symmetry_operator": np.array([0.0, np.nan, 0.5])}, "solution K", id="nan-K"),
+        pytest.param(
+            lambda sol: {"complementary": (dataclasses.replace(sol.complementary[0], r=np.nan),) + sol.complementary[1:]},
+            "complementary weights r",
+            id="nan-r",
+        ),
+        pytest.param(
+            lambda sol: {"complementary": (dataclasses.replace(sol.complementary[0], d=np.full(3, np.nan)),)
+                         + sol.complementary[1:]},
+            "complementary states d",
+            id="nan-d",
+        ),
+    ],
+)
+def test_solution_checks_its_numbers_when_built(tamper, name):
+    sol = solve_discrimination(uniform_vertex_ensemble(4))
+    with pytest.raises(InvalidInputError, match=name):
+        dataclasses.replace(sol, **tamper(sol))
 
 
 @pytest.mark.parametrize("n", range(2, 10))

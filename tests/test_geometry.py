@@ -155,6 +155,13 @@ def test_axis_operator_rejects_non_interior_axis():
         symmetric_axis_k(ensemble, np.array([0.0, 0.0, 2.0]))
 
 
+@pytest.mark.parametrize("axis", ["abc", [0.0, 0.0, np.nan], [True, False, True], [0.0, 1.0]],
+                         ids=["string", "nan", "bool", "short"])
+def test_axis_operator_rejects_a_malformed_axis(axis):
+    with pytest.raises(InvalidInputError, match="axis"):
+        symmetric_axis_k(uniform_vertex_ensemble(4), axis)
+
+
 def test_ratio_rejects_inconsistent_solution():
     sol = solve_discrimination(uniform_vertex_ensemble(4))
     pairs = list(sol.complementary)

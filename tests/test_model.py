@@ -10,12 +10,12 @@ from gptdisc import (
     Ensemble,
     GptModel,
     InvalidInputError,
-    Measurement,
     PolyhedralCone,
     cones_equal,
     evaluate,
     member_of,
     polygon_model,
+    solve_discrimination,
     validate_ensemble,
     validate_model,
 )
@@ -116,6 +116,19 @@ def test_prior_sum_violation_message():
     assert any("priors sum 1.1" in issue for issue in report.issues)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-9, 2e-3], ids=["nan", "zero", "negative", "above-max"])
+@pytest.mark.parametrize(
+    "validate", [lambda ensemble, tol: validate_model(ensemble.model, tol), validate_ensemble], ids=["model", "ensemble"]
+)
+def test_validation_rejects_tolerance_outside_range(validate, tol):
+    # With tol = nan every comparison is False: the square's vertices read "outside the state cone"
+    # and priors summing to 2 went unreported.
+    model = polygon_model(4)
+    ensemble = Ensemble(model=model, states=model.state_gens, priors=np.array([2.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(InvalidInputError, match="tol must lie in"):
+        validate(ensemble, tol)
+
+
 def test_mixture_state_inside_square_is_valid():
     report = validate_ensemble(no_measurement_ensemble(0.5))
     assert report.valid
@@ -174,9 +187,9 @@ def test_zero_priors_allowed():
 
 def test_measurement_effects_sum_to_unit_on_states():
     model = polygon_model(4)
-    measurement = Measurement(np.eye(4) / 2.0)
+    coefficients = np.eye(4) / 2.0
     for w in model.state_gens:
-        total = sum(evaluate(e, w) for e in measurement.coefficients @ model.effect_gens)
+        total = sum(evaluate(e, w) for e in coefficients @ model.effect_gens)
         assert total == pytest.approx(1.0, abs=4e-9)
 
 
@@ -198,7 +211,10 @@ def test_immutability_of_model_arrays():
             lambda: Ensemble(model=polygon_model(3), states=[[0.0, 0.0, 1.0], [0.0, 1.0]], priors=[0.5, 0.5]),
             id="Ensemble",
         ),
-        pytest.param(lambda: Measurement([[0.0, 1.0], [1.0]]), id="Measurement"),
+        pytest.param(
+            lambda: dataclasses.replace(solve_discrimination(uniform_vertex_ensemble(4)), coefficients=[[0.0, 1.0], [1.0]]),
+            id="DiscriminationSolution",
+        ),
         pytest.param(lambda: PolyhedralCone(3, [[1.0, 2.0, 3.0], [1.0]]), id="PolyhedralCone"),
     ],
 )

@@ -10,6 +10,7 @@ from gptdisc import (
     polygon_model,
     polygon_radius,
     threshold_scan,
+    uniform_vertex_ensemble,
     validate_model,
 )
 from gptdisc.polygon import (
@@ -142,6 +143,28 @@ def test_scan_computes_the_square_facets_once_per_process(monkeypatch):
 def test_scan_rejects_out_of_range_grid():
     with pytest.raises(InvalidInputError):
         threshold_scan([0.5, 1.2])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: polygon_model(4.0), id="float-order"),
+        pytest.param(lambda: polygon_model("5"), id="string-order"),
+        pytest.param(lambda: uniform_vertex_ensemble(4.5), id="float-ensemble-order"),
+        pytest.param(lambda: no_measurement_ensemble("a"), id="string-p"),
+        pytest.param(lambda: no_measurement_ensemble(float("nan")), id="nan-p"),
+        pytest.param(lambda: threshold_scan(["a"]), id="string-grid"),
+        pytest.param(lambda: threshold_scan([0.5, float("nan")]), id="nan-grid"),
+    ],
+)
+def test_polygon_family_rejects_malformed_arguments(build):
+    with pytest.raises(InvalidInputError):
+        build()
+
+
+def test_polygon_family_accepts_numpy_integer_orders():
+    assert uniform_vertex_ensemble(np.int64(5)).n_states == 5
+    assert_allclose(polygon_model(np.int64(5)).state_gens, polygon_model(5).state_gens, atol=0.0)
 
 
 def test_mixture_ensemble_layout():
