@@ -30,10 +30,11 @@ _PARALLEL_COS = 1.0 - 1e-12
 
 def _dedupe_rays(rays: np.ndarray) -> np.ndarray:
     """Drop zero rays and rays parallel to an earlier nonzero ray (equal up to positive scale)."""
-    norms = np.linalg.norm(rays, axis=1)
+    norms = np.sqrt(np.add.reduce(rays * rays, axis=1))
     nonzero = norms > _ZERO_NORM
     units = rays[nonzero] / norms[nonzero, None]
-    parallel = np.triu(units @ units.T >= _PARALLEL_COS, k=1)  # parallel[i, j]: i < j and j repeats i
+    order = np.arange(len(units))
+    parallel = (units @ units.T >= _PARALLEL_COS) & (order[:, None] < order)  # parallel[i, j]: i < j and j repeats i
     return rays[nonzero][~parallel.any(axis=0)]
 
 
@@ -104,18 +105,19 @@ def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
     other lines and rays onto the cut's hyperplane.  Any other cut keeps
     the rays on its nonnegative side and adds the unit combination of
     each adjacent (+, -) pair: no third ray is tight on every cut tight at
-    both (Fukuda & Prodon 1996).  Each cut writes its column of tight rays
-    into a float32 0/1 matrix of full width, whose products over earlier
-    columns count shared cuts exactly below 2**24 cuts.  Rays and tight
-    sets grow in place: new rays reuse removed rays' rows, rows from the
-    end fill the remaining holes, and buffers double when full, so the
-    output order is not guaranteed.  Raises :class:`UnsupportedSizeError`,
-    naming the cut, before a product passes ``MAX_DUAL_ENTRIES`` entries.
+    both (Fukuda & Prodon 1996).  Each cut writes its column, 1 on the rays
+    tight on it or removed by it, into a float32 0/1 matrix of full width,
+    whose products over earlier columns count shared cuts exactly below
+    2**24 cuts.  Rays and tight sets grow in place: new rays, tight on the
+    cut, reuse removed rays' rows, rows from the end fill the remaining
+    holes, and buffers double when full, so the output order is not
+    guaranteed.  Raises :class:`UnsupportedSizeError`, naming the cut,
+    before a product passes ``MAX_DUAL_ENTRIES`` entries.
     Output rays are unit and pairwise non-parallel, so they skip the
     constructor's checks; each remaining line ``l`` comes as ``l, -l``.
     """
     d = cone.dim
-    cuts = cone.generators / np.linalg.norm(cone.generators, axis=1, keepdims=True)
+    cuts = cone.generators / _norms(cone.generators)
     lines = np.eye(d)
     # Rows :count are the live rays; tight[i, j] = 1: ray i is tight on cut j, for the cuts made so far.
     rays = np.empty((max(len(cuts), d), d))
@@ -125,39 +127,48 @@ def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
         if len(lines) and np.abs(line_products := lines @ cut).max() > _TIGHT:
             pivot = int(np.argmax(np.abs(line_products)))
             line = lines[pivot] / line_products[pivot]  # line . cut = 1
-            lines = np.delete(lines - np.outer(line_products, line), pivot, axis=0)
-            lines /= np.linalg.norm(lines, axis=1, keepdims=True)
+            others = [i for i in range(len(lines)) if i != pivot]
+            if others:  # the other lines, projected onto the cut's hyperplane
+                lines = lines[others] - np.outer(line_products[others], line)
+                lines /= _norms(lines)
+            else:
+                lines = lines[:0]
             rays, tight = _room(rays, count, count + 1), _room(tight, count, count + 1)
-            rays[:count] -= np.outer(rays[:count] @ cut, line)
+            if count:
+                rays[:count] -= np.outer(rays[:count] @ cut, line)
             rays[count] = line
-            rays[: count + 1] /= np.linalg.norm(rays[: count + 1], axis=1, keepdims=True)
+            rays[: count + 1] /= _norms(rays[: count + 1])
             # Lines are tight on every earlier cut; projected rays are now tight on this one.
             tight[count, :j], tight[:count, j], tight[count, j] = 1, 1, 0
             count += 1
             continue
         products = rays[:count] @ cut
-        tight[:count, j] = np.abs(products) <= _TIGHT
+        tight[:count, j] = products <= _TIGHT  # the tight rays, and the minus rays whose rows go or take new rays
         minus = (products < -_TIGHT).nonzero()[0]
         if not len(minus):
             continue
         plus = (products > _TIGHT).nonzero()[0]
         # An adjacent pair spans a 2-face, so at least d - lines - 2 cuts are tight at both.
         _check_entries(len(plus) * len(minus), j, len(cuts))
-        plus_tight, minus_tight = tight[plus, :j], tight[minus, :j]
+        live = tight[:count, :j]
+        plus_tight, minus_tight = live[plus], live[minus]
         shared = plus_tight @ minus_tight.T
-        pi, mi = np.nonzero(shared >= d - len(lines) - 2)
+        pi, mi = (shared >= d - len(lines) - 2).nonzero()
         common = plus_tight[pi] * minus_tight[mi]
         # The pair is adjacent when no third ray is tight on every cut in ``common``.
         _check_entries(len(pi) * count, j, len(cuts))
-        adjacent = ((common @ tight[:count, :j].T) == shared[pi, mi, None]).sum(axis=1) == 2
+        adjacent = ((common @ live.T) == shared[pi, mi, None]).sum(axis=1) == 2
         p, m = plus[pi[adjacent]], minus[mi[adjacent]]
-        combos = products[p, None] * rays[m] - products[m, None] * rays[p]
+        combos = products[p][:, None] * rays[m] - products[m][:, None] * rays[p]
         end = count + len(p) - len(minus)
-        rays, tight = _room(rays, count, end), _room(tight, count, end)
-        rows = np.concatenate([minus[: len(p)], np.arange(count, end)])  # removed rays' rows, then the end
-        rays[rows] = combos / np.linalg.norm(combos, axis=1, keepdims=True)
+        if end > count:  # the removed rays' rows, then rows at the end
+            rays, tight = _room(rays, count, end), _room(tight, count, end)
+            rows = np.concatenate([minus, np.arange(count, end)])
+            tight[count:end, j] = 1
+        else:
+            rows = minus[: len(p)]
+        rays[rows] = combos / _norms(combos)
         tight[rows, :j] = common[adjacent]
-        tight[rows, j] = 1
         if end < count:  # live rows past ``end`` fill the holes below it
             holes = minus[len(p) :]
             kept = np.ones(count, dtype=bool)
@@ -167,6 +178,11 @@ def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
             tight[holes[: len(tail)], : j + 1] = tight[tail, : j + 1]
         count = end
     return PolyhedralCone._of_unit_rays(d, np.concatenate([rays[:count], lines, -lines]))
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row as a column, summed as ``np.linalg.norm(rows, axis=1)`` sums it."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True))
 
 
 def _room(buffer: np.ndarray, count: int, rows: int) -> np.ndarray:

@@ -104,6 +104,7 @@ class KktReport:
     weight_residuals: np.ndarray
 
     def passes(self, tol: float = DEFAULT_TOL) -> bool:
+        check_tol(tol)
         return (
             bool(np.all(self.stability_residuals <= tol))
             and all(self.positivity_ok)
@@ -209,8 +210,10 @@ def verify_kkt(
     every number the solution states, ``p_guess`` and the weights included.
     The solution checked those numbers when it was built, so only its fit
     to ``ensemble`` is checked here: :class:`InvalidInputError` when the
-    number of states, of effect generators or the dimension differ.
+    number of states, of effect generators or the dimension differ, or when
+    ``tol`` is outside ``(0, MAX_TOL]``.
     """
+    check_tol(tol)
     model = ensemble.model
     k, coefficients = solution.symmetry_operator, solution.coefficients
     if coefficients.shape != (ensemble.n_states, len(model.effect_gens)) or k.shape != (model.dim,):

@@ -44,7 +44,8 @@ def finite_array(value, name: str, shape: tuple) -> np.ndarray:
     None admits any length, and ``()`` asks for a scalar.  Raises
     :class:`InvalidInputError` when ``value`` is not an array of integers
     or floats (a ragged list, a string, a boolean, None), when the shape
-    differs, or when an entry is NaN or infinite.
+    differs, or when an entry is NaN or infinite.  A boolean among numbers
+    is found by a scan of the nested lists, which an ndarray skips.
     """
     try:
         arr = np.array(value)
@@ -52,6 +53,8 @@ def finite_array(value, name: str, shape: tuple) -> np.ndarray:
         raise InvalidInputError(f"{name} is not an array of numbers: {exc}") from exc
     if arr.dtype.kind not in "iuf":  # numpy would read "0.5" and true as numbers
         raise InvalidInputError(f"{name} is not an array of numbers (dtype {arr.dtype})")
+    if not isinstance(value, np.ndarray) and _has_bool(value):  # [True, 0.5] reads as float64
+        raise InvalidInputError(f"{name} is not an array of numbers (it contains a boolean)")
     arr = arr.astype(float, copy=False)
     if arr.ndim != len(shape) or any(n is not None and n != got for n, got in zip(shape, arr.shape)):
         expected = ", ".join("k" if n is None else str(n) for n in shape)
@@ -60,3 +63,12 @@ def finite_array(value, name: str, shape: tuple) -> np.ndarray:
         raise InvalidInputError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def _has_bool(value) -> bool:
+    """True iff ``value``, a scalar or nested lists and tuples of them, holds a boolean or a boolean array."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind == "b"
+    if isinstance(value, (list, tuple)):  # a list of plain ints and floats needs no item-by-item look
+        return not set(map(type, value)) <= {int, float} and any(map(_has_bool, value))
+    return isinstance(value, (bool, np.bool_))

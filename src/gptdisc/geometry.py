@@ -10,6 +10,8 @@ For uniform priors the common weight ``r`` equals the edge-length ratio
 of the two polytopes and the guessing probability is ``1/N + r``.  Norms
 here are Euclidean on ambient coordinates; at optimum the ratio is
 norm-independent because the difference vectors are anti-parallel.
+Every function here raises :class:`InvalidInputError` for a ``tol``
+outside ``(0, MAX_TOL]``, as the solver does.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .discrimination import DiscriminationSolution, row_norms
 from .errors import InvalidInputError, PreconditionError, UndefinedRatioError, finite_array
-from .model import DEFAULT_TOL, Ensemble
+from .model import DEFAULT_TOL, Ensemble, check_tol
 
 
 @dataclass(frozen=True)
@@ -39,10 +41,12 @@ def congruence_check(solution: DiscriminationSolution, tol: float = DEFAULT_TOL)
     Degenerate complementary pairs cannot contribute a vertex and are
     skipped; their indices are reported.
     """
+    check_tol(tol)
     weights, stated, d = solution.weights, solution.stated, solution.stated_d
     weighted = solution.ensemble.weighted_states()[stated]
     rd = weights[stated, None] * d
-    x, y = np.triu_indices(len(d), k=1)  # the pair order of combinations over the stated pairs
+    order = np.arange(len(d))
+    x, y = (order[:, None] < order).nonzero()  # the pair order of combinations over the stated pairs
     state_edges = weighted[x] - weighted[y]
     max_residual = float(row_norms(state_edges + rd[x] - rd[y]).max(initial=0.0))
     d_edges = row_norms(d[x] - d[y])
@@ -62,6 +66,7 @@ def ratio_r(solution: DiscriminationSolution, tol: float = DEFAULT_TOL) -> float
     admissible vertex pairs and cross-checked against ``p_guess - 1/N``;
     disagreement means the supplied solution is not optimal.
     """
+    check_tol(tol)
     ens = solution.ensemble
     n = ens.n_states
     if float(np.max(np.abs(ens.priors - 1.0 / n))) > tol:
@@ -88,6 +93,7 @@ def symmetric_axis_k(ensemble: Ensemble, axis, tol: float = DEFAULT_TOL) -> np.n
     is optimal when the ensemble has a transitive symmetry fixing the
     axis, which the caller should confirm through the KKT report.
     """
+    check_tol(tol)
     model = ensemble.model
     direction = finite_array(axis, "axis", (model.dim,))
     if abs(float(model.unit_effect @ direction) - 1.0) > tol:

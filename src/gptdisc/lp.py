@@ -63,10 +63,10 @@ class LpSolution:
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    """Pivot on ``(row, col)``: one outer-product update by the scaled pivot row, which then replaces its row."""
+    pivot_row = tableau[row] / tableau[row, col]
+    tableau -= tableau[:, col, None] * pivot_row
+    np.add(pivot_row, 0.0, out=tableau[row])  # pivot_row - 0 * pivot_row, so -0.0 reads 0.0
     basis[row] = col
 
 
@@ -77,22 +77,21 @@ def _run_phase(tableau: np.ndarray, basis: list[int], enter_limit: int) -> str:
     Only columns below ``enter_limit`` may enter the basis.
     """
     m = len(basis)
+    rhs = tableau[:m, -1]
     for _ in range(_MAX_ITER):
-        reduced = tableau[-1, :enter_limit]
         entering = -1
         leaving = -1
-        for j in np.nonzero(reduced < -REDUCED_COST_TOL)[0]:
+        for j in (tableau[-1, :enter_limit] < -REDUCED_COST_TOL).nonzero()[0]:
             column = tableau[:m, j]
             usable = column > PIVOT_FLOOR
             if not usable.any():
                 if np.all(column <= 0.0):
                     return UNBOUNDED
                 continue  # only near-degenerate pivots available: skip column
-            ratios = np.full(m, np.inf)
-            ratios[usable] = tableau[:m, -1][usable] / column[usable]
+            ratios = np.divide(rhs, column, out=np.full(m, np.inf), where=usable)
             best = ratios.min()
-            ties = np.nonzero(ratios <= best + PIVOT_FLOOR * (1.0 + abs(best)))[0]
-            leaving = min(ties, key=lambda i: basis[i])
+            ties = (ratios <= best + PIVOT_FLOOR * (1.0 + abs(best))).nonzero()[0]
+            leaving = min(ties.tolist(), key=basis.__getitem__)
             entering = int(j)
             break
         if entering < 0:
@@ -153,8 +152,7 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9) -> LpSolution:
     phase2[:m2, -1] = tableau[kept_rows, -1]
     basis2 = [basis[i] for i in kept_rows]
     phase2[-1, :n] = c
-    for i, bi in enumerate(basis2):
-        phase2[-1] -= c[bi] * phase2[i]
+    phase2[-1] -= c[basis2] @ phase2[:m2]
 
     status = _run_phase(phase2, basis2, enter_limit=n)
     if status == UNBOUNDED:

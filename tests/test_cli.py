@@ -405,6 +405,7 @@ def _set_first_pair(key, value):
         pytest.param(lambda data: data["complementary"][0].pop("r"), "complementary pair", id="pair-without-r"),
         pytest.param(_set_first_pair("r", "0.25"), "complementary weight", id="r-string"),
         pytest.param(_set_first_pair("r", float("nan")), "complementary weight", id="r-nan"),
+        pytest.param(_set_first_pair("r", True), "complementary weights r", id="r-true"),
         pytest.param(_set_first_pair("d", "abc"), "complementary state", id="d-string"),
         pytest.param(_set_first_pair("d", [0.5, 1.0]), "complementary state", id="d-short"),
         pytest.param(lambda data: data["complementary"].pop(), "complementary pair", id="three-pairs"),

@@ -380,8 +380,9 @@ def test_cut_that_removes_no_ray_still_marks_its_tight_rays(monkeypatch):
 
 
 def test_check_entries_counts_match_the_recorded_sequence(monkeypatch):
-    # Recorded from the double description that grew its arrays by concatenation; the in-place buffers
-    # must run the same cuts with the same adjacency test, so every product has the same size.
+    # The first three were recorded from the double description that grew its arrays by concatenation,
+    # the polygon cones from the in-place buffers that followed it.  Any rewrite of a cut must run the
+    # same cuts with the same adjacency test, so every product has the same size.
     expected = {
         "cube6": [
             2, 6, 2, 5, 3, 15, 3, 0, 2, 7, 3, 14, 3, 0, 4, 28, 4, 0, 4, 9, 4, 0, 2, 9, 3, 18, 3, 10, 4, 36, 4, 11,
@@ -391,13 +392,29 @@ def test_check_entries_counts_match_the_recorded_sequence(monkeypatch):
         ],
         "cross6": [2, 14, 4, 32, 8, 88, 16, 288, 32, 1056],
         "boxworld": [2, 6, 2, 14, 2, 22, 8, 96, 18, 252, 18, 210, 32, 384, 15, 0, 14, 0, 13, 0, 12, 0, 11, 0, 10, 0, 9, 0, 8, 0],
+        # The benchmark's d = 3 traffic: each polygon cut removes one ray and adds two.
+        "polygon13": [2, 6, 3, 8, 4, 10, 5, 12, 6, 14, 7, 16, 8, 18, 9, 20, 10, 22, 11, 24],
+        "polygon24": [
+            2, 6, 3, 8, 4, 10, 5, 12, 6, 14, 7, 16, 8, 18, 9, 20, 10, 22, 11, 24, 12, 26, 13, 28, 14, 30,
+            15, 32, 16, 34, 17, 36, 18, 38, 19, 40, 20, 42, 21, 44, 22, 46,
+        ],
+        # The centroid cuts nothing, the constructor drops the repeated and the rescaled vertex, and the
+        # far points remove more rays than they add, so rows from the end fill the holes.
+        "polygon_cuts": [2, 6, 3, 8, 4, 10, 5, 12, 6, 14, 7, 16, 8, 18, 9, 20, 10, 22, 35, 24, 20, 18, 8, 12],
     }
-    models = {"cube6": hypercube_model(6), "cross6": cross_polytope_model(6), "boxworld": boxworld_model()}
+    cones = {
+        "cube6": hypercube_model(6).state_cone,
+        "cross6": cross_polytope_model(6).state_cone,
+        "boxworld": boxworld_model().state_cone,
+        "polygon13": polygon_model(13).state_cone,
+        "polygon24": polygon_model(24).state_cone,
+        "polygon_cuts": PolyhedralCone(3, _polygon_cuts()),
+    }
     counts = []
     monkeypatch.setattr(cone_module, "_check_entries", lambda count, *where: counts.append(count))
-    for name, model in models.items():
+    for name, cone in cones.items():
         counts.clear()
-        dual_cone(model.state_cone)
+        dual_cone(cone)
         assert counts == expected[name], name
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -169,3 +170,43 @@ def test_ratio_rejects_inconsistent_solution():
     broken = dataclasses.replace(sol, complementary=tuple(pairs))
     with pytest.raises(InvalidInputError):
         ratio_r(broken)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 5.0], ids=["nan", "negative", "above-max"])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda sol, tol: verify_kkt(sol.ensemble, sol, tol),
+        lambda sol, tol: verify_kkt(sol.ensemble, sol).passes(tol),
+        congruence_check,
+        ratio_r,
+        lambda sol, tol: symmetric_axis_k(sol.ensemble, AXIS, tol),
+    ],
+    ids=["verify_kkt", "passes", "congruence_check", "ratio_r", "symmetric_axis_k"],
+)
+def test_verification_rejects_tolerance_outside_range(check, tol):
+    # Unchecked, nan made congruence_check report no ratio and ratio_r raise UndefinedRatioError, -1 made
+    # ratio_r call the uniform square non-uniform, and 5 let passes() accept any residual below 5.
+    with pytest.raises(InvalidInputError, match="tol must lie in"):
+        check(solve_discrimination(uniform_vertex_ensemble(4)), tol)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_congruence_report_matches_a_loop_over_pairs(seed):
+    # The pair indices come from a mask, not from triu_indices; a loop over combinations of the stated pairs must give
+    # the same report, bit for bit, with degenerate pairs skipped (the mixture at p = 0.5 has one).
+    ensemble = random_polygon_ensemble(np.random.default_rng(seed)) if seed < 5 else no_measurement_ensemble(0.5)
+    sol = solve_discrimination(ensemble)
+    stated = [x for x, pair in enumerate(sol.complementary) if not pair.degenerate]
+    weighted = ensemble.weighted_states()
+    residuals, ratios = [], []
+    for x, y in combinations(stated, 2):
+        px, py = sol.complementary[x], sol.complementary[y]
+        edge = weighted[x] - weighted[y]
+        residuals.append(np.linalg.norm(edge + px.r * px.d - py.r * py.d))
+        if (d_edge := np.linalg.norm(px.d - py.d)) > 1e-9:
+            ratios.append(np.linalg.norm(edge) / d_edge)
+    report = congruence_check(sol)
+    assert report.max_residual == max(residuals, default=0.0)
+    assert report.ratio == (float(np.mean(ratios)) if ratios else None)
+    assert report.ratio_spread == (max(ratios) - min(ratios) if ratios else 0.0)

@@ -10,12 +10,13 @@ from gptdisc import (
     feasibility_gap,
     solve_lp,
 )
+import gptdisc.lp as lp_module
 from gptdisc.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
 from gptdisc.discrimination import build_primal
 from gptdisc.oracle import brute_force_lp
-from gptdisc.polygon import uniform_vertex_ensemble
+from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
-from conftest import slack_form
+from conftest import random_polygon_ensemble, slack_form
 
 
 def test_simplex_equality_split():
@@ -143,15 +144,7 @@ def test_deterministic_bit_for_bit():
 
 def test_degenerate_vertex_does_not_cycle():
     # Classic degenerate instance: multiple bases describe the optimum.
-    prob = slack_form(
-        [-0.75, 150.0, -0.02, 6.0],
-        [
-            [0.25, -60.0, -0.04, 9.0],
-            [0.5, -90.0, -0.02, 3.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ],
-        [0.0, 0.0, 1.0],
-    )
+    prob = _degenerate_lp()
     sol = solve_lp(prob)
     assert sol.status == OPTIMAL
     status, objective = brute_force_lp(prob)
@@ -159,6 +152,63 @@ def test_degenerate_vertex_does_not_cycle():
     assert_allclose(sol.objective, objective, atol=1e-9)
     assert_allclose(sol.objective, -0.05, atol=1e-9)
     assert check_certificate(prob, sol)
+
+
+def _degenerate_lp():
+    return slack_form(
+        [-0.75, 150.0, -0.02, 6.0],
+        [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]],
+        [0.0, 0.0, 1.0],
+    )
+
+
+def test_pivot_sequence_matches_the_recorded_sequence(monkeypatch):
+    # Recorded from the simplex whose pivot divided the row in place and subtracted a copied column's
+    # outer product, and whose ratio test wrote the usable ratios by mask: Bland's rule must take the
+    # same (row, column) pivots, phase-1 drive-out included, from any rewrite of those steps.
+    expected = {
+        "uniform3": [(0, 0), (1, 1), (2, 2)],
+        "uniform8": [(0, 0), (0, 1), (0, 2), (1, 3), (0, 0), (2, 4)],
+        "uniform13": [(0, 0), (0, 1), (0, 2), (0, 3), (1, 4), (0, 0), (1, 5), (1, 6), (2, 7)],
+        "uniform24": [
+            (0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 7), (0, 0), (1, 8), (1, 9), (1, 10),
+            (1, 11), (2, 12),
+        ],
+        "mixed0": [(0, 0), (0, 1), (0, 2), (1, 3), (0, 0), (2, 4)],
+        "mixed1": [(0, 0), (0, 1), (1, 2), (0, 0), (2, 3), (2, 4), (0, 1)],
+        "mixed2": [(0, 0), (0, 1), (0, 2), (1, 3), (0, 0), (2, 4), (2, 6), (0, 1), (0, 2), (0, 7)],
+        "mixed3": [(0, 0), (0, 1), (1, 2), (0, 0), (1, 3), (2, 4)],
+        "no-measurement-0.1": [(0, 0), (0, 1), (1, 2), (2, 0)],
+        "no-measurement-0.3": [(0, 0), (0, 1), (1, 2), (2, 0)],
+        "degenerate": [(0, 0), (1, 1), (0, 2), (1, 3), (2, 0), (1, 4)],
+    }
+    problems = {f"uniform{n}": build_primal(uniform_vertex_ensemble(n)) for n in (3, 8, 13, 24)}
+    problems.update({f"mixed{seed}": build_primal(random_polygon_ensemble(np.random.default_rng(seed))) for seed in range(4)})
+    problems.update({f"no-measurement-{p}": build_primal(no_measurement_ensemble(p)) for p in (0.1, 0.3)})
+    problems["degenerate"] = _degenerate_lp()
+    pivot = lp_module._pivot
+    pivots = []
+
+    def recording_pivot(tableau, basis, row, col):
+        pivots.append((int(row), int(col)))
+        pivot(tableau, basis, row, col)
+
+    monkeypatch.setattr(lp_module, "_pivot", recording_pivot)
+    for name, problem in problems.items():
+        pivots.clear()
+        assert solve_lp(problem).status == OPTIMAL, name
+        assert pivots == expected[name], name
+
+
+def test_pivot_turns_negative_zeros_of_the_pivot_row_positive():
+    # A zero over a negative pivot is -0.0; the row keeps the sign the row operation x - 0 * x gives it.
+    tableau = np.array([[-2.0, 0.0, 4.0], [1.0, -0.0, 3.0], [0.5, 2.0, -1.0]])
+    basis = [5, 6]
+    lp_module._pivot(tableau, basis, 0, 0)
+    assert basis == [0, 6]
+    assert tableau[0].tolist() == [1.0, 0.0, -2.0]
+    assert np.signbit(tableau[0]).tolist() == [False, False, True]
+    assert_allclose(tableau[1:], [[0.0, 0.0, 5.0], [0.0, 2.0, 0.0]], atol=0.0)
 
 
 def test_iteration_guard_raises_numerical_failure(monkeypatch):

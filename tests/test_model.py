@@ -245,6 +245,29 @@ def test_finite_array_returns_checked_read_only_copy():
             finite_array(value, "value", shape)
 
 
+@pytest.mark.parametrize(
+    "value, shape",
+    [
+        ([True, 0.5], (2,)),
+        ([0.5, np.True_], (2,)),
+        ([[0.0, 1.0, 0.0], [True, 0.0, 1.0]], (2, 3)),
+        ((0.5, True), (None,)),
+        ([np.array([True, False]), [0.5, 1.0]], (2, 2)),
+    ],
+    ids=["first", "numpy-bool", "row", "tuple", "bool-array-row"],
+)
+def test_finite_array_rejects_a_boolean_among_numbers(value, shape):
+    # numpy reads [True, 0.5] as float64 [1.0, 0.5]; only an all-boolean value has dtype bool.
+    with pytest.raises(InvalidInputError, match="value is not an array of numbers"):
+        finite_array(value, "value", shape)
+
+
+def test_finite_array_judges_an_ndarray_by_its_dtype():
+    assert finite_array(np.array([1, 0]), "value", (2,)).tolist() == [1.0, 0.0]
+    with pytest.raises(InvalidInputError, match="dtype bool"):
+        finite_array(np.array([True, False]), "value", (2,))
+
+
 def test_nonfinite_coordinates_rejected():
     with pytest.raises(InvalidInputError):
         GptModel(
