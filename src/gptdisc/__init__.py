@@ -15,6 +15,7 @@ from .discrimination import (
     KktReport,
     build_primal,
     no_measurement_value,
+    reward_matrix,
     solve_discrimination,
     verify_kkt,
 )
@@ -34,7 +35,6 @@ from .model import (
     Ensemble,
     GptModel,
     ValidationReport,
-    evaluate,
     validate_ensemble,
     validate_model,
 )
@@ -65,6 +65,7 @@ __all__ = [
     "KktReport",
     "build_primal",
     "no_measurement_value",
+    "reward_matrix",
     "solve_discrimination",
     "verify_kkt",
     "GptDiscError",
@@ -87,7 +88,6 @@ __all__ = [
     "Ensemble",
     "GptModel",
     "ValidationReport",
-    "evaluate",
     "validate_ensemble",
     "validate_model",
     "OracleResult",

@@ -5,14 +5,15 @@ exact double description, one cut per generator: each cut writes its
 tight column and adjacent ray combinations in place, into buffers that
 double when full, and adjacency is decided from those tight sets by set
 arithmetic alone, so no LP is solved.  The facets of a cone are the
-generators of its dual, computed at most once per cone object; one matrix
-product against them decides membership of every row of a point matrix.
+generators of its dual, computed at most once per cone object, and the
+dual's lines give the rank of the generators; one matrix product against
+the facets decides membership of every row of a point matrix.
 The work of a dual is bounded by ``MAX_DUAL_ENTRIES``, not by the dimension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -28,22 +29,38 @@ _TIGHT = 1e-10
 _PARALLEL_COS = 1.0 - 1e-12
 
 
-def _dedupe_rays(rays: np.ndarray) -> np.ndarray:
-    """Drop zero rays and rays parallel to an earlier nonzero ray (equal up to positive scale)."""
-    norms = np.sqrt(np.add.reduce(rays * rays, axis=1))
-    nonzero = norms > _ZERO_NORM
-    units = rays[nonzero] / norms[nonzero, None]
+def unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of rows whose norm passes ``1e-12`` and those rows scaled to unit length."""
+    rows = np.ascontiguousarray(rows)  # in C order a row's norm sums alike in any subset of the rows
+    norms = _norms(rows)
+    nonzero = norms[:, 0] > _ZERO_NORM
+    return nonzero, rows[nonzero] / norms[nonzero]
+
+
+def _dedupe_rays(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop zero rays and rays parallel to an earlier nonzero ray (equal up to positive scale); also the kept units."""
+    nonzero, units = unit_rows(rays)
     order = np.arange(len(units))
     parallel = (units @ units.T >= _PARALLEL_COS) & (order[:, None] < order)  # parallel[i, j]: i < j and j repeats i
-    return rays[nonzero][~parallel.any(axis=0)]
+    kept = ~parallel.any(axis=0)
+    return rays[nonzero][kept], units[kept]
 
 
 @dataclass(frozen=True)
 class PolyhedralCone:
-    """Convex cone generated by nonnegative combinations of ``generators``."""
+    """Convex cone generated by nonnegative combinations of ``generators``.
+
+    The constructor drops zero and repeated rays and keeps the remaining
+    generators scaled to unit length as ``units``.  ``lineality`` is the
+    dimension of the cone's lineality space when :func:`dual_cone` built
+    the cone (its last ``2 * lineality`` generators are the lines ``l, -l``),
+    else None.
+    """
 
     dim: int
     generators: np.ndarray
+    units: np.ndarray = field(init=False, repr=False, compare=False)
+    lineality: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -51,16 +68,18 @@ class PolyhedralCone:
         gens = self.generators
         if isinstance(gens, (list, tuple)) and not gens:  # an empty list has no second axis
             gens = np.zeros((0, self.dim))
-        gens = _dedupe_rays(finite_array(gens, "generators", (None, self.dim)))
+        gens, units = _dedupe_rays(finite_array(gens, "generators", (None, self.dim)))
         gens.setflags(write=False)
+        units.setflags(write=False)
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "units", units)
 
     @classmethod
-    def _of_unit_rays(cls, dim: int, rays: np.ndarray) -> PolyhedralCone:
+    def _of_unit_rays(cls, dim: int, rays: np.ndarray, lineality: int) -> PolyhedralCone:
         """The cone of ``rays`` that are already finite, unit and pairwise non-parallel, without a copy or a check."""
         rays.setflags(write=False)
         cone = object.__new__(cls)
-        vars(cone).update(dim=dim, generators=rays)
+        vars(cone).update(dim=dim, generators=rays, units=rays, lineality=lineality)
         return cone
 
     @property
@@ -68,9 +87,19 @@ class PolyhedralCone:
         return self.generators.shape[0]
 
     @cached_property
+    def dual(self) -> PolyhedralCone:
+        """The dual cone, computed at most once per cone object."""
+        return dual_cone(self)
+
+    @property
     def facets(self) -> np.ndarray:
         """Unit inner normals of the cone: the generators of its dual, each line as ``l, -l``."""
-        return dual_cone(self).generators
+        return self.dual.generators
+
+    @property
+    def rank(self) -> int:
+        """Dimension of the span of the generators: ``dim`` less the dual's lines, which span its complement."""
+        return self.dim - self.dual.lineality
 
 
 def member_of(cone: PolyhedralCone, v, tol: float = 1e-9) -> bool:
@@ -100,48 +129,49 @@ def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
     """Generators of ``{y : y . g >= 0 for every generator g}`` via double description.
 
     Starts from all of R^d (a basis of lines, no rays) and intersects one
-    halfspace per unit generator, in generator order.  A cut that meets
-    the lineality space turns its best line into a ray and projects the
-    other lines and rays onto the cut's hyperplane.  Any other cut keeps
-    the rays on its nonnegative side and adds the unit combination of
-    each adjacent (+, -) pair: no third ray is tight on every cut tight at
-    both (Fukuda & Prodon 1996).  Each cut writes its column, 1 on the rays
-    tight on it or removed by it, into a float32 0/1 matrix of full width,
-    whose products over earlier columns count shared cuts exactly below
-    2**24 cuts.  Rays and tight sets grow in place: new rays, tight on the
-    cut, reuse removed rays' rows, rows from the end fill the remaining
-    holes, and buffers double when full, so the output order is not
-    guaranteed.  Raises :class:`UnsupportedSizeError`, naming the cut,
-    before a product passes ``MAX_DUAL_ENTRIES`` entries.
-    Output rays are unit and pairwise non-parallel, so they skip the
-    constructor's checks; each remaining line ``l`` comes as ``l, -l``.
+    halfspace per generator, in generator order, with the cone's unit
+    ``units`` as the cut normals.  A cut that meets the lineality space
+    turns its best line into a ray and projects the other lines and rays
+    onto the cut's hyperplane.  Any other cut keeps the rays on its
+    nonnegative side and adds the unit combination of each adjacent (+, -)
+    pair: no third ray is tight on every cut tight at both (Fukuda &
+    Prodon 1996).  Each cut writes its column, 1 on the rays tight on it or
+    removed by it, into a float32 0/1 matrix of full width, whose products
+    over earlier columns count shared cuts exactly below 2**24 cuts.  Rays
+    and tight sets grow in place: new rays, tight on the cut, reuse removed
+    rays' rows, rows from the end fill the remaining holes, and buffers
+    double when full, so the output order is not guaranteed.  Raises
+    :class:`UnsupportedSizeError`, naming the cut, before a product passes
+    ``MAX_DUAL_ENTRIES`` entries.  Output rays are unit and pairwise
+    non-parallel, so they skip the constructor's checks and serve as their
+    own ``units``.  Each remaining line ``l`` comes as ``l, -l``, and the
+    output's ``lineality`` counts them: they span the orthogonal complement
+    of the input's generators, so ``dim - lineality`` is their rank.
     """
     d = cone.dim
-    cuts = cone.generators / _norms(cone.generators)
+    cuts = cone.units
     lines = np.eye(d)
     # Rows :count are the live rays; tight[i, j] = 1: ray i is tight on cut j, for the cuts made so far.
     rays = np.empty((max(len(cuts), d), d))
     tight = np.empty((len(rays), len(cuts)), dtype=np.float32)
     count = 0
     for j, cut in enumerate(cuts):
-        if len(lines) and np.abs(line_products := lines @ cut).max() > _TIGHT:
-            pivot = int(np.argmax(np.abs(line_products)))
-            line = lines[pivot] / line_products[pivot]  # line . cut = 1
-            others = [i for i in range(len(lines)) if i != pivot]
-            if others:  # the other lines, projected onto the cut's hyperplane
-                lines = lines[others] - np.outer(line_products[others], line)
+        if len(lines):
+            line_products = lines @ cut
+            pivot = int(np.abs(line_products).argmax())
+            if abs(line_products[pivot]) > _TIGHT:
+                line = lines[pivot] / line_products[pivot]  # line . cut = 1
+                others = np.arange(len(lines)) != pivot  # the other lines, projected onto the cut's hyperplane
+                lines = lines[others] - line_products[others, None] * line
                 lines /= _norms(lines)
-            else:
-                lines = lines[:0]
-            rays, tight = _room(rays, count, count + 1), _room(tight, count, count + 1)
-            if count:
-                rays[:count] -= np.outer(rays[:count] @ cut, line)
-            rays[count] = line
-            rays[: count + 1] /= _norms(rays[: count + 1])
-            # Lines are tight on every earlier cut; projected rays are now tight on this one.
-            tight[count, :j], tight[:count, j], tight[count, j] = 1, 1, 0
-            count += 1
-            continue
+                rays, tight = _room(rays, count, count + 1), _room(tight, count, count + 1)
+                rays[:count] -= (rays[:count] @ cut)[:, None] * line
+                rays[count] = line
+                rays[: count + 1] /= _norms(rays[: count + 1])
+                # Lines are tight on every earlier cut; projected rays are now tight on this one.
+                tight[count, :j], tight[:count, j], tight[count, j] = 1, 1, 0
+                count += 1
+                continue
         products = rays[:count] @ cut
         tight[:count, j] = products <= _TIGHT  # the tight rays, and the minus rays whose rows go or take new rays
         minus = (products < -_TIGHT).nonzero()[0]
@@ -177,7 +207,7 @@ def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
             rays[holes[: len(tail)]] = rays[tail]
             tight[holes[: len(tail)], : j + 1] = tight[tail, : j + 1]
         count = end
-    return PolyhedralCone._of_unit_rays(d, np.concatenate([rays[:count], lines, -lines]))
+    return PolyhedralCone._of_unit_rays(d, np.concatenate([rays[:count], lines, -lines]), len(lines))
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:

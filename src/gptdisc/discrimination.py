@@ -30,7 +30,7 @@ import numpy as np
 from .cone import inside
 from .errors import InternalInconsistencyError, InvalidInputError, finite_array
 from .lp import OPTIMAL, LpProblem, check_certificate, solve_lp
-from .model import DEFAULT_TOL, Ensemble, check_tol, validate_ensemble, validate_model
+from .model import DEFAULT_TOL, Ensemble, GptModel, check_tol, validate_ensemble, validate_model
 
 
 @dataclass(frozen=True)
@@ -127,24 +127,25 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(rows, rows))
 
 
-def _rewards(ensemble: Ensemble) -> np.ndarray:
-    """``q_x g_j[w_x]`` with outcomes as rows and effect generators as columns."""
+def reward_matrix(ensemble: Ensemble) -> np.ndarray:
+    """The rewards ``q_x g_j[w_x]`` with outcomes as rows and effect generators as columns."""
     return ensemble.priors[:, None] * (ensemble.states @ ensemble.model.effect_gens.T)
 
 
-def build_primal(ensemble: Ensemble) -> LpProblem:
+def build_primal(model: GptModel, rewards: np.ndarray) -> LpProblem:
     """Measurement LP: minimize ``-sum_j C_j t_j`` s.t. ``sum_j C_j g_j = u``, ``C >= 0`` (d rows, g columns).
 
-    The full LP's other N - 1 columns of each ``g_j`` cannot bind: their reduced
-    costs ``g_j[K] - q_x g_j[w_x]`` are at least ``g_j[K] - t_j >= -tol``.
+    ``t_j = max_x rewards[x, j]`` for the :func:`reward_matrix` of an ensemble of ``model``.  The full LP's
+    other N - 1 columns of each ``g_j`` cannot bind: their reduced costs ``g_j[K] - q_x g_j[w_x]`` are at
+    least ``g_j[K] - t_j >= -tol``.
     """
-    return LpProblem(-_rewards(ensemble).max(axis=0), ensemble.model.effect_gens.T, ensemble.model.unit_effect)
+    return LpProblem(-rewards.max(axis=0), model.effect_gens.T, model.unit_effect)
 
 
-def measurement_from_primal(ensemble: Ensemble, x: np.ndarray) -> np.ndarray:
+def measurement_from_primal(rewards: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Coefficients ``C[x, j] = C_j`` where outcome x attains ``t_j``, ties to the lowest x, and 0 elsewhere."""
-    owners = _rewards(ensemble).argmax(axis=0)
-    return (owners == np.arange(ensemble.n_states)[:, None]) * x
+    owners = rewards.argmax(axis=0)
+    return (owners == np.arange(len(rewards))[:, None]) * x
 
 
 def no_measurement_value(ensemble: Ensemble) -> float:
@@ -170,7 +171,8 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
     if not check.valid:
         raise InvalidInputError("; ".join(check.issues))
 
-    problem = build_primal(ensemble)
+    rewards = reward_matrix(ensemble)
+    problem = build_primal(ensemble.model, rewards)
     primal = solve_lp(problem, tol=tol)
     if primal.status != OPTIMAL:
         model_check = validate_model(ensemble.model, tol=max(tol, 1e-12))
@@ -192,7 +194,7 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
     return DiscriminationSolution(
         ensemble=ensemble,
         p_guess=p_guess,
-        coefficients=measurement_from_primal(ensemble, primal.x),
+        coefficients=measurement_from_primal(rewards, primal.x),
         symmetry_operator=k,
         complementary=pairs,
     )
@@ -208,6 +210,8 @@ def verify_kkt(
     ``K`` and the complementary pairs.  A passing report certifies optimality
     (KKT conditions are sufficient here because strong duality holds) and
     every number the solution states, ``p_guess`` and the weights included.
+    Positivity, ``K >= q_x w_x``, is checked as ``g[K - q_x w_x] >= -tol``
+    against each supplied effect generator ``g`` as given, unnormalized.
     The solution checked those numbers when it was built, so only its fit
     to ``ensemble`` is checked here: :class:`InvalidInputError` when the
     number of states, of effect generators or the dimension differ, or when
@@ -230,7 +234,7 @@ def verify_kkt(
     stability[stated] = row_norms(margins[stated] - weights[stated, None] * solution.stated_d)
     return KktReport(
         stability_residuals=stability,
-        positivity_ok=tuple(inside(model.effect_cone.generators, margins, tol).tolist()),  # K >= q_x w_x
+        positivity_ok=tuple(inside(model.effect_gens, margins, tol).tolist()),  # K >= q_x w_x
         orthogonality_residuals=np.abs(_row_dots(effects, margins)),
         measurement_residual=measurement_residual,
         gap=abs(primal_value - value),

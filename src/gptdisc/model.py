@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cone import PolyhedralCone, inside
+from .cone import PolyhedralCone, inside, unit_rows
 from .errors import InvalidInputError, finite_array
 from .lp import feasibility_gap
 
@@ -33,12 +33,6 @@ def check_tol(tol: float) -> None:
     """Raise :class:`InvalidInputError` unless ``0 < tol <= MAX_TOL``, a range that NaN and infinities miss."""
     if not 0.0 < tol <= MAX_TOL:
         raise InvalidInputError(f"tol must lie in (0, {MAX_TOL:g}], got {tol!r}")
-
-
-def evaluate(effect, state) -> float:
-    """Probability pairing of an effect and a state (Euclidean inner product)."""
-    e = finite_array(effect, "effect", (None,))
-    return float(e @ finite_array(state, "state", e.shape))
 
 
 @dataclass(frozen=True)
@@ -105,11 +99,14 @@ def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationRepor
 
     Pointedness needs no test of its own: with ``u[w] = 1`` on every state
     generator, ``u`` is strictly positive on the cone, so a cone that is
-    not pointed always fails normalization.  Also reports whether the
-    effect cone equals the full dual of the state cone: every pairing is
-    nonnegative and every state facet lies within ``tol`` of a unit effect
-    generator or else in the effect cone by :func:`feasibility_gap`, tried
-    facet by facet until one fails.  Only the state cone is dualized; past
+    not pointed always fails normalization.  The rank of the state
+    generators is ``dim`` less the lines that the state cone's dual keeps,
+    so no SVD is run.  Also reports whether the effect cone equals the full
+    dual of the state cone: every pairing is nonnegative and every state
+    facet lies within ``tol`` of a unit effect generator (``effect_gens``
+    normalized once in place, zero rows left out) or else in the effect cone
+    by :func:`feasibility_gap`, tried facet by facet until one fails.  Only
+    the state cone is dualized, and no effect cone is built; past
     ``MAX_DUAL_ENTRIES`` it raises :class:`UnsupportedSizeError`, and a
     ``tol`` outside ``(0, MAX_TOL]`` raises :class:`InvalidInputError`.
     """
@@ -119,7 +116,8 @@ def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationRepor
     residuals = np.abs(model.state_gens @ u - 1.0)
     for i in np.flatnonzero(residuals > tol):
         report.issues.append(f"u[w]=1 violated for state generator {i}, residual {residuals[i]:g}")
-    pairings = model.state_gens @ model.effect_gens.T  # pairings[i, j] = e_j . w_i
+    effects = model.effect_gens
+    pairings = model.state_gens @ effects.T  # pairings[i, j] = e_j . w_i
     lows, highs = pairings.min(axis=0, initial=np.inf), pairings.max(axis=0, initial=-np.inf)
     for j in np.flatnonzero((lows < -tol) | (highs > 1.0 + tol)):
         if lows[j] < -tol:
@@ -128,19 +126,17 @@ def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationRepor
         if highs[j] > 1.0 + tol:
             high = int(np.argmax(pairings[:, j]))
             report.issues.append(f"effect generator {j} exceeds 1 on state generator {high}, value {highs[j]:g}")
-    rank = int(np.linalg.matrix_rank(model.state_gens)) if model.state_gens.size else 0
-    if rank < model.dim:
-        report.warnings.append(f"state cone is not full-dimensional (rank {rank} < {model.dim})")
-    effects, facets = model.effect_cone.generators, model.state_cone.facets
-    units = effects / np.linalg.norm(effects, axis=1, keepdims=True)
+    state_cone = model.state_cone
+    if state_cone.rank < model.dim:
+        report.warnings.append(f"state cone is not full-dimensional (rank {state_cone.rank} < {model.dim})")
+    facets, units = state_cone.facets, unit_rows(effects)[1]
     # One Gram argmax shortlists each facet's nearest unit generator (none is infinitely far), then one distance.
     nearest = units[(facets @ units.T).argmax(axis=1)] if len(units) else np.full_like(facets, np.inf)
     matched = np.linalg.norm(facets - nearest, axis=1) <= tol
     fits = (feasibility_gap(effects.T, f, tol) <= tol for f in facets[~matched])  # lazy: stops at the first miss
     report.unrestricted_effects = bool(pairings.min(initial=0.0) >= -tol and all(fits))
     if report.unrestricted_effects:  # dual(E) = dual(dual(S)) = S: y is in E iff y . w >= 0 for every w in S
-        states = model.state_cone.generators
-        u_in_effects = inside(states / np.linalg.norm(states, axis=1, keepdims=True), u[None], tol)[0]
+        u_in_effects = inside(state_cone.units, u[None], tol)[0]
     else:
         report.warnings.append(
             "effect cone differs from the full dual of the state cone (restricted effects); "

@@ -5,6 +5,8 @@ import pytest
 
 import gptdisc.cone as cone
 from gptdisc import Ensemble, GptModel, LpProblem, PolyhedralCone, dual_cone, polygon_model
+from gptdisc.discrimination import build_primal, reward_matrix
+from gptdisc.errors import finite_array
 
 
 def random_polygon_ensemble(rng: np.random.Generator) -> Ensemble:
@@ -70,6 +72,11 @@ def slack_form(c, a_ub, b_ub) -> LpProblem:
     return LpProblem(np.concatenate([c, np.zeros(m)]), np.hstack([a_ub, np.eye(m)]), b_ub)
 
 
+def measurement_lp(ensemble: Ensemble) -> LpProblem:
+    """The measurement LP that ``solve_discrimination`` solves: one column per effect generator."""
+    return build_primal(ensemble.model, reward_matrix(ensemble))
+
+
 def full_measurement_lp(ensemble: Ensemble) -> LpProblem:
     """Measurement LP over every coefficient ``c[x, j]``: column ``x * g + j`` carries ``g_j`` with reward ``q_x g_j[w_x]``."""
     gens = ensemble.model.effect_gens
@@ -81,6 +88,12 @@ def full_measurement_lp(ensemble: Ensemble) -> LpProblem:
 def effects_of(solution) -> np.ndarray:
     """The effects ``e_x = sum_j C[x, j] g_j`` of a solution's measurement, as rows."""
     return solution.coefficients @ solution.ensemble.model.effect_gens
+
+
+def evaluate(effect, state) -> float:
+    """Probability pairing of an effect and a state (Euclidean inner product)."""
+    e = finite_array(effect, "effect", (None,))
+    return float(e @ finite_array(state, "state", e.shape))
 
 
 def same_generator_set(a: PolyhedralCone, b: PolyhedralCone, tol: float = 1e-9) -> bool:

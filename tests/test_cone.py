@@ -92,6 +92,18 @@ def test_generator_deduplication_matches_loop_reference(seed):
     assert np.array_equal(PolyhedralCone(4, rays).generators, _dedupe_reference(rays))
 
 
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+def test_units_are_the_kept_generators_over_their_norms(layout):
+    rng = np.random.default_rng(3)
+    rays = rng.normal(size=(30, 9))
+    rays = np.vstack([rays, 4.0 * rays[:5], np.zeros((2, 9))])
+    cone = PolyhedralCone(9, layout(rays))
+    gens = cone.generators
+    assert cone.n_generators == 30 and cone.lineality is None
+    assert np.array_equal(cone.units, gens / np.sqrt(np.add.reduce(gens * gens, axis=1, keepdims=True)))
+    assert not cone.units.flags.writeable
+
+
 def test_orthant_self_dual():
     dual = dual_cone(orthant())
     assert same_generator_set(dual, orthant(), 1e-9)
@@ -236,6 +248,17 @@ def test_involution_of_rank_deficient_and_line_cones(seed):
     assert cones_equal(dual_cone(dual_cone(cone)), cone, 1e-7)
 
 
+def test_rank_from_the_dual_lines_matches_the_svd_rank():
+    # The cones of the involution test above, and their duals: rank d - 2 spans, lines, both and neither.
+    deficits = set()
+    for seed in range(150):
+        cone = _rank_deficient_or_line_cone(seed)
+        for c in (cone, cone.dual):
+            assert c.rank == c.dim - dual_cone(c).lineality == np.linalg.matrix_rank(c.generators), seed
+            deficits.add(c.dim - c.rank)
+    assert deficits == set(range(7))
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_membership_matches_lp_reference(seed):
     rng = np.random.default_rng(seed)
@@ -303,6 +326,8 @@ def _assert_constructor_would_keep(dual: PolyhedralCone) -> None:
     """``dual_cone`` skips the constructor's checks: its rays must already be finite, unit, read-only and distinct."""
     rays = dual.generators
     assert np.isfinite(rays).all() and not rays.flags.writeable
+    lines = rays[len(rays) - 2 * dual.lineality :]  # each line l as l, -l, after the rays
+    assert dual.units is rays and np.array_equal(lines[: dual.lineality], -lines[dual.lineality :])
     assert_allclose(np.linalg.norm(rays, axis=1), 1.0, atol=1e-12)
     assert not np.triu(rays @ rays.T > 1.0 - 1e-9, k=1).any()  # no two rays parallel
     assert np.array_equal(PolyhedralCone(dual.dim, rays).generators, rays)

@@ -8,7 +8,6 @@ from gptdisc import (
     Ensemble,
     GptModel,
     InvalidInputError,
-    build_primal,
     cone_ge,
     congruence_check,
     member_of,
@@ -21,7 +20,7 @@ from gptdisc import (
     validate_model,
     verify_kkt,
 )
-from gptdisc.discrimination import measurement_from_primal
+from gptdisc.discrimination import measurement_from_primal, reward_matrix
 from gptdisc.lp import OPTIMAL, LpSolution, check_certificate
 from gptdisc.oracle import MAX_ORACLE_CONSTRAINTS, dual_vertex_enumeration
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
@@ -33,6 +32,7 @@ from conftest import (
     effects_of,
     full_measurement_lp,
     hypercube_model,
+    measurement_lp,
     random_polygon_ensemble,
     random_polytope_model,
 )
@@ -44,18 +44,18 @@ def single_state_ensemble():
 
 
 def test_primal_single_state_is_always_identified():
-    sol = solve_lp(build_primal(single_state_ensemble()))
+    sol = solve_lp(measurement_lp(single_state_ensemble()))
     assert sol.status == OPTIMAL
     assert_allclose(-sol.objective, 1.0, atol=1e-9)
 
 
 def test_primal_triangle_reaches_perfect_discrimination():
-    sol = solve_lp(build_primal(uniform_vertex_ensemble(3)))
+    sol = solve_lp(measurement_lp(uniform_vertex_ensemble(3)))
     assert_allclose(-sol.objective, 1.0, atol=1e-9)
 
 
 def test_primal_square_value_is_half():
-    sol = solve_lp(build_primal(uniform_vertex_ensemble(4)))
+    sol = solve_lp(measurement_lp(uniform_vertex_ensemble(4)))
     assert_allclose(-sol.objective, 0.5, atol=1e-9)
 
 
@@ -82,7 +82,7 @@ def test_average_state_is_dual_feasible_with_value_one():
     assert margins.min() >= -1e-12
     assert_allclose(float(ensemble.model.unit_effect @ k), 1.0, atol=1e-12)
     # The measurement LP's multipliers give the dual value -b.y = u[K].
-    problem = build_primal(ensemble)
+    problem = measurement_lp(ensemble)
     assert -float(problem.eq_rhs @ solve_lp(problem).y) <= 1.0 + 1e-12
 
 
@@ -413,9 +413,9 @@ def test_restricted_effects_force_trivial_guessing():
 
 def test_measurement_reconstruction_matches_generators():
     ensemble = uniform_vertex_ensemble(3)
-    problem = build_primal(ensemble)
+    problem = measurement_lp(ensemble)
     sol = solve_lp(problem)
-    total = (measurement_from_primal(ensemble, sol.x) @ ensemble.model.effect_gens).sum(axis=0)
+    total = (measurement_from_primal(reward_matrix(ensemble), sol.x) @ ensemble.model.effect_gens).sum(axis=0)
     assert_allclose(total, ensemble.model.unit_effect, atol=1e-12)
 
 
@@ -435,7 +435,7 @@ def test_collapsed_lp_certifies_the_full_measurement_lp():
     # every c[x, j], certified by the same multipliers y.
     for ensemble in full_lp_ensembles():
         dim, g = ensemble.model.dim, ensemble.model.effect_gens.shape[0]
-        problem = build_primal(ensemble)
+        problem = measurement_lp(ensemble)
         assert problem.eq_matrix.shape == (dim, g)
         sol = solve_lp(problem)
         assert check_certificate(problem, sol)
@@ -445,7 +445,7 @@ def test_collapsed_lp_certifies_the_full_measurement_lp():
         scattered[owner, np.arange(g)] = sol.x
         lifted = LpSolution(OPTIMAL, x=scattered.reshape(-1), objective=sol.objective, y=sol.y)
         assert check_certificate(full, lifted), (ensemble.model.dim, ensemble.n_states)
-        assert_allclose(measurement_from_primal(ensemble, sol.x), scattered, atol=0.0)
+        assert_allclose(measurement_from_primal(reward_matrix(ensemble), sol.x), scattered, atol=0.0)
 
 
 def test_uniform_polygons_match_axis_operator_through_order_128():
@@ -551,6 +551,22 @@ def test_certified_pipeline_dualizes_only_the_state_cone(monkeypatch):
         calls.clear()
         _restricted_pipeline(Ensemble(model=model, states=model.state_gens, priors=np.full(order, 1.0 / order)))
         assert calls == [order]
+
+
+@pytest.mark.parametrize("order", [4, 5])
+def test_zero_and_rescaled_effect_generators_change_no_answer(order):
+    # A zero row and a copy of generator 1 at 0.4 times its scale leave the effect cone as it is.
+    plain = polygon_model(order)
+    padded = dataclasses.replace(plain, effect_gens=np.vstack([plain.effect_gens, np.zeros(3), 0.4 * plain.effect_gens[1]]))
+    answers = []
+    for model in (plain, padded):
+        report = validate_model(model)
+        ensemble = Ensemble(model=model, states=model.state_gens, priors=np.full(order, 1.0 / order))
+        sol = solve_discrimination(ensemble)
+        answers.append(((report.issues, report.warnings, report.unrestricted_effects), sol.p_guess))
+        assert verify_kkt(ensemble, sol).passes()
+    assert answers[0][0] == answers[1][0] == ([], [], True)
+    assert answers[0][1] == pytest.approx(answers[1][1], abs=1e-12)
 
 
 def test_eight_dimensional_polytope_never_dualizes_its_effect_generators(monkeypatch):

@@ -12,11 +12,10 @@ from gptdisc import (
 )
 import gptdisc.lp as lp_module
 from gptdisc.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
-from gptdisc.discrimination import build_primal
 from gptdisc.oracle import brute_force_lp
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
-from conftest import random_polygon_ensemble, slack_form
+from conftest import measurement_lp, random_polygon_ensemble, slack_form
 
 
 def test_simplex_equality_split():
@@ -36,7 +35,7 @@ def test_inequality_converter_adds_slack():
 def test_square_ensemble_dual_value_is_half():
     # Uniform four-state instance: the symmetry-operator value -b.y, read
     # from the measurement LP's multipliers, is 1/2.
-    problem = build_primal(uniform_vertex_ensemble(4))
+    problem = measurement_lp(uniform_vertex_ensemble(4))
     sol = solve_lp(problem)
     assert sol.status == OPTIMAL
     assert_allclose(-float(problem.eq_rhs @ sol.y), 0.5, atol=1e-9)
@@ -182,9 +181,9 @@ def test_pivot_sequence_matches_the_recorded_sequence(monkeypatch):
         "no-measurement-0.3": [(0, 0), (0, 1), (1, 2), (2, 0)],
         "degenerate": [(0, 0), (1, 1), (0, 2), (1, 3), (2, 0), (1, 4)],
     }
-    problems = {f"uniform{n}": build_primal(uniform_vertex_ensemble(n)) for n in (3, 8, 13, 24)}
-    problems.update({f"mixed{seed}": build_primal(random_polygon_ensemble(np.random.default_rng(seed))) for seed in range(4)})
-    problems.update({f"no-measurement-{p}": build_primal(no_measurement_ensemble(p)) for p in (0.1, 0.3)})
+    problems = {f"uniform{n}": measurement_lp(uniform_vertex_ensemble(n)) for n in (3, 8, 13, 24)}
+    problems.update({f"mixed{seed}": measurement_lp(random_polygon_ensemble(np.random.default_rng(seed))) for seed in range(4)})
+    problems.update({f"no-measurement-{p}": measurement_lp(no_measurement_ensemble(p)) for p in (0.1, 0.3)})
     problems["degenerate"] = _degenerate_lp()
     pivot = lp_module._pivot
     pivots = []

@@ -12,21 +12,24 @@ from gptdisc import (
     InvalidInputError,
     PolyhedralCone,
     cones_equal,
-    evaluate,
     member_of,
     polygon_model,
     solve_discrimination,
     validate_ensemble,
     validate_model,
+    verify_kkt,
 )
 from gptdisc.errors import finite_array
 from gptdisc.lp import LpProblem
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
 from conftest import (
+    boxworld_model,
     counted_dual_cones,
     cross_polytope_model,
+    evaluate,
     hypercube_model,
+    random_polygon_ensemble,
     random_polytope_model,
 )
 
@@ -321,7 +324,7 @@ def test_validation_never_computes_effect_facets(monkeypatch):
             report = validate_model(model)
             assert report.issues == [] and report.unrestricted_effects is (lps == 0)
             assert len(calls) == lps
-            assert "facets" not in vars(model.effect_cone)
+            assert "effect_cone" not in vars(model)
 
 
 def test_validated_effect_membership_agrees_with_a_fresh_cone():
@@ -371,40 +374,66 @@ EMPTY = np.zeros((0, 3))
 PLANE = np.array([[0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0, -1.0]])
 
 
-@pytest.mark.parametrize(
-    "model, issues, warnings, unrestricted",
-    [
-        pytest.param(
-            GptModel(dim=3, state_gens=SQUARE.state_gens, effect_gens=EMPTY, unit_effect=SQUARE.unit_effect),
-            [U_OUTSIDE], [RESTRICTED], False, id="no-effects",
-        ),
-        pytest.param(
-            GptModel(dim=3, state_gens=EMPTY, effect_gens=SQUARE.effect_gens, unit_effect=SQUARE.unit_effect),
-            [], [RANK_0, RESTRICTED], False, id="no-states",
-        ),
-        pytest.param(
-            GptModel(dim=3, state_gens=EMPTY, effect_gens=np.vstack([np.eye(3), -np.eye(3)]), unit_effect=SQUARE.unit_effect),
-            [], [RANK_0], True, id="no-states-all-effects",
-        ),
-        pytest.param(
-            GptModel(dim=3, state_gens=EMPTY, effect_gens=EMPTY, unit_effect=SQUARE.unit_effect),
-            [U_OUTSIDE], [RANK_0, RESTRICTED], False, id="both-empty",
-        ),
-        pytest.param(
-            _padded_square(np.vstack([SQUARE_EFFECTS_D4, np.eye(4)[3], -np.eye(4)[3]])),
-            [], [RANK_3], True, id="rank-deficient-with-line",
-        ),
-        pytest.param(_padded_square(SQUARE_EFFECTS_D4), [], [RANK_3, RESTRICTED], False, id="rank-deficient"),
-        pytest.param(
-            # -e_4 and -e_5, two of the state facets, match no effect generator and are decided by membership.
-            _padded_square(np.vstack([np.hstack([SQUARE.effect_gens, np.zeros((4, 2))]), PLANE])),
-            [], ["state cone is not full-dimensional (rank 3 < 5)"], True, id="rank-deficient-with-plane",
-        ),
-    ],
-)
+REPORT_CASES = [
+    pytest.param(
+        GptModel(dim=3, state_gens=SQUARE.state_gens, effect_gens=EMPTY, unit_effect=SQUARE.unit_effect),
+        [U_OUTSIDE], [RESTRICTED], False, id="no-effects",
+    ),
+    pytest.param(
+        GptModel(dim=3, state_gens=EMPTY, effect_gens=SQUARE.effect_gens, unit_effect=SQUARE.unit_effect),
+        [], [RANK_0, RESTRICTED], False, id="no-states",
+    ),
+    pytest.param(
+        GptModel(dim=3, state_gens=EMPTY, effect_gens=np.vstack([np.eye(3), -np.eye(3)]), unit_effect=SQUARE.unit_effect),
+        [], [RANK_0], True, id="no-states-all-effects",
+    ),
+    pytest.param(
+        GptModel(dim=3, state_gens=EMPTY, effect_gens=EMPTY, unit_effect=SQUARE.unit_effect),
+        [U_OUTSIDE], [RANK_0, RESTRICTED], False, id="both-empty",
+    ),
+    pytest.param(
+        _padded_square(np.vstack([SQUARE_EFFECTS_D4, np.eye(4)[3], -np.eye(4)[3]])),
+        [], [RANK_3], True, id="rank-deficient-with-line",
+    ),
+    pytest.param(_padded_square(SQUARE_EFFECTS_D4), [], [RANK_3, RESTRICTED], False, id="rank-deficient"),
+    pytest.param(
+        # -e_4 and -e_5, two of the state facets, match no effect generator and are decided by membership.
+        _padded_square(np.vstack([np.hstack([SQUARE.effect_gens, np.zeros((4, 2))]), PLANE])),
+        [], ["state cone is not full-dimensional (rank 3 < 5)"], True, id="rank-deficient-with-plane",
+    ),
+]
+
+
+@pytest.mark.parametrize("model, issues, warnings, unrestricted", REPORT_CASES)
 def test_empty_and_rank_deficient_models_keep_their_reports(model, issues, warnings, unrestricted):
     report = validate_model(model)
     assert (report.issues, report.warnings, report.unrestricted_effects) == (issues, warnings, unrestricted)
+
+
+def test_certified_pipeline_runs_no_svd_and_builds_no_effect_cone(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pipeline ran an SVD")
+
+    ensembles = [uniform_vertex_ensemble(order) for order in range(3, 25)]
+    ensembles.append(random_polygon_ensemble(np.random.default_rng(7)))
+    models = [hypercube_model(3), boxworld_model()] + [dataclasses.replace(case.values[0]) for case in REPORT_CASES]
+    for model in models:  # built first: boxworld_model itself runs an SVD
+        k = len(model.state_gens)
+        ensembles.append(Ensemble(model=model, states=model.state_gens, priors=np.full(k, 1.0 / max(k, 1))))
+    monkeypatch.setattr(np.linalg, "matrix_rank", forbidden)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    calls = counted_dual_cones(monkeypatch)
+    certified = 0
+    for ensemble in ensembles:
+        calls.clear()
+        model = ensemble.model
+        if validate_model(model).valid and ensemble.n_states:
+            assert validate_ensemble(ensemble).valid
+            assert verify_kkt(ensemble, solve_discrimination(ensemble)).passes()
+            certified += 1
+        assert "effect_cone" not in vars(model)
+        assert calls == [model.state_cone.n_generators]
+    assert certified == len(ensembles) - 4  # "no-effects" is invalid, and three models have no states
 
 
 def _unrestricted_check_models():
