@@ -8,7 +8,10 @@ arithmetic alone, so no LP is solved.  The facets of a cone are the
 generators of its dual, computed at most once per cone object, and the
 dual's lines give the rank of the generators; one matrix product against
 the facets decides membership of every row of a point matrix.
-The work of a dual is bounded by ``MAX_DUAL_ENTRIES``, not by the dimension.
+:func:`certified_facets` reads the facets off given candidate normals
+instead, when their tight sets prove that they are all the facets; only a
+cone that fails that certificate needs the double description, whose work
+is bounded by ``MAX_DUAL_ENTRIES``, not by the dimension.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ def _dedupe_rays(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rays[nonzero][kept], units[kept]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyhedralCone:
     """Convex cone generated by nonnegative combinations of ``generators``.
 
@@ -54,13 +57,13 @@ class PolyhedralCone:
     generators scaled to unit length as ``units``.  ``lineality`` is the
     dimension of the cone's lineality space when :func:`dual_cone` built
     the cone (its last ``2 * lineality`` generators are the lines ``l, -l``),
-    else None.
+    0 for certified facets, else None.
     """
 
     dim: int
     generators: np.ndarray
-    units: np.ndarray = field(init=False, repr=False, compare=False)
-    lineality: int | None = field(default=None, init=False, repr=False, compare=False)
+    units: np.ndarray = field(init=False, repr=False)
+    lineality: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -88,7 +91,7 @@ class PolyhedralCone:
 
     @cached_property
     def dual(self) -> PolyhedralCone:
-        """The dual cone, computed at most once per cone object."""
+        """The dual cone, computed at most once per cone object; a model's state cone may come with it set."""
         return dual_cone(self)
 
     @property
@@ -208,6 +211,45 @@ def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
             tight[holes[: len(tail)], : j + 1] = tight[tail, : j + 1]
         count = end
     return PolyhedralCone._of_unit_rays(d, np.concatenate([rays[:count], lines, -lines]), len(lines))
+
+
+def certified_facets(cone: PolyhedralCone, normals: np.ndarray) -> np.ndarray | None:
+    """The unit facet normals of ``cone`` among the unit rows of ``normals``, or None when that is not certain.
+
+    A candidate is a row that is nonnegative on every unit generator of the
+    cone and tight on exactly ``d - 1`` of them, which are independent (a
+    nonzero determinant with the row): it is a simplicial facet.  When at
+    least ``d`` candidates have pairwise distinct tight sets and every ridge,
+    a tight set less one generator, lies in exactly two of them, the
+    candidates are closed under adjacency in the facet-ridge graph.  That
+    graph is connected (Balinski 1961), so they are all the facets and the
+    cone is pointed with rank ``d``.  Anything else returns None, for
+    :func:`dual_cone` to decide: non-simplicial facets, missing, repeated or
+    parallel facet normals, non-extreme generators and rank-deficient cones.
+    """
+    d, gens = cone.dim, cone.units
+    products = normals @ gens.T
+    tight = np.abs(products) <= _TIGHT
+    candidate = (products >= -_TIGHT).all(axis=1) & (tight.sum(axis=1) == d - 1)
+    facets, tight = normals[candidate], tight[candidate]
+    if d < 2 or len(facets) < d:
+        return None
+    sets = tight.nonzero()[1].reshape(len(facets), d - 1)  # each candidate's tight generators, ascending
+    if not (np.abs(np.linalg.det(np.concatenate([gens[sets], facets[:, None]], axis=1))) > _TIGHT).all():
+        return None
+    others = (~np.eye(d - 1, dtype=bool)).nonzero()[1].reshape(d - 1, d - 2)  # row k: the positions but k
+    ridges = _sorted_rows(sets[:, others].reshape(len(sets) * (d - 1), d - 2))
+    sets = _sorted_rows(sets)
+    if (sets[1:] == sets[:-1]).all(axis=1).any() or len(ridges) % 2:
+        return None
+    # Sorted, each ridge lies in exactly two facets when rows 2i and 2i + 1 are equal and 2i + 1 and 2i + 2 are not.
+    paired = (ridges[::2] == ridges[1::2]).all() and (ridges[1:-1:2] != ridges[2::2]).any(axis=1).all()
+    return facets if paired else None
+
+
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows of an integer matrix in lexicographic order."""
+    return rows[np.lexsort(rows.T[::-1])] if rows.shape[1] else rows
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:

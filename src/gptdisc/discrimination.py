@@ -33,7 +33,7 @@ from .lp import OPTIMAL, LpProblem, check_certificate, solve_lp
 from .model import DEFAULT_TOL, Ensemble, GptModel, check_tol, validate_ensemble, validate_model
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplementaryPair:
     """Weight ``r`` and normalized complementary state ``d`` for one outcome.
 
@@ -49,7 +49,7 @@ class ComplementaryPair:
         return self.d is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscriminationSolution:
     """Optimal discrimination data: value, measurement coefficients ``C``, symmetry operator ``K``, pairs.
 
@@ -65,9 +65,9 @@ class DiscriminationSolution:
     coefficients: np.ndarray
     symmetry_operator: np.ndarray
     complementary: tuple[ComplementaryPair, ...]
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-    stated: np.ndarray = field(init=False, repr=False, compare=False)
-    stated_d: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False)
+    stated: np.ndarray = field(init=False, repr=False)
+    stated_d: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n, (g, dim) = self.ensemble.n_states, self.ensemble.model.effect_gens.shape
@@ -84,7 +84,7 @@ class DiscriminationSolution:
         object.__setattr__(self, "stated_d", d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KktReport:
     """Residuals of every optimality condition and every claimed value, recomputed from scratch.
 

@@ -22,7 +22,7 @@ class PreconditionError(GptDiscError, ValueError):
 
 
 class UnsupportedSizeError(GptDiscError, ValueError):
-    """Problem size exceeds the work bound of the brute-force oracle or of ``dual_cone`` (so of any facet read)."""
+    """Problem size exceeds the work bound of the brute-force oracle or of ``dual_cone`` (so of any uncertified facet read)."""
 
 
 class UndefinedRatioError(GptDiscError, ValueError):

@@ -32,7 +32,7 @@ PIVOT_FLOOR = 1e-12
 _MAX_ITER = 20_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpProblem:
     """Standard-form linear program: minimize ``objective . x`` s.t. ``eq_matrix x = eq_rhs``, ``x >= 0``."""
 
@@ -52,7 +52,7 @@ class LpProblem:
         return self.eq_matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     """Solver output; ``x``/``y`` are None unless optimal."""
 

@@ -10,7 +10,10 @@ States are stored normalized (``u[w] = 1``); validation reports
 unnormalized inputs as errors instead of silently rescaling them.  The
 effect cone is the one generated by the *supplied* effect generators;
 validation additionally reports whether that cone coincides with the
-full dual of the state cone (the unrestricted-effects reading).
+full dual of the state cone (the unrestricted-effects reading).  The
+state cone's facets are read off the effect generators when those
+certify them (every facet simplicial and among the generators), and
+come from the double description of the state generators otherwise.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cone import PolyhedralCone, inside, unit_rows
+from .cone import PolyhedralCone, certified_facets, inside, unit_rows
 from .errors import InvalidInputError, finite_array
 from .lp import feasibility_gap
 
@@ -35,7 +38,7 @@ def check_tol(tol: float) -> None:
         raise InvalidInputError(f"tol must lie in (0, {MAX_TOL:g}], got {tol!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GptModel:
     """A finitely generated GPT: state/effect cone generators and the unit effect."""
 
@@ -53,14 +56,19 @@ class GptModel:
 
     @cached_property
     def state_cone(self) -> PolyhedralCone:
-        return PolyhedralCone(self.dim, self.state_gens)
+        """The cone of the state generators, with its dual already set when the effect generators certify its facets."""
+        cone = PolyhedralCone(self.dim, self.state_gens)
+        facets = certified_facets(cone, unit_rows(self.effect_gens)[1])
+        if facets is not None:
+            vars(cone)["dual"] = PolyhedralCone._of_unit_rays(self.dim, facets, 0)
+        return cone
 
     @cached_property
     def effect_cone(self) -> PolyhedralCone:
         return PolyhedralCone(self.dim, self.effect_gens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """A discrimination instance: N states of a model with prior probabilities."""
 
@@ -105,10 +113,11 @@ def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationRepor
     dual of the state cone: every pairing is nonnegative and every state
     facet lies within ``tol`` of a unit effect generator (``effect_gens``
     normalized once in place, zero rows left out) or else in the effect cone
-    by :func:`feasibility_gap`, tried facet by facet until one fails.  Only
-    the state cone is dualized, and no effect cone is built; past
-    ``MAX_DUAL_ENTRIES`` it raises :class:`UnsupportedSizeError`, and a
-    ``tol`` outside ``(0, MAX_TOL]`` raises :class:`InvalidInputError`.
+    by :func:`feasibility_gap`, tried facet by facet until one fails.  No
+    effect cone is built, and the state cone is dualized only when the effect
+    generators do not certify its facets; past ``MAX_DUAL_ENTRIES`` that
+    raises :class:`UnsupportedSizeError`, and a ``tol`` outside
+    ``(0, MAX_TOL]`` raises :class:`InvalidInputError`.
     """
     check_tol(tol)
     report = ValidationReport()

@@ -26,7 +26,7 @@ MAX_ORACLE_CONSTRAINTS = 60
 ORACLE_FEASIBILITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleResult:
     """Exhaustively determined guessing probability and minimizing vertex."""
 

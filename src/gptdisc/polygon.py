@@ -69,7 +69,7 @@ def demo_n3() -> DiscriminationSolution:
     return solve_discrimination(uniform_vertex_ensemble(3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DemoN4Result:
     """Square-demo output: the solved instance plus the alternate optimal measurements."""
 

@@ -13,6 +13,8 @@ from gptdisc.oracle import OracleResult
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 from gptdisc.serialize import dumps, ensemble_to_dict, model_to_dict
 
+from conftest import hypercube_model
+
 
 @pytest.fixture
 def square_files(tmp_path):
@@ -336,16 +338,21 @@ def test_solve_past_the_dual_cone_cap_exits_one_with_an_error_line(tmp_path, cap
     ensemble_path.write_text(dumps(ensemble_to_dict(Ensemble(model=model, states=square.state_gens[:2], priors=[0.5, 0.5]))))
     polygon_path = tmp_path / "polygon.json"  # the order-12 polygon: twelve state generators
     polygon_path.write_text(dumps(ensemble_to_dict(uniform_vertex_ensemble(12))))
+    cube = hypercube_model(3)  # eight state generators; its square facets fail the certificate
+    cube_path = tmp_path / "cube.json"
+    cube_path.write_text(dumps(ensemble_to_dict(Ensemble(model=cube, states=cube.state_gens, priors=np.full(8, 0.125)))))
     # The square's state dual stays under 10 entries, and no path dualizes the twelve effect generators.
     monkeypatch.setattr("gptdisc.cone.MAX_DUAL_ENTRIES", 10)
     assert main(["solve", str(ensemble_path), "--oracle"]) == 0
+    # The effect generators certify the 12-gon's state facets, so no double description runs.
+    assert main(["solve", str(polygon_path), "--oracle"]) == 0
     capsys.readouterr()
-    # The 12-gon's state dual does not.
-    assert main(["solve", str(polygon_path), "--oracle"]) == 1
+    # The cube's state dual does not stay under the cap.
+    assert main(["solve", str(cube_path), "--oracle"]) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert captured.out == "" and len(lines) == 1  # no "oracle skipped" warning
-    assert lines[0] == "error: dual cone product has 12 entries, over MAX_DUAL_ENTRIES = 10 at cut 7 of 12"
+    assert lines[0] == "error: dual cone product has 15 entries, over MAX_DUAL_ENTRIES = 10 at cut 7 of 8"
 
 
 def _square_solution(square_files, tmp_path):

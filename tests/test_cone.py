@@ -17,6 +17,7 @@ from gptdisc import (
     polygon_model,
 )
 import gptdisc.cone as cone_module
+from gptdisc.cone import unit_rows
 from gptdisc.lp import feasibility_gap
 from gptdisc.polygon import no_measurement_ensemble
 
@@ -380,6 +381,87 @@ def test_dual_of_random_polytope_state_cone_is_exact(seed):
     d = 3 + seed % 4
     cone = random_polytope_model(np.random.default_rng(seed), d, d + 2 + seed % 7).state_cone
     _assert_exact_dual(cone, _extreme_generators(cone))
+
+
+def _certificate(states, effects) -> np.ndarray | None:
+    states, effects = np.asarray(states, dtype=float), np.asarray(effects, dtype=float)
+    return cone_module.certified_facets(PolyhedralCone(states.shape[1], states), unit_rows(effects)[1])
+
+
+def _certified_models(family):
+    if family == "polygon":
+        yield from (polygon_model(order) for order in [*range(3, 65), 128, 256])
+    elif family == "polytope":  # the 300 polytope seeds of test_discrimination.py, and three larger ones
+        yield from (random_polytope_model(np.random.default_rng(s), 3 + s % 4, 5 + s % 4 + s % 7) for s in range(300))
+        yield from (random_polytope_model(np.random.default_rng(1), d, k) for d, k in ((6, 20), (7, 21), (8, 20)))
+    else:
+        yield from (cross_polytope_model(n) for n in range(2, 8))
+
+
+@pytest.mark.parametrize("family", ["polygon", "polytope", "cross-polytope"])
+def test_certified_facets_are_the_dual_cone_facets(family):
+    for model in _certified_models(family):
+        certified = model.state_cone.dual  # set by the certificate, so no double description ran
+        computed = dual_cone(PolyhedralCone(model.dim, model.state_gens))
+        assert certified.lineality == computed.lineality == 0
+        _assert_constructor_would_keep(certified)
+        assert same_generator_set(certified, computed, 1e-9)
+
+
+def test_certificate_refuses_cubes_and_boxworld():
+    # No facet of an n-cube (n >= 3) or of boxworld is simplicial, so no effect generator is a candidate.
+    for model in [*(hypercube_model(n) for n in range(3, 8)), boxworld_model()]:
+        assert _certificate(model.state_gens, model.effect_gens) is None
+        assert "dual" not in vars(model.state_cone)
+
+
+def test_certificate_refuses_a_rank_deficient_pair():
+    # Both effects are tight on both states, which are independent with either: the tight sets repeat.
+    states = [[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]]
+    assert _certificate(states, [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]) is None
+    assert _certificate(states, [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]) is None
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_certificate_refuses_parallel_or_duplicated_effect_generators(scale):
+    # In d = 2 each ridge is empty, so only distinct tight sets tell the orthant's two facets from one repeated.
+    assert _certificate(np.eye(2), [[1.0, 0.0], [scale, 0.0]]) is None
+    assert _certificate(np.eye(2), [[1.0, 0.0], [0.0, scale]]).shape == (2, 2)
+    for order in (4, 5, 9):
+        effects = polygon_model(order).effect_gens
+        assert _certificate(polygon_model(order).state_gens, np.vstack([effects, scale * effects[1]])) is None
+
+
+@pytest.mark.parametrize("order", range(3, 25))
+def test_certificate_refuses_an_edge_midpoint_state(order):
+    model = polygon_model(order)
+    midpoint = (model.state_gens[0] + model.state_gens[1]) / 2.0
+    assert _certificate(np.vstack([model.state_gens, midpoint]), model.effect_gens) is None
+
+
+@pytest.mark.parametrize("order", range(4, 62))
+def test_certificate_refuses_every_other_effect(order):
+    model = polygon_model(order)
+    assert _certificate(model.state_gens, model.effect_gens[::2]) is None
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_certificate_refuses_a_cross_polytope_missing_one_facet(n):
+    # 2^n - 1 candidates of n ridges each: an odd ridge count for odd n, an unpaired ridge for every n.
+    model = cross_polytope_model(n)
+    assert _certificate(model.state_gens, model.effect_gens[1:]) is None
+
+
+def test_certificate_refuses_a_candidate_negative_on_a_state():
+    # Facets v2v3 and v3v0 of the square, and the diagonal v0v2 facing v3, pair every ridge of the triangle v0v2v3.
+    states = polygon_model(4).state_gens
+    effects = polygon_model(4).effect_gens
+    facets = effects[np.abs(states[1] @ effects.T) > 1e-9]  # the two facets away from v1
+    diagonal = np.cross(states[0], states[2])
+    diagonal *= np.sign(diagonal @ states[3])  # negative on v1
+    assert len(facets) == 2 and diagonal @ states[1] < 0.0
+    assert _certificate(states[[0, 2, 3]], np.vstack([facets, diagonal])).shape == (3, 3)
+    assert _certificate(states, np.vstack([facets, diagonal])) is None
 
 
 def test_cut_that_removes_no_ray_still_marks_its_tight_rays(monkeypatch):

@@ -544,7 +544,7 @@ def test_certified_pipeline_dualizes_only_the_state_cone(monkeypatch):
     for order in range(3, 33):
         calls.clear()
         _certified_pipeline(uniform_vertex_ensemble(order))
-        assert calls == [order]
+        assert calls == []  # the effect generators certify the state facets
     for order in range(4, 33):  # every other effect: a restricted effect cone, decided without its dual
         model = polygon_model(order)
         model = dataclasses.replace(model, effect_gens=model.effect_gens[::2])
@@ -574,7 +574,7 @@ def test_eight_dimensional_polytope_never_dualizes_its_effect_generators(monkeyp
     assert model.effect_gens.shape[0] == 504
     calls = counted_dual_cones(monkeypatch)
     _certified_pipeline(Ensemble(model=model, states=model.state_gens, priors=np.full(20, 1.0 / 20.0)))
-    assert calls == [20]
+    assert calls == []  # the effect generators certify the state facets
     # Without effect generator 0 these effect cones are restricted; their duals took seconds or passed
     # MAX_DUAL_ENTRIES, but only the state cone is dualized, and the optimum stays the unrestricted one.
     for d, k in ((8, 20), (8, 24), (9, 18)):
@@ -665,7 +665,8 @@ def test_reference_family_solves_to_the_axis_value_with_one_dual(family, n, monk
     k = model.state_gens.shape[0]
     ensemble = Ensemble(model=model, states=model.state_gens, priors=np.full(k, 1.0 / k))
     _certified_pipeline(ensemble)
-    assert calls == [k]
+    # An n-cube's facets are (n - 1)-cubes, simplicial only for the square: only larger cubes dualize their states.
+    assert calls == ([k] if family is hypercube_model and n >= 3 else [])
     u = model.unit_effect
     p_guess = solve_discrimination(ensemble).p_guess
     assert p_guess == pytest.approx(float(u @ symmetric_axis_k(ensemble, u)), abs=1e-9)
@@ -750,4 +751,4 @@ def test_nine_dimensional_simplex_validates_with_one_dual(monkeypatch):
     # Outcomes 0, 1, 2 guess their vertex; the other six guess the mixture: 0.8 + 6 * 0.2 / 9.
     assert sol.p_guess == pytest.approx(14.0 / 15.0, abs=1e-9)
     assert verify_kkt(ensemble, sol).passes()
-    assert calls == [9]
+    assert calls == []  # each facet is tight on eight independent vertices, so the effect generators certify it

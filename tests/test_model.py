@@ -7,11 +7,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gptdisc import (
+    ComplementaryPair,
     Ensemble,
     GptModel,
     InvalidInputError,
+    LpSolution,
+    OracleResult,
     PolyhedralCone,
     cones_equal,
+    demo_n4,
     member_of,
     polygon_model,
     solve_discrimination,
@@ -202,6 +206,30 @@ def test_immutability_of_model_arrays():
         model.state_gens[0, 0] = 99.0
 
 
+def _equal_valued_pairs():
+    """Two instances with equal values of every dataclass whose fields hold arrays."""
+    ensemble = uniform_vertex_ensemble(4)
+    solutions = [solve_discrimination(ensemble) for _ in range(2)]
+    yield [PolyhedralCone(3, np.eye(3)) for _ in range(2)]
+    yield [polygon_model(4) for _ in range(2)]
+    yield [uniform_vertex_ensemble(4) for _ in range(2)]
+    yield [ComplementaryPair(r=0.5, d=np.array([0.0, 0.0, 1.0])) for _ in range(2)]
+    yield solutions
+    yield [verify_kkt(ensemble, solutions[0]) for _ in range(2)]
+    yield [LpProblem([1.0, 2.0], [[1.0, 1.0]], [1.0]) for _ in range(2)]
+    yield [LpSolution("optimal", x=np.array([1.0, 0.0]), objective=1.0, y=np.array([1.0])) for _ in range(2)]
+    yield [OracleResult(p_guess=0.5, k=np.array([0.0, 0.0, 0.5]), vertices_examined=1) for _ in range(2)]
+    yield [demo_n4() for _ in range(2)]
+
+
+@pytest.mark.parametrize("pair", list(_equal_valued_pairs()), ids=lambda pair: type(pair[0]).__name__)
+def test_array_dataclasses_compare_and_hash_by_identity(pair):
+    # Field-wise equality would compare arrays inside a tuple, which raises ValueError.
+    a, b = pair
+    assert a == a and a != b and not a == b
+    assert len({a, b, a}) == 2
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -292,8 +320,13 @@ def test_validate_model_solves_no_lp_and_one_dual(monkeypatch):
     for order in range(3, 33):
         calls.clear()
         assert validate_model(polygon_model(order)).valid
-        # Only the state cone is dualized: the unrestricted effect cone's facets are the state generators.
-        assert calls == [order]
+        # The effect generators certify the state facets, so nothing is dualized.
+        assert calls == []
+    for n in range(3, 6):
+        calls.clear()
+        assert validate_model(hypercube_model(n)).valid
+        # The cube's facets are not simplicial: only its state cone is dualized.
+        assert calls == [2**n]
 
 
 def _reference_models():
@@ -416,6 +449,7 @@ def test_certified_pipeline_runs_no_svd_and_builds_no_effect_cone(monkeypatch):
 
     ensembles = [uniform_vertex_ensemble(order) for order in range(3, 25)]
     ensembles.append(random_polygon_ensemble(np.random.default_rng(7)))
+    n_certified = len(ensembles)  # the polygons' state facets are certified; the models below fail the certificate
     models = [hypercube_model(3), boxworld_model()] + [dataclasses.replace(case.values[0]) for case in REPORT_CASES]
     for model in models:  # built first: boxworld_model itself runs an SVD
         k = len(model.state_gens)
@@ -424,7 +458,7 @@ def test_certified_pipeline_runs_no_svd_and_builds_no_effect_cone(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", forbidden)
     calls = counted_dual_cones(monkeypatch)
     certified = 0
-    for ensemble in ensembles:
+    for i, ensemble in enumerate(ensembles):
         calls.clear()
         model = ensemble.model
         if validate_model(model).valid and ensemble.n_states:
@@ -432,7 +466,7 @@ def test_certified_pipeline_runs_no_svd_and_builds_no_effect_cone(monkeypatch):
             assert verify_kkt(ensemble, solve_discrimination(ensemble)).passes()
             certified += 1
         assert "effect_cone" not in vars(model)
-        assert calls == [model.state_cone.n_generators]
+        assert calls == ([] if i < n_certified else [model.state_cone.n_generators])
     assert certified == len(ensembles) - 4  # "no-effects" is invalid, and three models have no states
 
 

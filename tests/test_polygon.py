@@ -133,10 +133,9 @@ def test_scan_computes_the_square_facets_once_per_process(monkeypatch):
     calls = counted_dual_cones(monkeypatch)
     threshold_scan([0.0, 0.25, 0.5])
     threshold_scan([0.75, 1.0])
-    # Every grid point and bisection step shares one square model, so its
-    # state cone's double description runs at most once (none if an
-    # earlier test already ran it in this process).
-    assert len(calls) <= 1
+    # Every grid point and bisection step shares one square model, whose
+    # state facets the effect generators certify: no double description runs.
+    assert calls == []
     assert no_measurement_ensemble(0.2).model is no_measurement_ensemble(0.5).model
 
 
