@@ -35,7 +35,6 @@ from .model import DEFAULT_TOL, MAX_TOL, validate_ensemble, validate_model
 from .oracle import dual_vertex_enumeration
 from .serialize import (
     dumps,
-    format_real,
     load_ensemble,
     load_json,
     load_model,
@@ -152,11 +151,11 @@ def _demo_no_measurement(out: str) -> None:
         _oracle_agreement(polygon_mod.no_measurement_ensemble(p), p_guess, context=f"at p={p:g}: ")
     lines = ["p,p_guess,no_measurement_optimal"]
     for p, p_guess, flag in scan.rows:
-        lines.append(f"{format_real(p)},{format_real(p_guess)},{str(flag).lower()}")
+        lines.append(f"{float(p)!r},{float(p_guess)!r},{str(flag).lower()}")
     _write_out(out, "\n".join(lines) + "\n")
-    print(f"measured no-measurement threshold p* = {format_real(scan.p_star)}", file=sys.stderr)
-    print("closed-form dual-feasibility bound =", format_real(polygon_mod.AXIS_FEASIBILITY_THRESHOLD), file=sys.stderr)
-    print("quantum-analogue threshold =", format_real(polygon_mod.QUANTUM_ANALOGUE_THRESHOLD), file=sys.stderr)
+    print(f"measured no-measurement threshold p* = {float(scan.p_star)!r}", file=sys.stderr)
+    print(f"closed-form dual-feasibility bound = {polygon_mod.AXIS_FEASIBILITY_THRESHOLD!r}", file=sys.stderr)
+    print(f"quantum-analogue threshold = {polygon_mod.QUANTUM_ANALOGUE_THRESHOLD!r}", file=sys.stderr)
 
 
 def cmd_verify(args) -> None:
@@ -190,7 +189,7 @@ def cmd_export_vertices(args) -> None:
     lines = [header]
     for kind, rows in (("state", model.state_gens), ("effect", model.effect_gens)):
         for index, row in enumerate(rows):
-            coords = ",".join(format_real(v) for v in row)
+            coords = ",".join(map(repr, row.tolist()))
             lines.append(f"{kind},{index},{coords}")
     _write_out(args.out, "\n".join(lines) + "\n")
 

@@ -63,10 +63,6 @@ class GptModel:
             vars(cone)["dual"] = PolyhedralCone._of_unit_rays(self.dim, facets, 0)
         return cone
 
-    @cached_property
-    def effect_cone(self) -> PolyhedralCone:
-        return PolyhedralCone(self.dim, self.effect_gens)
-
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:

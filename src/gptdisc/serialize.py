@@ -1,7 +1,10 @@
-"""File schemas and deterministic JSON/CSV formatting.
+"""File schemas, deterministic JSON output and the file loaders.
 
-All reals are printed with 17 significant digits so that round-tripping
-through text reproduces the exact double.  Model files carry the cone
+:func:`dumps` writes one line through the standard library's ``json``
+encoder: keys keep their insertion order, and each real is Python's
+shortest text that reads back as the same double (an integral real
+keeps its ``.0``, and ``-0.0`` its sign).  A NaN or infinite real has no
+JSON form and raises instead of being written.  Model files carry the cone
 generators and unit effect; ensemble files reference a model inline or
 by path (resolved relative to the ensemble file).  The loaders read
 standard input when the source is ``-``.  Reports and complementary
@@ -25,52 +28,25 @@ from .model import Ensemble, GptModel
 from .oracle import OracleResult
 
 
-def format_real(value: float) -> str:
-    """Format one real with 17 significant digits (round-trip exact).
-
-    An integral value keeps a ``.0`` so that JSON readers parse it as a
-    float and ``-0.0`` keeps its sign.
-    """
-    text = format(float(value), ".17g")
-    return text + ".0" if text.lstrip("-").isdigit() else text
-
-
 def dumps(obj) -> str:
-    """Serialize nested dict/list/scalar data with deterministic float formatting."""
-    return _render(obj, 0) + "\n"
+    """One line of JSON for nested dict/list/scalar data, arrays and report dataclasses.
+
+    Raises :class:`InvalidInputError` on a value with no JSON form: a NaN
+    or infinite real, or an object of a type the encoder does not know.
+    """
+    try:
+        return json.dumps(obj, default=_plain, allow_nan=False) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"cannot serialize: {exc}") from exc
 
 
-def _render(obj, level: int) -> str:
-    pad = "  " * level
-    inner = "  " * (level + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [f"{inner}{json.dumps(str(key))}: {_render(val, level + 1)}" for key, val in obj.items()]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            return "[]"
-        if all(isinstance(v, (float, int, np.floating, np.integer)) and not isinstance(v, bool) for v in items):
-            return "[" + ", ".join(_render(v, level + 1) for v in items) + "]"
-        parts = [f"{inner}{_render(v, level + 1)}" for v in items]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if isinstance(obj, np.ndarray):
-        return _render(obj.tolist(), level)
+def _plain(obj):
+    """The ``json`` encoder's hook: numpy arrays and scalars as Python data, dataclasses as dicts."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _render(dataclasses.asdict(obj), level)
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_real(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise InvalidInputError(f"cannot serialize object of type {type(obj).__name__}")
+        return dataclasses.asdict(obj)
+    raise TypeError(f"object of type {type(obj).__name__} has no JSON form")
 
 
 def _require(mapping, key: str, context: str):
@@ -136,7 +112,7 @@ def load_json(source):
         name = Path(source)
         try:
             text = name.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InvalidInputError(f"cannot read {name}: {exc}") from exc
     try:
         return json.loads(text)

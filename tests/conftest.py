@@ -96,6 +96,11 @@ def evaluate(effect, state) -> float:
     return float(e @ finite_array(state, "state", e.shape))
 
 
+def effect_cone(model: GptModel) -> PolyhedralCone:
+    """The cone of a model's supplied effect generators."""
+    return PolyhedralCone(model.dim, model.effect_gens)
+
+
 def same_generator_set(a: PolyhedralCone, b: PolyhedralCone, tol: float = 1e-9) -> bool:
     """True iff the generator sets coincide up to positive scaling and order."""
     if a.dim != b.dim or a.n_generators != b.n_generators:

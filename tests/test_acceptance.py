@@ -30,7 +30,7 @@ from gptdisc.lp import OPTIMAL
 from gptdisc.oracle import brute_force_lp
 from gptdisc.polygon import AXIS_FEASIBILITY_THRESHOLD, QUANTUM_ANALOGUE_THRESHOLD
 
-from conftest import effects_of, random_polygon_ensemble, same_generator_set, slack_form
+from conftest import effect_cone, effects_of, random_polygon_ensemble, same_generator_set, slack_form
 
 
 @contextmanager
@@ -137,11 +137,11 @@ def test_criterion_6_cone_involution():
     with criterion(6, "dual-cone involution for n in 3..12; dual(state cone) matches effect directions for n in {3,4}"):
         for order in range(3, 13):
             model = polygon_model(order)
-            for cone in (model.state_cone, model.effect_cone):
+            for cone in (model.state_cone, effect_cone(model)):
                 assert same_generator_set(dual_cone(dual_cone(cone)), cone, 1e-9), order
         for order in (3, 4):
             model = polygon_model(order)
-            assert same_generator_set(dual_cone(model.state_cone), model.effect_cone, 1e-9)
+            assert same_generator_set(dual_cone(model.state_cone), effect_cone(model), 1e-9)
 
 
 def test_criterion_7_lp_engine_vs_enumeration():

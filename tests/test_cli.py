@@ -80,6 +80,15 @@ def test_solve_missing_file_is_invalid_input(capsys):
     assert main(["solve", "/nonexistent/ens.json"]) == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "export-vertices"])
+def test_file_that_is_not_utf8_exits_one_with_an_error_line(command, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main([command, str(path)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(path) in line
+
+
 def test_solve_numerical_failure_maps_to_exit_two(square_files, capsys, monkeypatch):
     _, ensemble_path = square_files
 

@@ -24,6 +24,7 @@ from gptdisc.polygon import no_measurement_ensemble
 from conftest import (
     boxworld_model,
     cross_polytope_model,
+    effect_cone,
     hypercube_model,
     random_polytope_model,
     same_generator_set,
@@ -112,7 +113,7 @@ def test_orthant_self_dual():
 
 def test_square_effect_cone_dualizes_to_state_cone():
     model = polygon_model(4)
-    dual = dual_cone(model.effect_cone)
+    dual = dual_cone(effect_cone(model))
     assert same_generator_set(dual, model.state_cone, 1e-9)
     assert cones_equal(dual, model.state_cone, 1e-9)
 
@@ -121,14 +122,14 @@ def test_triangle_state_cone_dualizes_to_effect_directions():
     model = polygon_model(3)
     dual = dual_cone(model.state_cone)
     # Effects are the states scaled by 1/3, so the dual rays align with them.
-    assert same_generator_set(dual, model.effect_cone, 1e-9)
+    assert same_generator_set(dual, effect_cone(model), 1e-9)
 
 
 def test_dual_cone_work_cap(monkeypatch):
     # The cap bounds the work of a dual, not the ambient dimension.
     assert same_generator_set(dual_cone(PolyhedralCone(9, np.eye(9))), PolyhedralCone(9, np.eye(9)))
     monkeypatch.setattr("gptdisc.cone.MAX_DUAL_ENTRIES", 10)
-    effects = cross_polytope_model(6).effect_cone
+    effects = effect_cone(cross_polytope_model(6))
     with pytest.raises(UnsupportedSizeError, match=r"dual cone product has \d+ entries, over MAX_DUAL_ENTRIES = 10"):
         dual_cone(effects)
     with pytest.raises(UnsupportedSizeError):
@@ -154,7 +155,7 @@ def test_dual_of_full_space_is_origin():
 def test_order_relation_reflexive():
     model = polygon_model(4)
     v = np.array([0.3, -0.2, 0.9])
-    assert cone_ge(v, v, model.effect_cone) is True
+    assert cone_ge(v, v, effect_cone(model)) is True
     # The empty cone induces no constraint, so any v dominates any w.
     assert cone_ge(-v, v, PolyhedralCone(3, []))
 
@@ -163,7 +164,7 @@ def test_order_relation_square_axis_operator():
     model = polygon_model(4)
     k = np.array([0.0, 0.0, 0.5])
     w0_quarter = model.state_gens[0] / 4.0
-    assert cone_ge(k, w0_quarter, model.effect_cone)
+    assert cone_ge(k, w0_quarter, effect_cone(model))
 
 
 def test_order_relation_fails_below_mixture_threshold():
@@ -175,7 +176,7 @@ def test_order_relation_fails_below_mixture_threshold():
     w = ensemble.priors[0] * ensemble.states[0]
     value = float(model.effect_gens[0] @ (v - w))
     assert_allclose(value, -1.0 / 16.0, atol=1e-12)
-    assert not cone_ge(v, w, model.effect_cone)
+    assert not cone_ge(v, w, effect_cone(model))
 
 
 def test_dual_of_rank_deficient_cone_contains_a_line():
@@ -225,7 +226,7 @@ def test_dual_cone_solves_no_lp(monkeypatch):
         raise AssertionError("dual_cone called the LP solver")
 
     monkeypatch.setattr("gptdisc.lp.solve_lp", forbidden)
-    assert same_generator_set(dual_cone(model.state_cone), model.effect_cone, 1e-9)
+    assert same_generator_set(dual_cone(model.state_cone), effect_cone(model), 1e-9)
 
 
 def _rank_deficient_or_line_cone(seed: int) -> PolyhedralCone:
@@ -283,7 +284,7 @@ def test_membership_matches_lp_reference(seed):
 @pytest.mark.parametrize("order", range(3, 33))
 def test_involution_polygon_cones(order):
     model = polygon_model(order)
-    for cone in (model.state_cone, model.effect_cone):
+    for cone in (model.state_cone, effect_cone(model)):
         twice = dual_cone(dual_cone(cone))
         assert same_generator_set(twice, cone, 1e-9)
 
@@ -367,7 +368,7 @@ def test_dual_of_polygon_with_edge_midpoints_and_centroid_is_exact(order):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_dual_of_cube_and_cross_polytope_cones_is_exact(family, n):
     model = family(n)
-    for cone in (model.state_cone, model.effect_cone):
+    for cone in (model.state_cone, effect_cone(model)):
         _assert_exact_dual(cone, cone)
 
 

@@ -23,6 +23,7 @@ from gptdisc import (
     validate_model,
     verify_kkt,
 )
+from gptdisc.cone import inside
 from gptdisc.errors import finite_array
 from gptdisc.lp import LpProblem
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
@@ -31,6 +32,7 @@ from conftest import (
     boxworld_model,
     counted_dual_cones,
     cross_polytope_model,
+    effect_cone,
     evaluate,
     hypercube_model,
     random_polygon_ensemble,
@@ -357,7 +359,7 @@ def test_validation_never_computes_effect_facets(monkeypatch):
             report = validate_model(model)
             assert report.issues == [] and report.unrestricted_effects is (lps == 0)
             assert len(calls) == lps
-            assert "effect_cone" not in vars(model)
+    assert not hasattr(GptModel, "effect_cone")
 
 
 def test_validated_effect_membership_agrees_with_a_fresh_cone():
@@ -376,8 +378,9 @@ def test_validated_effect_membership_agrees_with_a_fresh_cone():
         for f in fresh.facets:  # the centre of each facet's tight generators, pushed 10 tol outward
             centre = gens[np.abs(gens @ f) <= 1e-9].mean(axis=0)
             points.append((centre / np.linalg.norm(centre) - 10.0 * tol * f)[None, :])
-        for v in np.vstack(points):
-            assert member_of(model.effect_cone, v, tol) == member_of(fresh, v, tol), v
+        # Unrestricted effects are the dual of the state cone, so the unit states are their facets.
+        read_off_states = inside(model.state_cone.units, np.vstack(points), tol)
+        assert read_off_states.tolist() == [member_of(fresh, v, tol) for v in np.vstack(points)]
         pushed_out += sum(not member_of(fresh, p[0], tol) for p in points[2:])
     assert pushed_out == sum(len(PolyhedralCone(m.dim, m.effect_gens).facets) for m in models)
 
@@ -465,9 +468,9 @@ def test_certified_pipeline_runs_no_svd_and_builds_no_effect_cone(monkeypatch):
             assert validate_ensemble(ensemble).valid
             assert verify_kkt(ensemble, solve_discrimination(ensemble)).passes()
             certified += 1
-        assert "effect_cone" not in vars(model)
         assert calls == ([] if i < n_certified else [model.state_cone.n_generators])
     assert certified == len(ensembles) - 4  # "no-effects" is invalid, and three models have no states
+    assert not hasattr(GptModel, "effect_cone")
 
 
 def _unrestricted_check_models():
@@ -492,7 +495,7 @@ def test_unrestricted_effects_matches_cone_equality_with_full_dual():
     restricted = 0
     for model in _unrestricted_check_models():
         full_dual = PolyhedralCone(model.dim, model.state_cone.facets)
-        expected = cones_equal(model.effect_cone, full_dual)
+        expected = cones_equal(effect_cone(model), full_dual)
         assert validate_model(model).unrestricted_effects is expected
         restricted += not expected
     assert restricted == 30

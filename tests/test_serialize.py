@@ -14,7 +14,6 @@ from gptdisc.serialize import (
     dumps,
     ensemble_from_dict,
     ensemble_to_dict,
-    format_real,
     load_ensemble,
     load_model,
     model_from_dict,
@@ -24,10 +23,21 @@ from gptdisc.serialize import (
 )
 
 
-def test_format_real_round_trips_doubles():
+def test_dumps_round_trips_doubles_bit_for_bit():
     values = [0.5, 1 / 3, np.pi, 2 ** 0.25, 1e-17, -123.456789012345678]
-    for v in values:
-        assert float(format_real(v)) == v
+    values += [-0.0, 0.1, 1e16, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    bits = np.array(values).view(np.uint64)
+    assert np.array_equal(np.array(json.loads(dumps(values))).view(np.uint64), bits)
+    # Files written with 17 significant digits, integral reals keeping a ".0", read back exactly too.
+    texts = [format(v, ".17g") for v in values]
+    old_layout = "[" + ", ".join(t + ".0" if t.lstrip("-").isdigit() else t for t in texts) + "]"
+    assert np.array_equal(np.array(json.loads(old_layout)).view(np.uint64), bits)
+
+
+@pytest.mark.parametrize("value", [[float("nan")], {"k": np.inf}, {1, 2}], ids=["nan", "inf", "set"])
+def test_dumps_rejects_what_has_no_json_form(value):
+    with pytest.raises(InvalidInputError, match="cannot serialize"):
+        dumps(value)
 
 
 def test_integral_doubles_read_back_as_floats_with_their_sign():
