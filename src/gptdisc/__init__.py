@@ -38,7 +38,7 @@ from .model import (
     validate_ensemble,
     validate_model,
 )
-from .oracle import OracleResult, brute_force_lp, dual_vertex_enumeration
+from .oracle import OracleResult, dual_vertex_enumeration
 from .polygon import (
     DemoN4Result,
     ThresholdScan,
@@ -91,7 +91,6 @@ __all__ = [
     "validate_ensemble",
     "validate_model",
     "OracleResult",
-    "brute_force_lp",
     "dual_vertex_enumeration",
     "DemoN4Result",
     "ThresholdScan",

@@ -5,15 +5,19 @@ Problems are kept in standard form (minimize ``c . x`` subject to
 
 The pivot rule is Bland's (lowest eligible index enters, ratio ties broken
 by lowest basis index), which guarantees termination in exact arithmetic
-and makes every solve deterministic.  Pivot magnitudes below
+and makes every solve deterministic.  Pivot magnitudes at or below
 ``PIVOT_FLOOR`` are never used; an entering column whose positive entries
-all sit below the floor is skipped.  Everything is dense numpy: the
-measurement LP has one row per model dimension and one column per
-effect generator, 3 x 128 for the order-128 polygon.
+all sit at or below the floor is skipped.  The tableau is dense numpy,
+and pivots update it with whole-array operations; the ratio test reads
+the entering column as Python floats, because the measurement LP has
+few rows and many columns: one row per model dimension and one column
+per effect generator, 3 x 128 for the order-128 polygon.  Phase 2 runs
+in the phase-1 tableau, whose artificial columns may no longer enter.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,28 +79,33 @@ def _run_phase(tableau: np.ndarray, basis: list[int], enter_limit: int) -> str:
 
     The last tableau row holds reduced costs, the last column the rhs.
     Only columns below ``enter_limit`` may enter the basis.
+
+    numpy scans the reduced-cost row for eligible columns.  The ratio test
+    reads the entering column and the rhs as Python floats (``tolist()``):
+    they hold one entry per row, and with the measurement LP's d rows each
+    numpy call costs more than its arithmetic.  Its divisions, floor
+    comparisons, minimum and tie band are the IEEE double operations a
+    vectorized test applies entry by entry, so every choice is the same.
     """
     m = len(basis)
-    rhs = tableau[:m, -1]
+    rows = range(m)
     for _ in range(_MAX_ITER):
-        entering = -1
-        leaving = -1
         for j in (tableau[-1, :enter_limit] < -REDUCED_COST_TOL).nonzero()[0]:
-            column = tableau[:m, j]
-            usable = column > PIVOT_FLOOR
-            if not usable.any():
-                if np.all(column <= 0.0):
+            column = tableau[:m, j].tolist()
+            usable = [i for i in rows if column[i] > PIVOT_FLOOR]
+            if not usable:
+                if all(a <= 0.0 for a in column):
                     return UNBOUNDED
                 continue  # only near-degenerate pivots available: skip column
-            ratios = np.divide(rhs, column, out=np.full(m, np.inf), where=usable)
-            best = ratios.min()
-            ties = (ratios <= best + PIVOT_FLOOR * (1.0 + abs(best))).nonzero()[0]
-            leaving = min(ties.tolist(), key=basis.__getitem__)
-            entering = int(j)
+            rhs = tableau[:m, -1].tolist()
+            ratios = [rhs[i] / column[i] for i in usable]
+            best = min(ratios)
+            band = best + PIVOT_FLOOR * (1.0 + abs(best))
+            leaving = min((i for i, r in zip(usable, ratios) if r <= band), key=basis.__getitem__)
+            _pivot(tableau, basis, leaving, int(j))
             break
-        if entering < 0:
+        else:
             return OPTIMAL
-        _pivot(tableau, basis, leaving, entering)
     raise NumericalFailureError("simplex iteration guard exceeded (possible cycling)")
 
 
@@ -144,26 +153,25 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9) -> LpSolution:
         if row[j] > PIVOT_FLOOR:
             _pivot(tableau, basis, i, j)
             kept_rows.append(i)
-    m2 = len(kept_rows)
 
-    # Phase 2 tableau: original columns only, fresh reduced costs.
-    phase2 = np.zeros((m2 + 1, n + 1))
-    phase2[:m2, :n] = tableau[kept_rows, :n]
-    phase2[:m2, -1] = tableau[kept_rows, -1]
+    # Phase 2 in the phase-1 tableau: the kept rows, artificial columns that
+    # may not enter, and a last row of fresh reduced costs.
+    phase2 = tableau[kept_rows + [m]]
     basis2 = [basis[i] for i in kept_rows]
     phase2[-1, :n] = c
-    phase2[-1] -= c[basis2] @ phase2[:m2]
+    phase2[-1, n:] = 0.0
+    phase2[-1] -= c[basis2] @ phase2[:-1]
 
     status = _run_phase(phase2, basis2, enter_limit=n)
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED)
 
     x = np.zeros(n)
-    x[basis2] = phase2[:m2, -1]
+    x[basis2] = phase2[:-1, -1]
 
     # Dual multipliers from the final basis, mapped back to original rows.
     y = np.zeros(m)
-    if m2 > 0:
+    if basis2:
         basis_matrix = a[kept_rows][:, basis2]
         y_kept = np.linalg.solve(basis_matrix.T, c[basis2])
         y[kept_rows] = y_kept
@@ -174,34 +182,40 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9) -> LpSolution:
     return LpSolution(status=OPTIMAL, x=x, objective=float(c @ x), y=y)
 
 
+def certificate_residual(problem: LpProblem, solution: LpSolution) -> float:
+    """Worst violation of the optimality certificate of an optimal ``solution``, by direct arithmetic.
+
+    The largest of: ``-min x`` (primal sign), ``max |A x - b|`` (primal
+    rows), ``-min (c - A^T y)`` (dual feasibility), ``max |x (c - A^T y)|``
+    (complementary slackness) and ``|c.x - b.y|`` (duality gap); NaN when
+    any of them is NaN, so a NaN never reads as a small residual.
+    """
+    x = solution.x
+    y = solution.y
+    a = problem.eq_matrix
+    b = problem.eq_rhs
+    c = problem.objective
+    reduced = c - a.T @ y
+    residuals = (
+        -np.min(x, initial=0.0),
+        np.max(np.abs(a @ x - b), initial=0.0),
+        -np.min(reduced, initial=0.0),
+        np.max(np.abs(x * reduced), initial=0.0),
+        abs(float(c @ x) - float(b @ y)),
+    )
+    return math.nan if any(map(math.isnan, residuals)) else float(max(residuals))
+
+
 def check_certificate(problem: LpProblem, solution: LpSolution, tol: float = 1e-9) -> bool:
     """Re-verify the optimality certificate of ``solution`` by direct arithmetic.
 
     Checks primal feasibility, dual feasibility (reduced costs >= -tol),
     complementary slackness and the duality gap, independently of how the
-    solution was produced.
+    solution was produced: :func:`certificate_residual` is at most ``tol``.
     """
-    if solution.status != OPTIMAL:
+    if solution.status != OPTIMAL or solution.x is None or solution.y is None:
         return False
-    x = solution.x
-    y = solution.y
-    if x is None or y is None:
-        return False
-    a = problem.eq_matrix
-    b = problem.eq_rhs
-    c = problem.objective
-    if np.min(x, initial=0.0) < -tol:
-        return False
-    if np.max(np.abs(a @ x - b), initial=0.0) > tol:
-        return False
-    reduced = c - a.T @ y
-    if np.min(reduced, initial=0.0) < -tol:
-        return False
-    if np.max(np.abs(x * reduced), initial=0.0) > tol:
-        return False
-    if abs(float(c @ x) - float(b @ y)) > tol:
-        return False
-    return True
+    return certificate_residual(problem, solution) <= tol
 
 
 def feasibility_gap(eq_matrix, eq_rhs, tol: float = 1e-9) -> float:
@@ -210,13 +224,20 @@ def feasibility_gap(eq_matrix, eq_rhs, tol: float = 1e-9) -> float:
     Zero (up to ``tol``) exactly when ``A x = b`` has a nonnegative
     solution; with a cone's generators as columns, model validation decides
     membership in the effect cone this way, without the cone's facets.
+    The elastic LP's certificate is re-verified before its value is
+    returned; :class:`NumericalFailureError` is raised, with the worst
+    residual, when it fails.
     """
     a = np.atleast_2d(np.asarray(eq_matrix, dtype=float))
     b = np.atleast_1d(np.asarray(eq_rhs, dtype=float))
     m, n = a.shape
     elastic = np.hstack([a, np.eye(m), -np.eye(m)])
     cost = np.concatenate([np.zeros(n), np.ones(2 * m)])
-    sol = solve_lp(LpProblem(cost, elastic, b), tol=tol)
+    problem = LpProblem(cost, elastic, b)
+    sol = solve_lp(problem, tol=tol)
     if sol.status != OPTIMAL:
         raise NumericalFailureError("elastic feasibility problem did not solve")
+    residual = certificate_residual(problem, sol)
+    if not residual <= tol:
+        raise NumericalFailureError(f"elastic feasibility certificate failed: worst residual {residual:g}")
     return max(float(sol.objective), 0.0)

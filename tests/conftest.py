@@ -7,6 +7,8 @@ import gptdisc.cone as cone
 from gptdisc import Ensemble, GptModel, LpProblem, PolyhedralCone, dual_cone, polygon_model
 from gptdisc.discrimination import build_primal, reward_matrix
 from gptdisc.errors import finite_array
+from gptdisc.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
+from gptdisc.oracle import _nonsingular
 
 
 def random_polygon_ensemble(rng: np.random.Generator) -> Ensemble:
@@ -83,6 +85,64 @@ def full_measurement_lp(ensemble: Ensemble) -> LpProblem:
     n, g = ensemble.n_states, gens.shape[0]
     objective = -(ensemble.priors[:, None] * (ensemble.states @ gens.T)).reshape(n * g)
     return LpProblem(objective, np.tile(gens.T, n), ensemble.model.unit_effect)
+
+
+def brute_force_lp(problem: LpProblem, tol: float = 1e-9) -> tuple[str, float | None]:
+    """Solve a small standard-form LP by enumerating all basic solutions.
+
+    Returns ``(status, objective)`` where the objective is None unless
+    optimal.  Unboundedness is detected by scanning improving extreme
+    rays at every feasible basis, so the result is complete for pointed
+    standard-form feasible regions.
+    """
+    a = problem.eq_matrix
+    b = problem.eq_rhs
+    c = problem.objective
+    m, n = a.shape
+    if m == 0:
+        return (OPTIMAL, 0.0) if np.all(c >= -tol) else (UNBOUNDED, None)
+    if m > n:
+        reduced_rows = _independent_rows(a, b)
+        if reduced_rows is None:
+            return (INFEASIBLE, None)
+        a, b = reduced_rows
+        m = a.shape[0]
+
+    best: float | None = None
+    unbounded = False
+    idx = np.array(list(itertools.combinations(range(n), m)))
+    mats = a.T[idx].transpose(0, 2, 1)  # (subsets, m, m); columns follow the basis
+    for basis, mat, ok in zip(idx, mats, _nonsingular(mats)):
+        if not ok:
+            continue
+        x_basis = np.linalg.solve(mat, b)
+        if x_basis.min(initial=0.0) < -tol:
+            continue
+        value = float(c[basis] @ x_basis)
+        best = value if best is None else min(best, value)
+        nonbasic = np.setdiff1d(np.arange(n), basis)
+        if nonbasic.size:
+            directions = np.linalg.solve(mat, a[:, nonbasic])  # B^{-1} A_j per column
+            ray_feasible = np.all(directions <= tol, axis=0)
+            reduced = c[nonbasic] - c[basis] @ directions
+            if np.any(ray_feasible & (reduced < -tol)):
+                unbounded = True
+    if unbounded:
+        return (UNBOUNDED, None)
+    if best is None:
+        return (INFEASIBLE, None)
+    return (OPTIMAL, best)
+
+
+def _independent_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Greedy maximal independent row subset of ``A x = b``; None if the system is inconsistent."""
+    kept: list[int] = []
+    for i in range(a.shape[0]):
+        if np.linalg.matrix_rank(a[kept + [i]]) > len(kept):
+            kept.append(i)
+        elif np.linalg.matrix_rank(np.hstack([a, b[:, None]])[kept + [i]]) > len(kept):
+            return None  # row is dependent in A but not in [A|b]
+    return a[kept], b[kept]
 
 
 def effects_of(solution) -> np.ndarray:

@@ -27,10 +27,9 @@ from gptdisc import (
     verify_kkt,
 )
 from gptdisc.lp import OPTIMAL
-from gptdisc.oracle import brute_force_lp
 from gptdisc.polygon import AXIS_FEASIBILITY_THRESHOLD, QUANTUM_ANALOGUE_THRESHOLD
 
-from conftest import effect_cone, effects_of, random_polygon_ensemble, same_generator_set, slack_form
+from conftest import brute_force_lp, effect_cone, effects_of, random_polygon_ensemble, same_generator_set, slack_form
 
 
 @contextmanager

@@ -12,10 +12,9 @@ from gptdisc import (
 )
 import gptdisc.lp as lp_module
 from gptdisc.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
-from gptdisc.oracle import brute_force_lp
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
-from conftest import measurement_lp, random_polygon_ensemble, slack_form
+from conftest import brute_force_lp, measurement_lp, random_polygon_ensemble, slack_form
 
 
 def test_simplex_equality_split():
@@ -98,6 +97,17 @@ def test_certificate_rejects_perturbed_basic_coordinate():
     assert not check_certificate(prob, tampered)
 
 
+@pytest.mark.parametrize("field", ["x", "y"])
+def test_certificate_rejects_a_nan(field):
+    prob = LpProblem([1.0, 1.0, 0.0], [[1.0, 2.0, 1.0]], [2.0])
+    sol = solve_lp(prob)
+    values = {"x": sol.x.copy(), "y": sol.y.copy()}
+    values[field][-1] = np.nan
+    tampered = LpSolution(status=sol.status, objective=sol.objective, **values)
+    assert np.isnan(lp_module.certificate_residual(prob, tampered))
+    assert not check_certificate(prob, tampered)
+
+
 def test_certificate_against_enumeration_on_random_three_var_lp():
     rng = np.random.default_rng(3)
     prob = slack_form(
@@ -173,6 +183,8 @@ def test_pivot_sequence_matches_the_recorded_sequence(monkeypatch):
             (0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 7), (0, 0), (1, 8), (1, 9), (1, 10),
             (1, 11), (2, 12),
         ],
+        # 66 pivots, each scanning a reduced-cost row in which most of the 128 columns are eligible.
+        "uniform128": [(0, j) for j in range(33)] + [(1, 33), (0, 0)] + [(1, j) for j in range(34, 64)] + [(2, 64)],
         "mixed0": [(0, 0), (0, 1), (0, 2), (1, 3), (0, 0), (2, 4)],
         "mixed1": [(0, 0), (0, 1), (1, 2), (0, 0), (2, 3), (2, 4), (0, 1)],
         "mixed2": [(0, 0), (0, 1), (0, 2), (1, 3), (0, 0), (2, 4), (2, 6), (0, 1), (0, 2), (0, 7)],
@@ -181,7 +193,7 @@ def test_pivot_sequence_matches_the_recorded_sequence(monkeypatch):
         "no-measurement-0.3": [(0, 0), (0, 1), (1, 2), (2, 0)],
         "degenerate": [(0, 0), (1, 1), (0, 2), (1, 3), (2, 0), (1, 4)],
     }
-    problems = {f"uniform{n}": measurement_lp(uniform_vertex_ensemble(n)) for n in (3, 8, 13, 24)}
+    problems = {f"uniform{n}": measurement_lp(uniform_vertex_ensemble(n)) for n in (3, 8, 13, 24, 128)}
     problems.update({f"mixed{seed}": measurement_lp(random_polygon_ensemble(np.random.default_rng(seed))) for seed in range(4)})
     problems.update({f"no-measurement-{p}": measurement_lp(no_measurement_ensemble(p)) for p in (0.1, 0.3)})
     problems["degenerate"] = _degenerate_lp()
@@ -197,6 +209,89 @@ def test_pivot_sequence_matches_the_recorded_sequence(monkeypatch):
         pivots.clear()
         assert solve_lp(problem).status == OPTIMAL, name
         assert pivots == expected[name], name
+
+
+@pytest.mark.parametrize("objective, status", [([0.0, 2.0, 0.5], OPTIMAL), ([1.0, -1.0, 0.0], UNBOUNDED)])
+def test_lp_without_rows(objective, status):
+    prob = LpProblem(objective, np.zeros((0, 3)), np.zeros(0))
+    sol = solve_lp(prob)
+    assert sol.status == status == brute_force_lp(prob)[0]
+    if status == OPTIMAL:
+        assert sol.objective == 0.0
+        assert sol.x.tolist() == [0.0, 0.0, 0.0]
+        assert sol.y.shape == (0,)
+        assert check_certificate(prob, sol)
+
+
+def _vectorized_choice(tableau, basis, enter_limit):
+    """Bland's choice by the vectorized ratio test: ``(leaving row, entering column)``, or the status if none."""
+    m = len(basis)
+    rhs = tableau[:m, -1]
+    for j in (tableau[-1, :enter_limit] < -lp_module.REDUCED_COST_TOL).nonzero()[0]:
+        column = tableau[:m, j]
+        usable = column > lp_module.PIVOT_FLOOR
+        if not usable.any():
+            if np.all(column <= 0.0):
+                return UNBOUNDED
+            continue
+        ratios = np.divide(rhs, column, out=np.full(m, np.inf), where=usable)
+        best = ratios.min()
+        ties = (ratios <= best + lp_module.PIVOT_FLOOR * (1.0 + abs(best))).nonzero()[0]
+        return min(ties.tolist(), key=basis.__getitem__), int(j)
+    return OPTIMAL
+
+
+def _tableau(columns, rhs, reduced_costs, basis):
+    """Tableau ``[columns | slacks | rhs]`` whose row ``i`` has slack column ``basis[i]`` basic."""
+    n, m = len(reduced_costs), len(rhs)
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = np.asarray(columns, dtype=float).T
+    tableau[np.arange(m), basis] = 1.0
+    tableau[:m, -1] = rhs
+    tableau[-1, :n] = reduced_costs
+    return tableau
+
+
+FLOOR = lp_module.PIVOT_FLOOR
+#: (columns, rhs, reduced costs, basis, the first pivot or the status without one)
+RATIO_TEST_CASES = {
+    # Column 0's positive entries sit at or below the floor, so column 1 enters.
+    "floor": ([[FLOOR, 0.5 * FLOOR], [1.0, 2.0]], [1.0, 1.0], [-1.0, -1.0], [2, 3], (1, 1)),
+    "floor-and-negative": ([[FLOOR, -1.0], [0.0, 3.0]], [1.0, 1.0], [-1.0, -1.0], [2, 3], (1, 1)),
+    # Every entry of the eligible column is nonpositive.
+    "nonpositive": ([[-1.0, 0.0, -0.0]], [1.0, 2.0, 0.0], [-1.0], [1, 2, 3], UNBOUNDED),
+    # Ratios 1, 1 + 1e-13 and 1 share one tie band: row 1, whose basic index is lowest, leaves.
+    "ties": ([[1.0, 1.0, 2.0]], [1.0, 1.0 + 1e-13, 2.0], [-1.0], [3, 1, 2], (1, 0)),
+    # The band is closed: a ratio of exactly best + 1e-12 ties with best = 0.
+    "band-edge": ([[1.0, 1.0]], [0.0, FLOOR], [-1.0], [2, 1], (1, 0)),
+    # The band scales with |best|: 1e6 + 5e-7 ties with 1e6.
+    "band-scale": ([[1.0, 1.0]], [1e6, 1e6 + 5e-7], [-1.0], [2, 1], (1, 0)),
+    # Ratios -0.0 and 0.0 tie: row 1, whose basic index is lower, leaves.
+    "negative-zero-rhs": ([[1.0, 1.0]], [-0.0, 0.0], [-1.0], [2, 1], (1, 0)),
+}
+
+
+@pytest.mark.parametrize("name", RATIO_TEST_CASES)
+def test_ratio_test_matches_the_vectorized_formula(monkeypatch, name):
+    columns, rhs, reduced_costs, basis, expected = RATIO_TEST_CASES[name]
+    tableau = _tableau(columns, rhs, reduced_costs, basis)
+    basis = list(basis)
+    enter_limit = len(reduced_costs)
+    pivot = lp_module._pivot
+    pivots = []
+
+    def checked_pivot(tableau, basis, row, col):
+        assert (row, col) == _vectorized_choice(tableau, basis, enter_limit)
+        pivots.append((row, col))
+        pivot(tableau, basis, row, col)
+
+    monkeypatch.setattr(lp_module, "_pivot", checked_pivot)
+    status = lp_module._run_phase(tableau, basis, enter_limit)
+    assert status == _vectorized_choice(tableau, basis, enter_limit)
+    if expected == UNBOUNDED:
+        assert (status, pivots) == (UNBOUNDED, [])
+    else:
+        assert pivots[0] == expected
 
 
 def test_pivot_turns_negative_zeros_of_the_pivot_row_positive():
@@ -221,6 +316,22 @@ def test_iteration_guard_raises_numerical_failure(monkeypatch):
     monkeypatch.setattr("gptdisc.lp._MAX_ITER", 1)
     with pytest.raises(NumericalFailureError):
         solve_lp(prob)
+
+
+def test_feasibility_gap_raises_on_a_failed_certificate(monkeypatch):
+    from gptdisc import NumericalFailureError
+
+    solve = lp_module.solve_lp
+
+    def perturbed_solve(problem, tol=1e-9):
+        sol = solve(problem, tol)
+        x = sol.x.copy()
+        x[int(np.argmax(x))] += 1e-3
+        return LpSolution(status=sol.status, x=x, objective=sol.objective, y=sol.y)
+
+    monkeypatch.setattr("gptdisc.lp.solve_lp", perturbed_solve)
+    with pytest.raises(NumericalFailureError, match="worst residual 0.001"):
+        feasibility_gap(np.array([[1.0], [0.0]]), np.array([1.0, -1.0]))
 
 
 def test_feasibility_gap_measures_l1_distance():
