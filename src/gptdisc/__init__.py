@@ -8,7 +8,7 @@ exposes the congruent-polytope geometry of optimal solutions, and ships
 the regular-polygon model family with its worked examples.
 """
 
-from .cone import PolyhedralCone, cone_ge, cones_equal, dual_cone, member_of
+from .cone import PolyhedralCone, cones_equal, dual_cone, member_of
 from .discrimination import (
     ComplementaryPair,
     DiscriminationSolution,
@@ -56,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PolyhedralCone",
-    "cone_ge",
     "cones_equal",
     "dual_cone",
     "member_of",

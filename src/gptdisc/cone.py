@@ -1,4 +1,4 @@
-"""Polyhedral cone utilities: membership, dual cones, and the effect order.
+"""Polyhedral cone utilities: membership and dual cones.
 
 Cones are kept in generator (V-) representation.  Dual cones come from
 exact double description, one cut per generator: each cut writes its
@@ -114,13 +114,6 @@ def member_of(cone: PolyhedralCone, v, tol: float = 1e-9) -> bool:
     """
     vec = finite_array(v, "vector", (cone.dim,))
     return bool(inside(cone.facets, vec[None], tol)[0])
-
-
-def cone_ge(v, w, test_cone: PolyhedralCone, tol: float = 1e-9) -> bool:
-    """Order relation induced by ``test_cone``: ``v >= w`` iff ``g.(v-w) >= -tol`` for every generator ``g``."""
-    a = finite_array(v, "v", (test_cone.dim,))
-    b = finite_array(w, "w", (test_cone.dim,))
-    return bool(inside(test_cone.generators, (a - b)[None], tol)[0])
 
 
 def inside(normals: np.ndarray, points: np.ndarray, tol: float) -> np.ndarray:

@@ -17,17 +17,17 @@ normalized complementary state ``d_x = v_x / r_x``, so that
 effect cone has a larger dual).  Measurements are stated as coefficients
 ``C >= 0`` on the effect generators.  A :class:`DiscriminationSolution`
 checks its own numbers when it is built and stores no LP objective
-values; :func:`verify_kkt` recomputes the duality gap and checks every
-optimality condition, so untrusted solutions need no other check.
+values; :func:`verify_kkt` recomputes the duality gap and the residual of
+every optimality condition, and :meth:`KktReport.passes` holds each of
+them to one tolerance, so untrusted solutions need no other check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .cone import inside
 from .errors import InternalInconsistencyError, InvalidInputError, finite_array
 from .lp import OPTIMAL, LpProblem, check_certificate, solve_lp
 from .model import DEFAULT_TOL, Ensemble, GptModel, check_tol, validate_ensemble, validate_model
@@ -89,32 +89,31 @@ class KktReport:
     """Residuals of every optimality condition and every claimed value, recomputed from scratch.
 
     With ``v_x = K - q_x w_x``: ``stability_residuals[x]`` is ``|v_x - r_x d_x|``
-    (``|r_x|`` for a null ``d``), ``orthogonality_residuals[x]`` is ``|e_x[v_x]|``,
-    ``value_residual`` is ``|p_guess - u[K]|`` and ``weight_residuals[x]``
-    is ``|r_x - (u[K] - q_x)|``.
+    (``|r_x|`` for a null ``d``), ``positivity_residuals[x]`` is ``max_j -g_j[v_x]``
+    over the effect generators as given, and 0 when every ``g_j[v_x] >= 0``,
+    ``orthogonality_residuals[x]`` is ``|e_x[v_x]|``, ``effect_residuals[x]`` is
+    ``max_j -C[x, j]``, and 0 when the row is nonnegative, ``value_residual`` is
+    ``|p_guess - u[K]|`` and ``weight_residuals[x]`` is ``|r_x - (u[K] - q_x)|``.
+    No field is a verdict: :meth:`passes` is the one place a tolerance is applied.
     """
 
     stability_residuals: np.ndarray
-    positivity_ok: tuple[bool, ...]
+    positivity_residuals: np.ndarray
     orthogonality_residuals: np.ndarray
     measurement_residual: float
     gap: float
-    effects_in_cone: tuple[bool, ...]
+    effect_residuals: np.ndarray
     value_residual: float
     weight_residuals: np.ndarray
 
+    def worst_residuals(self) -> dict[str, float]:
+        """Each field name mapped to its largest residual; a NaN anywhere in a field makes its entry NaN."""
+        return {f.name: float(np.max(getattr(self, f.name), initial=0.0)) for f in fields(self)}
+
     def passes(self, tol: float = DEFAULT_TOL) -> bool:
+        """True iff every residual is at most ``tol``; :class:`InvalidInputError` on a ``tol`` outside ``(0, MAX_TOL]``."""
         check_tol(tol)
-        return (
-            bool(np.all(self.stability_residuals <= tol))
-            and all(self.positivity_ok)
-            and bool(np.all(self.orthogonality_residuals <= tol))
-            and self.measurement_residual <= tol
-            and self.gap <= tol
-            and all(self.effects_in_cone)
-            and self.value_residual <= tol
-            and bool(np.all(self.weight_residuals <= tol))
-        )
+        return all(worst <= tol for worst in self.worst_residuals().values())
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -200,9 +199,7 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
     )
 
 
-def verify_kkt(
-    ensemble: Ensemble, solution: DiscriminationSolution, tol: float = DEFAULT_TOL
-) -> KktReport:
+def verify_kkt(ensemble: Ensemble, solution: DiscriminationSolution) -> KktReport:
     """Recompute every optimality residual of ``solution`` from scratch.
 
     Works on untrusted solutions: nothing from the solver is assumed, and
@@ -210,14 +207,14 @@ def verify_kkt(
     ``K`` and the complementary pairs.  A passing report certifies optimality
     (KKT conditions are sufficient here because strong duality holds) and
     every number the solution states, ``p_guess`` and the weights included.
-    Positivity, ``K >= q_x w_x``, is checked as ``g[K - q_x w_x] >= -tol``
-    against each supplied effect generator ``g`` as given, unnormalized.
-    The solution checked those numbers when it was built, so only its fit
-    to ``ensemble`` is checked here: :class:`InvalidInputError` when the
-    number of states, of effect generators or the dimension differ, or when
-    ``tol`` is outside ``(0, MAX_TOL]``.
+    Positivity, ``K >= q_x w_x``, is measured as the most negative
+    ``g[K - q_x w_x]`` over the supplied effect generators ``g`` as given,
+    unnormalized.  Every field is a residual, so no tolerance is taken here:
+    :meth:`KktReport.passes` applies one.  The solution checked its numbers
+    when it was built, so only its fit to ``ensemble`` is checked here:
+    :class:`InvalidInputError` when the number of states, of effect
+    generators or the dimension differ.
     """
-    check_tol(tol)
     model = ensemble.model
     k, coefficients = solution.symmetry_operator, solution.coefficients
     if coefficients.shape != (ensemble.n_states, len(model.effect_gens)) or k.shape != (model.dim,):
@@ -234,11 +231,11 @@ def verify_kkt(
     stability[stated] = row_norms(margins[stated] - weights[stated, None] * solution.stated_d)
     return KktReport(
         stability_residuals=stability,
-        positivity_ok=tuple(inside(model.effect_gens, margins, tol).tolist()),  # K >= q_x w_x
+        positivity_residuals=0.0 - (margins @ model.effect_gens.T).min(axis=1, initial=0.0),  # K >= q_x w_x
         orthogonality_residuals=np.abs(_row_dots(effects, margins)),
         measurement_residual=measurement_residual,
         gap=abs(primal_value - value),
-        effects_in_cone=tuple((coefficients.min(axis=1, initial=0.0) >= -tol).tolist()),
+        effect_residuals=0.0 - coefficients.min(axis=1, initial=0.0),  # 0.0 - m, not -m, writes no -0.0
         value_residual=abs(solution.p_guess - value),
         weight_residuals=np.abs(weights - (value - ensemble.priors)),
     )

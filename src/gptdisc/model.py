@@ -107,8 +107,8 @@ def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationRepor
     generators is ``dim`` less the lines that the state cone's dual keeps,
     so no SVD is run.  Also reports whether the effect cone equals the full
     dual of the state cone: every pairing is nonnegative and every state
-    facet lies within ``tol`` of a unit effect generator (``effect_gens``
-    normalized once in place, zero rows left out) or else in the effect cone
+    facet lies within ``tol`` of a unit effect generator (a new array of the
+    nonzero ``effect_gens`` scaled to unit length) or else in the effect cone
     by :func:`feasibility_gap`, tried facet by facet until one fails.  No
     effect cone is built, and the state cone is dualized only when the effect
     generators do not certify its facets; past ``MAX_DUAL_ENTRIES`` that

@@ -161,6 +161,13 @@ def effect_cone(model: GptModel) -> PolyhedralCone:
     return PolyhedralCone(model.dim, model.effect_gens)
 
 
+def cone_ge(v, w, test_cone: PolyhedralCone, tol: float = 1e-9) -> bool:
+    """Order relation induced by ``test_cone``: ``v >= w`` iff ``g.(v-w) >= -tol`` for every generator ``g``."""
+    a = finite_array(v, "v", (test_cone.dim,))
+    b = finite_array(w, "w", (test_cone.dim,))
+    return bool(cone.inside(test_cone.generators, (a - b)[None], tol)[0])
+
+
 def same_generator_set(a: PolyhedralCone, b: PolyhedralCone, tol: float = 1e-9) -> bool:
     """True iff the generator sets coincide up to positive scaling and order."""
     if a.dim != b.dim or a.n_generators != b.n_generators:

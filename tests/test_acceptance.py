@@ -48,7 +48,7 @@ def test_criterion_1_triangle_demo():
     with criterion(1, "triangle demo: p_guess = 1, aligned-effect measurement, KKT passes, < 1 s"):
         start = time.perf_counter()
         sol = demo_n3()
-        report = verify_kkt(sol.ensemble, sol, tol=1e-9)
+        report = verify_kkt(sol.ensemble, sol)
         elapsed = time.perf_counter() - start
         assert sol.p_guess == pytest.approx(1.0, abs=1e-9)
         assert_allclose(effects_of(sol), sol.ensemble.model.effect_gens, atol=1e-9)
@@ -121,7 +121,7 @@ def test_criterion_5_strong_duality_suite():
         for _ in range(200):
             ensemble = random_polygon_ensemble(rng)
             sol = solve_discrimination(ensemble)
-            report = verify_kkt(ensemble, sol, tol=1e-9)
+            report = verify_kkt(ensemble, sol)
             assert report.gap <= 1e-8
             assert ensemble.priors.max() - 1e-9 <= sol.p_guess <= 1.0 + 1e-9
             assert report.passes(1e-9)

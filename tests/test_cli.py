@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -132,7 +133,7 @@ def test_demo_oracle_disagreement_maps_to_exit_three(name, capsys, monkeypatch):
 def test_removed_flags_are_rejected(square_files, argv, capsys):
     _, ensemble_path = square_files
     assert main([arg.format(ensemble=ensemble_path) for arg in argv]) == 1
-    assert "No such option" in capsys.readouterr().err
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_solve_oracle_past_its_size_bound_is_skipped(tmp_path, capsys):
@@ -250,7 +251,7 @@ def test_verify_tampered_p_guess_exit_four(square_files, tmp_path, capsys):
     assert main(["verify", str(ensemble_path), str(tampered_path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("verification failed: ")
-    assert "p_guess 0.9" in err
+    assert "KKT check failed: value_residual 0.4" in err
 
 
 def test_verify_rescaled_complementary_weights_exit_four(square_files, tmp_path, capsys):
@@ -267,7 +268,7 @@ def test_verify_rescaled_complementary_weights_exit_four(square_files, tmp_path,
     assert main(["verify", str(ensemble_path), str(tampered_path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("verification failed: ")
-    assert "complementary weights" in err
+    assert "weight_residuals 0.25" in err
 
 
 def test_verify_rejects_complementary_state_of_wrong_length(square_files, tmp_path):
@@ -371,6 +372,28 @@ def _square_solution(square_files, tmp_path):
     return ensemble_path, solution_path, json.loads(solution_path.read_text())
 
 
+def test_verify_ignores_a_kkt_block_with_verdict_fields(square_files, tmp_path):
+    # Older solution files state positivity and effect membership as booleans; verify recomputes the report.
+    ensemble_path, solution_path, data = _square_solution(square_files, tmp_path)
+    kkt = data["kkt"]
+    kkt["positivity_ok"] = [residual <= 1e-9 for residual in kkt.pop("positivity_residuals")]
+    kkt["effects_in_cone"] = [residual <= 1e-9 for residual in kkt.pop("effect_residuals")]
+    solution_path.write_text(json.dumps(data))
+    assert main(["verify", str(ensemble_path), str(solution_path)]) == 0
+
+
+@pytest.mark.parametrize("order", [3, 4, 8])
+def test_solution_residuals_hold_no_negative_zero(tmp_path, order):
+    # Both residuals are 0.0 minus a row minimum that is often -0.0 or 0.0; negating that minimum would write -0.0.
+    ensemble_path = tmp_path / "ensemble.json"
+    ensemble_path.write_text(dumps(ensemble_to_dict(uniform_vertex_ensemble(order))))
+    solution_path = tmp_path / "solution.json"
+    assert main(["solve", str(ensemble_path), "--out", str(solution_path)]) == 0
+    kkt = json.loads(solution_path.read_text())["kkt"]
+    for field in ("positivity_residuals", "effect_residuals"):
+        assert all(math.copysign(1.0, residual) == 1.0 for residual in kkt[field]), field
+
+
 def test_verify_accepts_two_outcome_alternative(square_files, tmp_path):
     ensemble_path, _, data = _square_solution(square_files, tmp_path)
     data["coefficients"] = [[1.0, 0.0, 0.0, 0.0], [0.0] * 4, [0.0, 0.0, 1.0, 0.0], [0.0] * 4]  # effects f0, 0, f2, 0
@@ -386,7 +409,7 @@ def test_verify_fails_on_a_negative_coefficient(square_files, tmp_path, capsys):
     solution_path.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", str(ensemble_path), str(solution_path)]) == 4
-    assert "effects-in-cone [True, False, True, True]" in capsys.readouterr().err
+    assert capsys.readouterr().err == "verification failed: KKT check failed: effect_residuals 2\n"
 
 
 @pytest.mark.parametrize("effects_as", ["coefficients", "measurement"])

@@ -10,7 +10,6 @@ from gptdisc import (
     InvalidInputError,
     PolyhedralCone,
     UnsupportedSizeError,
-    cone_ge,
     cones_equal,
     dual_cone,
     member_of,
@@ -23,6 +22,7 @@ from gptdisc.polygon import no_measurement_ensemble
 
 from conftest import (
     boxworld_model,
+    cone_ge,
     cross_polytope_model,
     effect_cone,
     hypercube_model,

@@ -8,7 +8,6 @@ from gptdisc import (
     Ensemble,
     GptModel,
     InvalidInputError,
-    cone_ge,
     congruence_check,
     member_of,
     no_measurement_value,
@@ -20,6 +19,7 @@ from gptdisc import (
     validate_model,
     verify_kkt,
 )
+from gptdisc.cone import inside
 from gptdisc.discrimination import measurement_from_primal, reward_matrix
 from gptdisc.lp import OPTIMAL, LpSolution, check_certificate
 from gptdisc.oracle import MAX_ORACLE_CONSTRAINTS, dual_vertex_enumeration
@@ -27,6 +27,7 @@ from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
 from conftest import (
     boxworld_model,
+    cone_ge,
     counted_dual_cones,
     cross_polytope_model,
     effect_cone,
@@ -292,14 +293,88 @@ def test_batched_kkt_cone_checks_match_per_row_checks():
         for candidate in (sol, tampered):
             report = verify_kkt(ensemble, candidate)
             margins = [(candidate.symmetry_operator, q * w) for q, w in zip(ensemble.priors, ensemble.states)]
-            assert report.positivity_ok == tuple(cone_ge(a, b, effects) for a, b in margins)
+            positive = report.positivity_residuals <= 1e-9
+            assert positive.tolist() == [cone_ge(a, b, effects) for a, b in margins]
             rows = candidate.coefficients
-            assert report.effects_in_cone == tuple(all(c >= -1e-9 for c in row) for row in rows)
+            accepted = report.effect_residuals <= 1e-9
+            assert accepted.tolist() == [all(c >= -1e-9 for c in row) for row in rows]
             # Nonnegative coefficients are a membership certificate: every accepted effect is in the cone.
-            for accepted, e in zip(report.effects_in_cone, effects_of(candidate)):
-                assert not accepted or member_of(effects, e)
-            mixed += len(set(report.positivity_ok)) == 2 and len(set(report.effects_in_cone)) == 2
+            for ok, e in zip(accepted, effects_of(candidate)):
+                assert not ok or member_of(effects, e)
+            mixed += len(set(positive.tolist())) == 2 and len(set(accepted.tolist())) == 2
     assert mixed >= 20
+
+
+def _restricted_square_ensemble() -> Ensemble:
+    """The square's states with twelve effects ``(1 + (cos t, sin t) . x / 2) / 2``: a restricted effect cone."""
+    square = polygon_model(4)
+    t = 2 * np.pi * np.arange(12) / 12
+    effects = np.column_stack([np.cos(t) / 2, np.sin(t) / 2, np.ones(12)]) / 2
+    model = GptModel(dim=3, state_gens=square.state_gens, effect_gens=effects, unit_effect=square.unit_effect)
+    return Ensemble(model=model, states=square.state_gens, priors=np.array([0.1, 0.2, 0.3, 0.4]))
+
+
+def test_one_tolerance_decides_the_kkt_verdict():
+    # Moving 1e-6 of generator 0's coefficient from outcome 3 to outcome 0 keeps every effect sum.  When
+    # verify_kkt decided effect membership at a tol of its own, the report it built at 1e-3 passed at 1e-9.
+    ensemble = uniform_vertex_ensemble(4)
+    sol = solve_discrimination(ensemble)
+    coefficients = sol.coefficients.copy()
+    coefficients[0, 0] += 1e-6
+    coefficients[3, 0] -= 1e-6
+    assert coefficients[3, 0] == -1e-6
+    report = verify_kkt(ensemble, dataclasses.replace(sol, coefficients=coefficients))
+    assert report.effect_residuals[3] == 1e-6
+    assert report.worst_residuals()["effect_residuals"] == 1e-6
+    assert not report.passes(1e-9)
+    assert report.passes(1e-3)
+
+
+def test_residuals_decide_as_the_boolean_checks_did():
+    # positivity_residuals <= tol and effect_residuals <= tol must agree, entry by entry, with the checks that
+    # verify_kkt once made at its own tol: inside(effect generators, K - q_x w_x, tol) and C.min(axis=1) >= -tol.
+    cube = hypercube_model(3)
+    ensembles = [uniform_vertex_ensemble(n) for n in range(3, 25)] + [
+        _restricted_square_ensemble(),
+        Ensemble(model=cube, states=cube.state_gens, priors=np.full(8, 0.125)),
+    ]
+    seen = {}
+    for ensemble in ensembles:
+        sol = solve_discrimination(ensemble)
+        n, g = sol.coefficients.shape
+        # Shifts of 1e-10, 1e-6 and 1e-1 straddle both tolerances; one outcome in four keeps its row.
+        sizes = np.array([0.0, 1e-10, 1e-6, 1e-1])[np.arange(n) % 4]
+        candidates = [sol] + [
+            dataclasses.replace(
+                sol,
+                symmetry_operator=sol.symmetry_operator * (1.0 - shrink),
+                coefficients=sol.coefficients - sizes[:, None] * (np.arange(g) == (n + 1) % g),
+            )
+            for shrink in (1e-10, 1e-6, 1e-2)
+        ]
+        for candidate in candidates:
+            report = verify_kkt(ensemble, candidate)
+            margins = candidate.symmetry_operator - ensemble.weighted_states()
+            for tol in (1e-9, 1e-3):
+                positive = inside(ensemble.model.effect_gens, margins, tol)
+                in_cone = candidate.coefficients.min(axis=1, initial=0.0) >= -tol
+                assert (report.positivity_residuals <= tol).tolist() == positive.tolist()
+                assert (report.effect_residuals <= tol).tolist() == in_cone.tolist()
+                seen.setdefault(("positivity", tol), set()).update(positive.tolist())
+                seen.setdefault(("effect", tol), set()).update(in_cone.tolist())
+    assert all(verdicts == {True, False} for verdicts in seen.values()) and len(seen) == 4
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("gap", np.nan), ("stability_residuals", np.array([0.0, np.nan, 0.0, 0.0]))],
+    ids=["scalar", "array"],
+)
+def test_a_nan_residual_fails(field, value):
+    ensemble = uniform_vertex_ensemble(4)
+    report = dataclasses.replace(verify_kkt(ensemble, solve_discrimination(ensemble)), **{field: value})
+    assert np.isnan(report.worst_residuals()[field])
+    assert not report.passes(1e-3)
 
 
 def test_kkt_value_and_weight_residuals_are_zero_on_solver_output():
@@ -405,8 +480,8 @@ def test_restricted_effects_force_trivial_guessing():
     # lines: K - q_x w_x need not vanish at the degenerate index, whose
     # null d claims only r_x d_x = 0, and the certificate passes.
     report = verify_kkt(ensemble, sol)
-    assert all(report.positivity_ok)
-    assert all(report.effects_in_cone)
+    assert report.positivity_residuals.max() <= 1e-9
+    assert report.effect_residuals.max() <= 1e-9
     assert report.orthogonality_residuals.max() <= 1e-9
     assert report.measurement_residual <= 1e-9
     assert report.gap <= 1e-9
@@ -596,14 +671,15 @@ def test_kkt_reads_effect_membership_off_the_coefficients():
     # On the square f0 + f2 = f1 + f3 = u, so adding t (f0 - f1 + f2 - f3) to one outcome keeps every effect.
     ensemble = uniform_vertex_ensemble(4)
     sol = solve_discrimination(ensemble)
-    assert verify_kkt(ensemble, sol).effects_in_cone == (True,) * 4
+    assert verify_kkt(ensemble, sol).effect_residuals.max() <= 1e-9
     shift = np.zeros((4, 4))
     shift[1] = 2.0 * np.array([1.0, -1.0, 1.0, -1.0])
     tampered = dataclasses.replace(sol, coefficients=sol.coefficients + shift)
     assert_allclose(effects_of(tampered), effects_of(sol), atol=1e-15)
     assert tampered.coefficients.min() < 0.0
     report = verify_kkt(ensemble, tampered)
-    assert report.effects_in_cone == (True, False, True, True)
+    assert (report.effect_residuals <= 1e-9).tolist() == [True, False, True, True]
+    assert report.effect_residuals[1] == 2.0
     assert report.measurement_residual <= 1e-9 and report.gap <= 1e-9 and not report.passes()
 
 
