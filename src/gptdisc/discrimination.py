@@ -142,9 +142,13 @@ def build_primal(model: GptModel, rewards: np.ndarray) -> LpProblem:
 
 
 def measurement_from_primal(rewards: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Coefficients ``C[x, j] = C_j`` where outcome x attains ``t_j``, ties to the lowest x, and 0 elsewhere."""
+    """Coefficients ``C[x, j] = max(C_j, 0)`` where outcome x attains ``t_j``, ties to the lowest x, and 0 elsewhere.
+
+    The basic ``C_j`` the simplex returns may sit a rounding error below zero; clipped, ``C`` holds no negative
+    entry and no ``-0.0``.
+    """
     owners = rewards.argmax(axis=0)
-    return (owners == np.arange(len(rewards))[:, None]) * x
+    return (owners == np.arange(len(rewards))[:, None]) * (np.maximum(x, 0.0) + 0.0)  # + 0.0 turns -0.0 into 0.0
 
 
 def no_measurement_value(ensemble: Ensemble) -> float:

@@ -14,6 +14,12 @@ full dual of the state cone (the unrestricted-effects reading).  The
 state cone's facets are read off the effect generators when those
 certify them (every facet simplicial and among the generators), and
 come from the double description of the state generators otherwise.
+
+Models and ensembles are frozen and hold read-only arrays, so each keeps
+what it derives: the state cone, and the verdict of
+:func:`validate_model` or :func:`validate_ensemble` for each ``tol`` it
+was validated at.  A repeat call returns a fresh report from that
+verdict; ``dataclasses.replace`` gives a new object that keeps nothing.
 """
 
 from __future__ import annotations
@@ -63,6 +69,11 @@ class GptModel:
             vars(cone)["dual"] = PolyhedralCone._of_unit_rays(self.dim, facets, 0)
         return cone
 
+    @cached_property
+    def _verdicts(self) -> dict:
+        """:func:`validate_model`'s findings by ``tol``."""
+        return {}
+
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
@@ -84,6 +95,11 @@ class Ensemble:
         """The scaled states ``q_x w_x`` as rows."""
         return self.priors[:, None] * self.states
 
+    @cached_property
+    def _verdicts(self) -> dict:
+        """:func:`validate_ensemble`'s findings by ``tol``."""
+        return {}
+
 
 @dataclass
 class ValidationReport:
@@ -96,6 +112,17 @@ class ValidationReport:
     @property
     def valid(self) -> bool:
         return not self.issues
+
+
+def _remembered(subject: GptModel | Ensemble, tol: float, validate) -> ValidationReport:
+    """A fresh report of ``validate(subject, tol)``, whose findings are computed once per subject and ``tol``."""
+    check_tol(tol)
+    verdicts = subject._verdicts
+    if tol not in verdicts:
+        report = validate(subject, tol)
+        verdicts[tol] = (tuple(report.issues), tuple(report.warnings), report.unrestricted_effects)
+    issues, warnings, unrestricted_effects = verdicts[tol]
+    return ValidationReport(list(issues), list(warnings), unrestricted_effects)
 
 
 def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -113,9 +140,13 @@ def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationRepor
     effect cone is built, and the state cone is dualized only when the effect
     generators do not certify its facets; past ``MAX_DUAL_ENTRIES`` that
     raises :class:`UnsupportedSizeError`, and a ``tol`` outside
-    ``(0, MAX_TOL]`` raises :class:`InvalidInputError`.
+    ``(0, MAX_TOL]`` raises :class:`InvalidInputError`.  The findings are
+    computed once per model and ``tol``; each call returns a new report.
     """
-    check_tol(tol)
+    return _remembered(model, tol, _validate_model)
+
+
+def _validate_model(model: GptModel, tol: float) -> ValidationReport:
     report = ValidationReport()
     u = model.unit_effect
     residuals = np.abs(model.state_gens @ u - 1.0)
@@ -154,8 +185,14 @@ def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationRepor
 
 
 def validate_ensemble(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Report prior-simplex and per-state problems, assuming a validated model; only a bad ``tol`` raises."""
-    check_tol(tol)
+    """Report prior-simplex and per-state problems, assuming a validated model; only a bad ``tol`` raises.
+
+    The findings are computed once per ensemble and ``tol``; each call returns a new report.
+    """
+    return _remembered(ensemble, tol, _validate_ensemble)
+
+
+def _validate_ensemble(ensemble: Ensemble, tol: float) -> ValidationReport:
     report = ValidationReport()
     priors = ensemble.priors
     for i in np.flatnonzero(priors < -tol):

@@ -9,13 +9,17 @@ between even n (edge-midpoint directions at half height) and odd n
 ``n`` is the polygon order; ensembles may use any states of the model,
 so the number of discriminated states is independent of ``n`` (the
 no-measurement demo puts five states on the order-4 polygon).
+
+:func:`polygon_model` returns one shared model per order, kept for the
+128 most recently used orders, so each order's state facets and
+validation verdicts are computed once however many ensembles use it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,7 +47,18 @@ def polygon_radius(n: int) -> float:
     return 1.0 / math.sqrt(math.cos(math.pi / n))
 
 def polygon_model(n: int) -> GptModel:
-    """Build the order-``n`` polygon model (states, effects, unit effect)."""
+    """The order-``n`` polygon model (states, effects, unit effect), one shared object per order.
+
+    ``n`` is checked before the lookup, so ``5.0`` raises as it would on a
+    first call.  The last 128 orders used are kept: an order-4,096 model
+    and its facets hold about 0.5 MB.
+    """
+    polygon_radius(n)
+    return _polygon_model(int(n))
+
+
+@lru_cache
+def _polygon_model(n: int) -> GptModel:
     r = polygon_radius(n)
     x = np.arange(n)
     state_angles = 2.0 * np.pi * x / n
@@ -101,17 +116,12 @@ def demo_n4() -> DemoN4Result:
     return DemoN4Result(solution=solution, alternates=alternates)
 
 
-@cache  # one square model per process for the mixture instances, so its cones' facets are computed once
-def _square_model() -> GptModel:
-    return polygon_model(4)
-
-
 def no_measurement_ensemble(p: float) -> Ensemble:
     """Four square vertices with prior ``(1-p)/4`` each, plus their mixture with prior ``p``."""
     p = float(finite_array(p, "mixture prior p", ()))
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError("mixture prior p must lie in [0, 1]")
-    model = _square_model()
+    model = polygon_model(4)
     mixture = model.state_gens.mean(axis=0)
     states = np.vstack([model.state_gens, mixture])
     priors = np.array([(1.0 - p) / 4.0] * 4 + [p])

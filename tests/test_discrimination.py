@@ -519,10 +519,12 @@ def test_collapsed_lp_certifies_the_full_measurement_lp():
         full = full_measurement_lp(ensemble)
         owner = (-full.objective).reshape(ensemble.n_states, g).argmax(axis=0)
         scattered = np.zeros((ensemble.n_states, g))
-        scattered[owner, np.arange(g)] = sol.x
+        scattered[owner, np.arange(g)] = np.maximum(sol.x, 0.0)  # the solver clips rounding below zero
         lifted = LpSolution(OPTIMAL, x=scattered.reshape(-1), objective=sol.objective, y=sol.y)
         assert check_certificate(full, lifted), (ensemble.model.dim, ensemble.n_states)
-        assert_allclose(measurement_from_primal(reward_matrix(ensemble), sol.x), scattered, atol=0.0)
+        coefficients = measurement_from_primal(reward_matrix(ensemble), sol.x)
+        assert_allclose(coefficients, scattered, atol=0.0)
+        assert not np.signbit(coefficients).any()  # no negative entry and no -0.0
 
 
 def test_uniform_polygons_match_axis_operator_through_order_128():
@@ -671,7 +673,7 @@ def test_kkt_reads_effect_membership_off_the_coefficients():
     # On the square f0 + f2 = f1 + f3 = u, so adding t (f0 - f1 + f2 - f3) to one outcome keeps every effect.
     ensemble = uniform_vertex_ensemble(4)
     sol = solve_discrimination(ensemble)
-    assert verify_kkt(ensemble, sol).effect_residuals.max() <= 1e-9
+    assert verify_kkt(ensemble, sol).effect_residuals.max() == 0.0
     shift = np.zeros((4, 4))
     shift[1] = 2.0 * np.array([1.0, -1.0, 1.0, -1.0])
     tampered = dataclasses.replace(sol, coefficients=sol.coefficients + shift)

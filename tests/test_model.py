@@ -213,7 +213,7 @@ def _equal_valued_pairs():
     ensemble = uniform_vertex_ensemble(4)
     solutions = [solve_discrimination(ensemble) for _ in range(2)]
     yield [PolyhedralCone(3, np.eye(3)) for _ in range(2)]
-    yield [polygon_model(4) for _ in range(2)]
+    yield [dataclasses.replace(polygon_model(4)) for _ in range(2)]  # polygon_model(4) is one shared object
     yield [uniform_vertex_ensemble(4) for _ in range(2)]
     yield [ComplementaryPair(r=0.5, d=np.array([0.0, 0.0, 1.0])) for _ in range(2)]
     yield solutions
@@ -513,3 +513,97 @@ def test_state_cone_containing_a_line_is_invalid_through_normalization():
     report = validate_model(lined)
     assert not report.valid
     assert any(issue.startswith("u[w]=1 violated for state generator 4, residual 2") for issue in report.issues)
+
+
+def _counted(monkeypatch, name: str) -> list:
+    """Patch ``gptdisc.model.<name>`` to record each call."""
+    import gptdisc.model
+
+    calls = []
+    real = getattr(gptdisc.model, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gptdisc.model, name, counting)
+    return calls
+
+
+def _halved(order: int) -> GptModel:
+    """The order-``order`` polygon with every other effect generator: restricted effects."""
+    full = polygon_model(order)
+    return dataclasses.replace(full, effect_gens=full.effect_gens[::2])
+
+
+def test_a_repeat_model_validation_solves_no_lp(monkeypatch):
+    model = _halved(8)
+    calls = _counted(monkeypatch, "feasibility_gap")
+    first = validate_model(model)
+    assert len(calls) == 2  # the first unmatched facet, then u
+    second = validate_model(model)
+    assert len(calls) == 2 and second is not first
+    assert (second.issues, second.warnings, second.unrestricted_effects) == ([], [RESTRICTED], False)
+
+
+def test_a_repeat_ensemble_validation_tests_no_membership(monkeypatch):
+    ensemble = uniform_vertex_ensemble(6)
+    calls = _counted(monkeypatch, "inside")
+    assert validate_ensemble(ensemble).valid
+    assert validate_ensemble(ensemble).valid
+    assert len(calls) == 1
+
+
+def test_solve_after_validation_checks_the_ensemble_once(monkeypatch):
+    ensemble = uniform_vertex_ensemble(7)
+    calls = _counted(monkeypatch, "inside")
+    assert validate_ensemble(ensemble).valid
+    assert verify_kkt(ensemble, solve_discrimination(ensemble)).passes()
+    assert len(calls) == 1  # the solve reads the verdict that validation left
+
+
+def test_a_returned_report_is_the_callers_own():
+    model = _halved(6)
+    report = validate_model(model)
+    report.issues.append("edited")
+    report.warnings.clear()
+    report.unrestricted_effects = True
+    again = validate_model(model)
+    assert (again.issues, again.warnings, again.unrestricted_effects) == ([], [RESTRICTED], False)
+    square = polygon_model(4)
+    ensemble = Ensemble(model=square, states=square.state_gens, priors=np.full(4, 0.3))
+    report = validate_ensemble(ensemble)
+    report.issues.clear()
+    assert validate_ensemble(ensemble).issues == ["priors sum 1.2"]
+
+
+def test_each_tol_has_its_own_verdict(monkeypatch):
+    square = polygon_model(4)
+    ensemble = Ensemble(model=square, states=square.state_gens, priors=np.full(4, 0.25 + 1e-7))
+    calls = _counted(monkeypatch, "inside")
+    for _ in range(2):
+        assert validate_ensemble(ensemble, 1e-9).issues == ["priors sum 1"]
+        assert validate_ensemble(ensemble, 1e-3).valid
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, 1e-2])
+def test_a_remembered_verdict_still_rejects_a_bad_tol(tol):
+    ensemble = uniform_vertex_ensemble(5)
+    assert validate_model(ensemble.model).valid and validate_ensemble(ensemble).valid
+    with pytest.raises(InvalidInputError, match="tol must lie in"):
+        validate_model(ensemble.model, tol)
+    with pytest.raises(InvalidInputError, match="tol must lie in"):
+        validate_ensemble(ensemble, tol)
+
+
+def test_a_replaced_object_gets_its_own_verdict():
+    full = polygon_model(10)
+    assert validate_model(full).unrestricted_effects is True
+    halved = dataclasses.replace(full, effect_gens=full.effect_gens[::2])
+    assert validate_model(halved).unrestricted_effects is False
+    assert validate_model(full).unrestricted_effects is True
+    ensemble = uniform_vertex_ensemble(10)
+    assert validate_ensemble(ensemble).valid
+    assert validate_ensemble(dataclasses.replace(ensemble, priors=np.full(10, 0.2))).issues == ["priors sum 2"]
+    assert validate_ensemble(ensemble).valid

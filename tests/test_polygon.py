@@ -16,6 +16,7 @@ from gptdisc import (
 from gptdisc.polygon import (
     AXIS_FEASIBILITY_THRESHOLD,
     QUANTUM_ANALOGUE_THRESHOLD,
+    _polygon_model,
     no_measurement_ensemble,
 )
 
@@ -136,7 +137,7 @@ def test_scan_computes_the_square_facets_once_per_process(monkeypatch):
     # Every grid point and bisection step shares one square model, whose
     # state facets the effect generators certify: no double description runs.
     assert calls == []
-    assert no_measurement_ensemble(0.2).model is no_measurement_ensemble(0.5).model
+    assert no_measurement_ensemble(0.2).model is no_measurement_ensemble(0.5).model is polygon_model(4)
 
 
 def test_scan_rejects_out_of_range_grid():
@@ -159,6 +160,24 @@ def test_scan_rejects_out_of_range_grid():
 def test_polygon_family_rejects_malformed_arguments(build):
     with pytest.raises(InvalidInputError):
         build()
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 24])
+def test_polygon_model_is_one_shared_object_per_order(order):
+    assert polygon_model(order) is polygon_model(order) is polygon_model(np.int64(order))
+    assert polygon_model(order) is not polygon_model(order + 1)
+
+
+def test_shared_polygon_models_are_bounded():
+    # An order-4,096 model with its facets holds about 0.5 MB, so an unbounded memo over a sweep would keep ~1 GB.
+    assert _polygon_model.cache_parameters()["maxsize"] == 128
+
+
+@pytest.mark.parametrize("order", [5.0, "5", [5], True, 2], ids=repr)
+def test_a_cached_order_still_rejects_malformed_orders(order):
+    polygon_model(5)
+    with pytest.raises(InvalidInputError, match="polygon order must be an integer"):
+        polygon_model(order)
 
 
 def test_polygon_family_accepts_numpy_integer_orders():
