@@ -15,11 +15,11 @@ state cone's facets are read off the effect generators when those
 certify them (every facet simplicial and among the generators), and
 come from the double description of the state generators otherwise.
 
-Models and ensembles are frozen and hold read-only arrays, so each keeps
-what it derives: the state cone, and the verdict of
-:func:`validate_model` or :func:`validate_ensemble` for each ``tol`` it
-was validated at.  A repeat call returns a fresh report from that
-verdict; ``dataclasses.replace`` gives a new object that keeps nothing.
+A model is frozen and holds read-only arrays, so it keeps what it
+derives: the state cone, and the verdict of :func:`validate_model` for
+each ``tol`` it was validated at.  A repeat call returns a fresh report
+from that verdict; ``dataclasses.replace`` gives a new model that keeps
+nothing.
 """
 
 from __future__ import annotations
@@ -95,11 +95,6 @@ class Ensemble:
         """The scaled states ``q_x w_x`` as rows."""
         return self.priors[:, None] * self.states
 
-    @cached_property
-    def _verdicts(self) -> dict:
-        """:func:`validate_ensemble`'s findings by ``tol``."""
-        return {}
-
 
 @dataclass
 class ValidationReport:
@@ -112,17 +107,6 @@ class ValidationReport:
     @property
     def valid(self) -> bool:
         return not self.issues
-
-
-def _remembered(subject: GptModel | Ensemble, tol: float, validate) -> ValidationReport:
-    """A fresh report of ``validate(subject, tol)``, whose findings are computed once per subject and ``tol``."""
-    check_tol(tol)
-    verdicts = subject._verdicts
-    if tol not in verdicts:
-        report = validate(subject, tol)
-        verdicts[tol] = (tuple(report.issues), tuple(report.warnings), report.unrestricted_effects)
-    issues, warnings, unrestricted_effects = verdicts[tol]
-    return ValidationReport(list(issues), list(warnings), unrestricted_effects)
 
 
 def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -143,7 +127,13 @@ def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationRepor
     ``(0, MAX_TOL]`` raises :class:`InvalidInputError`.  The findings are
     computed once per model and ``tol``; each call returns a new report.
     """
-    return _remembered(model, tol, _validate_model)
+    check_tol(tol)
+    tol = float(tol)  # a 0-d array passes check_tol but cannot key a dict
+    if tol not in model._verdicts:
+        report = _validate_model(model, tol)
+        model._verdicts[tol] = (tuple(report.issues), tuple(report.warnings), report.unrestricted_effects)
+    issues, warnings, unrestricted_effects = model._verdicts[tol]
+    return ValidationReport(list(issues), list(warnings), unrestricted_effects)
 
 
 def _validate_model(model: GptModel, tol: float) -> ValidationReport:
@@ -185,14 +175,8 @@ def _validate_model(model: GptModel, tol: float) -> ValidationReport:
 
 
 def validate_ensemble(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Report prior-simplex and per-state problems, assuming a validated model; only a bad ``tol`` raises.
-
-    The findings are computed once per ensemble and ``tol``; each call returns a new report.
-    """
-    return _remembered(ensemble, tol, _validate_ensemble)
-
-
-def _validate_ensemble(ensemble: Ensemble, tol: float) -> ValidationReport:
+    """Report prior-simplex and per-state problems, assuming a validated model; only a bad ``tol`` raises."""
+    check_tol(tol)
     report = ValidationReport()
     priors = ensemble.priors
     for i in np.flatnonzero(priors < -tol):

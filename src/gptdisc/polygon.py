@@ -12,7 +12,7 @@ no-measurement demo puts five states on the order-4 polygon).
 
 :func:`polygon_model` returns one shared model per order, kept for the
 128 most recently used orders, so each order's state facets and
-validation verdicts are computed once however many ensembles use it.
+validation verdict are computed once however many ensembles use it.
 """
 
 from __future__ import annotations

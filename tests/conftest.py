@@ -9,6 +9,7 @@ from gptdisc.discrimination import build_primal, reward_matrix
 from gptdisc.errors import finite_array
 from gptdisc.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
 from gptdisc.oracle import _nonsingular
+from gptdisc.polygon import _polygon_model
 
 
 def random_polygon_ensemble(rng: np.random.Generator) -> Ensemble:
@@ -196,6 +197,12 @@ def counted_dual_cones(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(cone, "dual_cone", counting_dual_cone)
     return calls
+
+
+@pytest.fixture(autouse=True)
+def _unshared_polygon_models():
+    """Start each test with no shared polygon model, so no earlier test has done the work that a test counts."""
+    _polygon_model.cache_clear()
 
 
 @pytest.fixture

@@ -546,22 +546,6 @@ def test_a_repeat_model_validation_solves_no_lp(monkeypatch):
     assert (second.issues, second.warnings, second.unrestricted_effects) == ([], [RESTRICTED], False)
 
 
-def test_a_repeat_ensemble_validation_tests_no_membership(monkeypatch):
-    ensemble = uniform_vertex_ensemble(6)
-    calls = _counted(monkeypatch, "inside")
-    assert validate_ensemble(ensemble).valid
-    assert validate_ensemble(ensemble).valid
-    assert len(calls) == 1
-
-
-def test_solve_after_validation_checks_the_ensemble_once(monkeypatch):
-    ensemble = uniform_vertex_ensemble(7)
-    calls = _counted(monkeypatch, "inside")
-    assert validate_ensemble(ensemble).valid
-    assert verify_kkt(ensemble, solve_discrimination(ensemble)).passes()
-    assert len(calls) == 1  # the solve reads the verdict that validation left
-
-
 def test_a_returned_report_is_the_callers_own():
     model = _halved(6)
     report = validate_model(model)
@@ -570,31 +554,32 @@ def test_a_returned_report_is_the_callers_own():
     report.unrestricted_effects = True
     again = validate_model(model)
     assert (again.issues, again.warnings, again.unrestricted_effects) == ([], [RESTRICTED], False)
-    square = polygon_model(4)
-    ensemble = Ensemble(model=square, states=square.state_gens, priors=np.full(4, 0.3))
-    report = validate_ensemble(ensemble)
-    report.issues.clear()
-    assert validate_ensemble(ensemble).issues == ["priors sum 1.2"]
 
 
 def test_each_tol_has_its_own_verdict(monkeypatch):
-    square = polygon_model(4)
-    ensemble = Ensemble(model=square, states=square.state_gens, priors=np.full(4, 0.25 + 1e-7))
-    calls = _counted(monkeypatch, "inside")
+    model = _halved(8)
+    calls = _counted(monkeypatch, "feasibility_gap")
     for _ in range(2):
-        assert validate_ensemble(ensemble, 1e-9).issues == ["priors sum 1"]
-        assert validate_ensemble(ensemble, 1e-3).valid
+        assert validate_model(model, 1e-9).unrestricted_effects is False
+        assert validate_model(model, 1e-3).unrestricted_effects is False
+    assert len(calls) == 4  # two per tol, each on its first call
+
+
+@pytest.mark.parametrize("tol", [np.array(1e-9), np.float64(1e-9)], ids=["0-d array", "float64"])
+def test_a_numpy_scalar_tol_keys_the_verdict(monkeypatch, tol):
+    model = _halved(8)
+    calls = _counted(monkeypatch, "feasibility_gap")
+    assert validate_model(model, tol).warnings == [RESTRICTED]
+    assert validate_model(model, 1e-9).warnings == [RESTRICTED]
     assert len(calls) == 2
 
 
 @pytest.mark.parametrize("tol", [float("nan"), 0.0, 1e-2])
 def test_a_remembered_verdict_still_rejects_a_bad_tol(tol):
-    ensemble = uniform_vertex_ensemble(5)
-    assert validate_model(ensemble.model).valid and validate_ensemble(ensemble).valid
+    model = polygon_model(5)
+    assert validate_model(model).valid
     with pytest.raises(InvalidInputError, match="tol must lie in"):
-        validate_model(ensemble.model, tol)
-    with pytest.raises(InvalidInputError, match="tol must lie in"):
-        validate_ensemble(ensemble, tol)
+        validate_model(model, tol)
 
 
 def test_a_replaced_object_gets_its_own_verdict():
@@ -603,7 +588,3 @@ def test_a_replaced_object_gets_its_own_verdict():
     halved = dataclasses.replace(full, effect_gens=full.effect_gens[::2])
     assert validate_model(halved).unrestricted_effects is False
     assert validate_model(full).unrestricted_effects is True
-    ensemble = uniform_vertex_ensemble(10)
-    assert validate_ensemble(ensemble).valid
-    assert validate_ensemble(dataclasses.replace(ensemble, priors=np.full(10, 0.2))).issues == ["priors sum 2"]
-    assert validate_ensemble(ensemble).valid
