@@ -10,7 +10,6 @@ the regular-polygon model family with its worked examples.
 
 from .cone import PolyhedralCone, cones_equal, dual_cone, member_of
 from .discrimination import (
-    ComplementaryPair,
     DiscriminationSolution,
     KktReport,
     build_primal,
@@ -59,7 +58,6 @@ __all__ = [
     "cones_equal",
     "dual_cone",
     "member_of",
-    "ComplementaryPair",
     "DiscriminationSolution",
     "KktReport",
     "build_primal",

@@ -13,6 +13,8 @@ Every complementary number is read off ``v_x = K - q_x w_x``: the weight
 ``r_x = u[K] - q_x`` and, where ``r_x`` exceeds the tolerance, the
 normalized complementary state ``d_x = v_x / r_x``, so that
 ``K = q_x w_x + r_x d_x``; optimal effects obey slackness, ``e_x[v_x] = 0``.
+A solution states the pairs as arrays: every ``r_x``, the mask of the
+stated ``d_x`` and those ``d_x`` as rows.
 ``d_x`` is a state only when effects are unrestricted (a restricted
 effect cone has a larger dual).  Measurements are stated as coefficients
 ``C >= 0`` on the effect generators.  A :class:`DiscriminationSolution`
@@ -24,7 +26,7 @@ them to one tolerance, so untrusted solutions need no other check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,54 +36,41 @@ from .model import DEFAULT_TOL, Ensemble, GptModel, check_tol, validate_ensemble
 
 
 @dataclass(frozen=True, eq=False)
-class ComplementaryPair:
-    """Weight ``r`` and normalized complementary state ``d`` for one outcome.
-
-    ``d`` is None when the pair is degenerate (``r`` within tolerance of
-    zero); such a pair claims only ``r d = 0``, not that ``K = q w``.
-    """
-
-    r: float
-    d: np.ndarray | None
-
-    @property
-    def degenerate(self) -> bool:
-        return self.d is None
-
-
-@dataclass(frozen=True, eq=False)
 class DiscriminationSolution:
     """Optimal discrimination data: value, measurement coefficients ``C``, symmetry operator ``K``, pairs.
 
-    Outcome x has effect ``e_x = sum_j C[x, j] g_j`` on the effect generators, in file order.  Construction is
-    the one reader of these numbers: it raises :class:`InvalidInputError` unless ``p_guess`` is a finite scalar,
-    ``C`` is N x g, ``K`` has d entries and there is one pair per state, with a finite ``r`` and, where stated,
-    a finite d-vector ``d``.  The checked ``r``, the mask of stated ``d`` and those ``d`` as rows are kept as
-    ``weights``, ``stated`` and ``stated_d``.
+    Outcome x has effect ``e_x = sum_j C[x, j] g_j`` on the effect generators, in file order.  The pairs
+    ``(r_x, d_x)`` are three arrays: the N ``weights`` r, the N booleans ``stated`` that mark which ``d_x``
+    are given, and those ``d_x`` as the rows of ``stated_d``, in outcome order.  An unstated ``d_x`` (``r_x``
+    within tolerance of zero) makes a degenerate pair, which claims only ``r_x d_x = 0``, not ``K = q_x w_x``.
+    Construction is the one reader of these numbers: it raises :class:`InvalidInputError` unless ``p_guess``
+    is a finite scalar, ``C`` is N x g, ``K`` has d entries, ``stated`` is N booleans, the weights are N
+    finite reals and ``stated_d`` is a finite array of one d-vector per stated pair.
     """
 
     ensemble: Ensemble
     p_guess: float
     coefficients: np.ndarray
     symmetry_operator: np.ndarray
-    complementary: tuple[ComplementaryPair, ...]
-    weights: np.ndarray = field(init=False, repr=False)
-    stated: np.ndarray = field(init=False, repr=False)
-    stated_d: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray
+    stated: np.ndarray
+    stated_d: np.ndarray
 
     def __post_init__(self):
         n, (g, dim) = self.ensemble.n_states, self.ensemble.model.effect_gens.shape
         object.__setattr__(self, "p_guess", float(finite_array(self.p_guess, "p_guess", ())))
         object.__setattr__(self, "coefficients", finite_array(self.coefficients, "solution coefficients", (n, g)))
         object.__setattr__(self, "symmetry_operator", finite_array(self.symmetry_operator, "solution K", (dim,)))
-        pairs = self.complementary
-        if len(pairs) != n:
-            raise InvalidInputError("one complementary pair per state is required")
-        object.__setattr__(self, "weights", finite_array([pair.r for pair in pairs], "complementary weights r", (n,)))
-        object.__setattr__(self, "stated", np.array([not pair.degenerate for pair in pairs], dtype=bool))
-        d = [pair.d for pair in pairs if not pair.degenerate]
-        d = finite_array(d if d else np.zeros((0, dim)), "complementary states d", (None, dim))
-        object.__setattr__(self, "stated_d", d)
+        try:
+            stated = np.array(self.stated)
+        except ValueError:  # a ragged list
+            stated = np.zeros(0)
+        if stated.dtype != bool or stated.shape != (n,):
+            raise InvalidInputError(f"one complementary pair per state is required (stated must be {n} booleans)")
+        stated.setflags(write=False)
+        object.__setattr__(self, "stated", stated)
+        object.__setattr__(self, "weights", finite_array(self.weights, "complementary weights r", (n,)))
+        object.__setattr__(self, "stated_d", finite_array(self.stated_d, "complementary states d", (stated.sum(), dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,11 +133,13 @@ def build_primal(model: GptModel, rewards: np.ndarray) -> LpProblem:
 def measurement_from_primal(rewards: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Coefficients ``C[x, j] = max(C_j, 0)`` where outcome x attains ``t_j``, ties to the lowest x, and 0 elsewhere.
 
-    The basic ``C_j`` the simplex returns may sit a rounding error below zero; clipped, ``C`` holds no negative
-    entry and no ``-0.0``.
+    Only the positive ``C_j`` are placed, each in the row of its owner, so a basic ``C_j`` a rounding error below
+    zero is clipped and ``C`` holds no negative entry and no ``-0.0``.
     """
-    owners = rewards.argmax(axis=0)
-    return (owners == np.arange(len(rewards))[:, None]) * (np.maximum(x, 0.0) + 0.0)  # + 0.0 turns -0.0 into 0.0
+    basic = np.flatnonzero(x > 0.0)
+    c = np.zeros(rewards.shape)
+    c[rewards[:, basic].argmax(axis=0), basic] = x[basic]
+    return c
 
 
 def no_measurement_value(ensemble: Ensemble) -> float:
@@ -191,15 +182,15 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
         raise InternalInconsistencyError(f"guessing probability {p_guess!r} outside sandwich bound")
 
     weights = p_guess - ensemble.priors  # r_x
-    states = (k - ensemble.weighted_states()) / np.where(weights > tol, weights, 1.0)[:, None]  # d_x = v_x / r_x
-    states.setflags(write=False)
-    pairs = tuple(ComplementaryPair(r=float(r), d=d if r > tol else None) for r, d in zip(weights, states))
+    stated = weights > tol
     return DiscriminationSolution(
         ensemble=ensemble,
         p_guess=p_guess,
         coefficients=measurement_from_primal(rewards, primal.x),
         symmetry_operator=k,
-        complementary=pairs,
+        weights=weights,
+        stated=stated,
+        stated_d=(k - ensemble.weighted_states()[stated]) / weights[stated, None],  # d_x = v_x / r_x
     )
 
 

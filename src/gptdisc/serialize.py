@@ -7,9 +7,10 @@ keeps its ``.0``, and ``-0.0`` its sign).  A NaN or infinite real has no
 JSON form and raises instead of being written.  Model files carry the cone
 generators and unit effect; ensemble files reference a model inline or
 by path (resolved relative to the ensemble file).  The loaders read
-standard input when the source is ``-``.  Reports and complementary
-pairs are dataclasses and render as objects keyed by their field names;
-models and oracle results have their own file keys.
+standard input when the source is ``-``.  Reports are dataclasses and
+render as objects keyed by their field names; models, oracle results and
+the complementary pairs, which a solution keeps as arrays, have their
+own file keys.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discrimination import ComplementaryPair, DiscriminationSolution, KktReport
+from .discrimination import DiscriminationSolution, KktReport
 from .errors import InvalidInputError
 from .geometry import CongruenceReport
 from .model import Ensemble, GptModel
@@ -143,11 +144,15 @@ def solution_to_dict(
     congruence: CongruenceReport,
     oracle: OracleResult | None = None,
 ) -> dict:
+    d = iter(solution.stated_d.tolist())
     payload = {
         "p_guess": solution.p_guess,
         "coefficients": solution.coefficients,
         "K": solution.symmetry_operator,
-        "complementary": solution.complementary,
+        "complementary": [
+            {"r": r, "d": next(d) if stated else None}
+            for r, stated in zip(solution.weights.tolist(), solution.stated.tolist())
+        ],
         "kkt": kkt,
         "geometry": congruence,
     }
@@ -172,11 +177,15 @@ def solution_from_dict(data, ensemble: Ensemble) -> DiscriminationSolution:
     entries = _require(data, "complementary", "solution")
     if not isinstance(entries, list):
         raise InvalidInputError("solution field 'complementary' must be a list")
-    pairs = tuple(ComplementaryPair(r=_require(entry, "r", "complementary pair"), d=entry.get("d")) for entry in entries)
+    weights = [_require(entry, "r", "complementary pair") for entry in entries]
+    d = [entry.get("d") for entry in entries]  # null where the pair is degenerate
+    stated_d = [row for row in d if row is not None]
     return DiscriminationSolution(
         ensemble=ensemble,
         p_guess=_require(data, "p_guess", "solution"),
         coefficients=coefficients,
         symmetry_operator=k,
-        complementary=pairs,
+        weights=weights,
+        stated=np.array([row is not None for row in d], dtype=bool),
+        stated_d=stated_d if stated_d else np.zeros((0, ensemble.model.dim)),
     )

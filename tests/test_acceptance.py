@@ -64,9 +64,8 @@ def test_criterion_2_square_demo():
         sol = result.solution
         assert sol.p_guess == pytest.approx(0.5, abs=1e-9)
         assert_allclose(sol.symmetry_operator, [0.0, 0.0, 0.5], atol=1e-9)
-        states = sol.ensemble.states
-        for x, pair in enumerate(sol.complementary):
-            assert_allclose(pair.d, states[(x + 2) % 4], atol=1e-9)
+        assert sol.stated.all()
+        assert_allclose(sol.stated_d, np.roll(sol.ensemble.states, -2, axis=0), atol=1e-9)  # d_x = w_{x+2}
         assert len(result.alternates) == 3
         for name, _, report in result.alternates:
             assert report.passes(1e-9), name

@@ -20,7 +20,7 @@ from gptdisc import (
     verify_kkt,
 )
 from gptdisc.cone import inside
-from gptdisc.discrimination import measurement_from_primal, reward_matrix
+from gptdisc.discrimination import build_primal, measurement_from_primal, reward_matrix
 from gptdisc.lp import OPTIMAL, LpSolution, check_certificate
 from gptdisc.oracle import MAX_ORACLE_CONSTRAINTS, dual_vertex_enumeration
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
@@ -92,18 +92,17 @@ def test_triangle_solution_certificate():
     sol = solve_discrimination(uniform_vertex_ensemble(3))
     assert_allclose(sol.p_guess, 1.0, atol=1e-9)
     assert_allclose(effects_of(sol), sol.ensemble.model.effect_gens, atol=1e-9)
-    for pair in sol.complementary:
-        assert pair.r == pytest.approx(2.0 / 3.0, abs=1e-9)
-    assert_allclose(sol.complementary[0].d, [-np.sqrt(2.0) / 2.0, 0.0, 1.0], atol=1e-9)
+    assert sol.stated.all()
+    assert_allclose(sol.weights, 2.0 / 3.0, atol=1e-9)
+    assert_allclose(sol.stated_d[0], [-np.sqrt(2.0) / 2.0, 0.0, 1.0], atol=1e-9)
 
 
 def test_square_solution_certificate():
     sol = solve_discrimination(uniform_vertex_ensemble(4))
     assert_allclose(sol.p_guess, 0.5, atol=1e-9)
-    states = sol.ensemble.states
-    for x, pair in enumerate(sol.complementary):
-        assert pair.r == pytest.approx(0.25, abs=1e-9)
-        assert_allclose(pair.d, states[(x + 2) % 4], atol=1e-9)
+    assert sol.stated.all()
+    assert_allclose(sol.weights, 0.25, atol=1e-9)
+    assert_allclose(sol.stated_d, np.roll(sol.ensemble.states, -2, axis=0), atol=1e-9)  # d_x = w_{x+2}
 
 
 def test_mixture_instance_at_half_prior():
@@ -175,13 +174,14 @@ def test_kkt_array_pass_matches_per_outcome_reference():
         shifted = dataclasses.replace(sol, symmetry_operator=sol.symmetry_operator + 1e-3)
         for candidate in (sol, shifted):
             report = verify_kkt(ensemble, candidate)
-            for x, pair in enumerate(candidate.complementary):
+            stated_d = iter(candidate.stated_d)
+            for x, (r, stated) in enumerate(zip(candidate.weights, candidate.stated)):
                 q, w = float(ensemble.priors[x]), ensemble.states[x]
                 margin = candidate.symmetry_operator - q * w
-                if pair.degenerate:
-                    stability = abs(pair.r)
+                if stated:
+                    stability = float(np.linalg.norm(margin - r * next(stated_d)))
                 else:
-                    stability = float(np.linalg.norm(margin - pair.r * pair.d))
+                    stability = abs(r)
                 orthogonality = abs(float(effects_of(candidate)[x] @ margin))
                 assert report.stability_residuals[x] == stability
                 assert report.orthogonality_residuals[x] == orthogonality
@@ -196,7 +196,7 @@ def test_kkt_accepts_two_outcome_alternative():
     alt = dataclasses.replace(sol, coefficients=np.diag([1.0, 0.0, 1.0, 0.0]))  # effects f0, 0, f2, 0
     report = verify_kkt(ensemble, alt)
     assert report.passes(1e-9)
-    d0 = sol.complementary[0].d
+    d0 = sol.stated_d[0]
     assert float(f[0] @ d0) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -210,26 +210,21 @@ def test_kkt_flags_perturbed_symmetry_operator():
 
 def _rescaled_pairs(sol):
     # (2 r, d / 2) keeps every product r_x d_x, so only the weights themselves can expose it.
-    pairs = tuple(dataclasses.replace(pair, r=2.0 * pair.r, d=pair.d / 2.0) for pair in sol.complementary)
-    return dataclasses.replace(sol, complementary=pairs)
+    return dataclasses.replace(sol, weights=2.0 * sol.weights, stated_d=sol.stated_d / 2.0)
 
 
 def _swapped_states(sol):
     # Outcomes 0 and 1 of the square are both non-degenerate; each now states the other's d.
-    first, second = sol.complementary[:2]
-    pairs = (dataclasses.replace(first, d=second.d), dataclasses.replace(second, d=first.d)) + sol.complementary[2:]
-    return dataclasses.replace(sol, complementary=pairs)
+    return dataclasses.replace(sol, stated_d=sol.stated_d[[1, 0, 2, 3]])
 
 
 def _falsely_degenerate(sol):
     # Marking a pair degenerate claims r d = 0, which its kept r = 1/4 contradicts.
-    pairs = (dataclasses.replace(sol.complementary[0], d=None),) + sol.complementary[1:]
-    return dataclasses.replace(sol, complementary=pairs)
+    return dataclasses.replace(sol, stated=np.arange(4) > 0, stated_d=sol.stated_d[1:])
 
 
 def _degenerate_weight_raised(sol):
-    pairs = tuple(dataclasses.replace(pair, r=0.25) if pair.degenerate else pair for pair in sol.complementary)
-    return dataclasses.replace(sol, complementary=pairs)
+    return dataclasses.replace(sol, weights=np.where(sol.stated, sol.weights, 0.25))
 
 
 @pytest.mark.parametrize(
@@ -238,7 +233,7 @@ def _degenerate_weight_raised(sol):
         pytest.param(uniform_vertex_ensemble(4), lambda sol: dataclasses.replace(sol, p_guess=0.9),
                      "value_residual", id="p-guess"),
         pytest.param(uniform_vertex_ensemble(4), _rescaled_pairs, "weight_residuals", id="rescaled-pairs"),
-        # At p = 0.5 the mixture's pair is degenerate (d is None): its r is checked against u[K] - q.
+        # At p = 0.5 the mixture's pair is degenerate (its d is not stated): its r is checked against u[K] - q.
         pytest.param(no_measurement_ensemble(0.5), _degenerate_weight_raised, "weight_residuals", id="degenerate-r"),
         pytest.param(uniform_vertex_ensemble(4), _swapped_states, "stability_residuals", id="swapped-d"),
         pytest.param(uniform_vertex_ensemble(4), _falsely_degenerate, "stability_residuals", id="false-degenerate"),
@@ -403,10 +398,9 @@ def test_strong_duality_and_sandwich_on_random_instances():
         sol = solve_discrimination(ensemble)
         assert verify_kkt(ensemble, sol).gap <= 1e-8
         assert ensemble.priors.max() - 1e-9 <= sol.p_guess <= 1.0 + 1e-9
-        for x, pair in enumerate(sol.complementary):
-            if not pair.degenerate:
-                recon = ensemble.priors[x] * ensemble.states[x] + pair.r * pair.d
-                assert np.linalg.norm(sol.symmetry_operator - recon) <= 1e-9
+        stated = sol.stated
+        recon = ensemble.weighted_states()[stated] + sol.weights[stated, None] * sol.stated_d
+        assert np.linalg.norm(sol.symmetry_operator - recon, axis=1).max(initial=0.0) <= 1e-9
 
 
 def test_orthogonality_at_optimum_on_random_instances():
@@ -442,9 +436,7 @@ def test_prior_permutation_keeps_value_and_weights():
     )
     shuffled_sol = solve_discrimination(shuffled)
     assert shuffled_sol.p_guess == pytest.approx(sol.p_guess, abs=1e-9)
-    original_r = np.array([pair.r for pair in sol.complementary])
-    shuffled_r = np.array([pair.r for pair in shuffled_sol.complementary])
-    assert_allclose(shuffled_r, original_r[perm], atol=1e-9)
+    assert_allclose(shuffled_sol.weights, sol.weights[perm], atol=1e-9)
 
 
 def test_repeated_states_kept_as_distinct_outcomes():
@@ -525,6 +517,34 @@ def test_collapsed_lp_certifies_the_full_measurement_lp():
         coefficients = measurement_from_primal(reward_matrix(ensemble), sol.x)
         assert_allclose(coefficients, scattered, atol=0.0)
         assert not np.signbit(coefficients).any()  # no negative entry and no -0.0
+
+
+def _dense_measurement(rewards, x):
+    """The N x g owner mask that measurement_from_primal replaced, kept as its reference."""
+    owners = rewards.argmax(axis=0)
+    return (owners == np.arange(len(rewards))[:, None]) * (np.maximum(x, 0.0) + 0.0)
+
+
+def _measurement_inputs():
+    rng = np.random.default_rng(46)
+    ensembles = [uniform_vertex_ensemble(n) for n in (*range(3, 25), 128)]
+    ensembles += [random_polygon_ensemble(rng) for _ in range(20)] + [no_measurement_ensemble(0.5)]
+    for ensemble in ensembles:
+        rewards = reward_matrix(ensemble)
+        yield rewards, solve_lp(build_primal(ensemble.model, rewards)).x
+    # Tied owners, a basic value a rounding error below zero, -0.0 and an exact zero.
+    yield np.array([[1.0, 2.0, 0.5, 3.0, 1.0], [1.0, 2.0, 0.7, 3.0, 0.0]]), np.array([0.5, -1e-17, -0.0, 0.0, 0.25])
+
+
+def test_measurement_from_the_basic_columns_matches_the_dense_owner_mask():
+    # Placing only the positive C_j must give the dense expression's bytes: the lowest-x tie rule,
+    # clipping below zero and no -0.0.  The square's primal has a basic C_j a rounding error below zero.
+    inputs = list(_measurement_inputs())
+    assert any((x < 0.0).any() for _, x in inputs[:-1])
+    for rewards, x in inputs:
+        coefficients = measurement_from_primal(rewards, x)
+        expected = _dense_measurement(rewards, x)
+        assert coefficients.shape == expected.shape and coefficients.tobytes() == expected.tobytes()
 
 
 def test_uniform_polygons_match_axis_operator_through_order_128():
@@ -719,13 +739,12 @@ def test_kkt_rejects_a_solution_of_another_ensemble(other):
         pytest.param(lambda sol: {"p_guess": float("nan")}, "p_guess", id="nan-p-guess"),
         pytest.param(lambda sol: {"symmetry_operator": np.array([0.0, np.nan, 0.5])}, "solution K", id="nan-K"),
         pytest.param(
-            lambda sol: {"complementary": (dataclasses.replace(sol.complementary[0], r=np.nan),) + sol.complementary[1:]},
+            lambda sol: {"weights": np.where(np.arange(4) == 0, np.nan, sol.weights)},
             "complementary weights r",
             id="nan-r",
         ),
         pytest.param(
-            lambda sol: {"complementary": (dataclasses.replace(sol.complementary[0], d=np.full(3, np.nan)),)
-                         + sol.complementary[1:]},
+            lambda sol: {"stated_d": np.vstack([np.full(3, np.nan), sol.stated_d[1:]])},
             "complementary states d",
             id="nan-d",
         ),
@@ -790,17 +809,26 @@ def test_boxworld_uniform_ensembles_solve_to_the_axis_value(boxes, expected):
 def test_malformed_stated_complementary_state_is_invalid_input(tamper, check):
     ensemble = uniform_vertex_ensemble(4)
     sol = solve_discrimination(ensemble)
-    pairs = tuple(dataclasses.replace(pair, d=tamper(pair.d, x)) for x, pair in enumerate(sol.complementary))
+    stated_d = [tamper(d, x) for x, d in enumerate(sol.stated_d)]  # every pair of the square is stated
     with pytest.raises(InvalidInputError, match="complementary states d"):
-        check(ensemble, dataclasses.replace(sol, complementary=pairs))
+        check(ensemble, dataclasses.replace(sol, stated_d=stated_d))
 
 
 @pytest.mark.parametrize(
     "tamper",
     [
-        pytest.param(lambda pairs: (dataclasses.replace(pairs[0], r=float("nan")),) + pairs[1:], id="nan-r"),
-        pytest.param(lambda pairs: pairs[:3], id="three-pairs"),
-        pytest.param(lambda pairs: pairs + pairs[:1], id="five-pairs"),
+        pytest.param(lambda sol: {"weights": np.where(np.arange(4) == 0, np.nan, sol.weights)}, id="nan-r"),
+        pytest.param(lambda sol: {"weights": sol.weights[:3], "stated": sol.stated[:3], "stated_d": sol.stated_d[:3]},
+                     id="three-pairs"),
+        pytest.param(lambda sol: {"weights": np.append(sol.weights, sol.weights[0]),
+                                  "stated": np.append(sol.stated, True),
+                                  "stated_d": np.vstack([sol.stated_d, sol.stated_d[:1]])}, id="five-pairs"),
+        pytest.param(lambda sol: {"stated": sol.stated[:3]}, id="stated-three"),
+        pytest.param(lambda sol: {"stated": [1, 0, 1, 1]}, id="stated-not-boolean"),
+        pytest.param(lambda sol: {"stated": [[True], True, True, True]}, id="stated-ragged"),
+        # Four ones match the four rows of d, but as integers they would index the pairs, not mask them.
+        pytest.param(lambda sol: {"stated": [1, 1, 1, 1]}, id="stated-ones"),
+        pytest.param(lambda sol: {"stated_d": np.vstack([sol.stated_d, sol.stated_d[:1]])}, id="stated-d-extra-row"),
     ],
 )
 @pytest.mark.parametrize("check", [verify_kkt, lambda ensemble, sol: congruence_check(sol)], ids=["kkt", "congruence"])
@@ -808,7 +836,7 @@ def test_malformed_complementary_pairs_are_invalid_input(tamper, check):
     ensemble = uniform_vertex_ensemble(4)
     sol = solve_discrimination(ensemble)
     with pytest.raises(InvalidInputError, match="complementary"):
-        check(ensemble, dataclasses.replace(sol, complementary=tamper(sol.complementary)))
+        check(ensemble, dataclasses.replace(sol, **tamper(sol)))
 
 
 @pytest.mark.parametrize("seed", range(300))

@@ -17,7 +17,6 @@ from gptdisc import (
     symmetric_axis_k,
     verify_kkt,
 )
-from gptdisc.discrimination import ComplementaryPair
 from gptdisc.oracle import dual_vertex_enumeration
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
@@ -42,11 +41,9 @@ def test_congruence_triangle_solution():
 
 def test_congruence_detects_swapped_complementary_state():
     sol = solve_discrimination(uniform_vertex_ensemble(3))
-    pairs = list(sol.complementary)
-    pairs[1] = ComplementaryPair(r=pairs[1].r, d=pairs[0].d)
-    broken = dataclasses.replace(sol, complementary=tuple(pairs))
+    broken = dataclasses.replace(sol, stated_d=sol.stated_d[[0, 0, 2]])  # outcome 1 states outcome 0's d
     report = congruence_check(broken)
-    expected = (2.0 / 3.0) * np.linalg.norm(sol.complementary[1].d - sol.complementary[0].d)
+    expected = (2.0 / 3.0) * np.linalg.norm(sol.stated_d[1] - sol.stated_d[0])
     assert report.max_residual == pytest.approx(expected, abs=1e-9)
     assert report.max_residual > 1e-3
 
@@ -165,9 +162,9 @@ def test_axis_operator_rejects_a_malformed_axis(axis):
 
 def test_ratio_rejects_inconsistent_solution():
     sol = solve_discrimination(uniform_vertex_ensemble(4))
-    pairs = list(sol.complementary)
-    pairs[0] = ComplementaryPair(r=pairs[0].r, d=pairs[0].d * 0.5 + np.array([0.0, 0.0, 0.5]))
-    broken = dataclasses.replace(sol, complementary=tuple(pairs))
+    stated_d = sol.stated_d.copy()
+    stated_d[0] = stated_d[0] * 0.5 + np.array([0.0, 0.0, 0.5])
+    broken = dataclasses.replace(sol, stated_d=stated_d)
     with pytest.raises(InvalidInputError):
         ratio_r(broken)
 
@@ -196,14 +193,15 @@ def test_congruence_report_matches_a_loop_over_pairs(seed):
     # the same report, bit for bit, with degenerate pairs skipped (the mixture at p = 0.5 has one).
     ensemble = random_polygon_ensemble(np.random.default_rng(seed)) if seed < 5 else no_measurement_ensemble(0.5)
     sol = solve_discrimination(ensemble)
-    stated = [x for x, pair in enumerate(sol.complementary) if not pair.degenerate]
+    stated = np.flatnonzero(sol.stated).tolist()
+    pairs = dict(zip(stated, zip(sol.weights[sol.stated], sol.stated_d)))
     weighted = ensemble.weighted_states()
     residuals, ratios = [], []
     for x, y in combinations(stated, 2):
-        px, py = sol.complementary[x], sol.complementary[y]
+        (rx, dx), (ry, dy) = pairs[x], pairs[y]
         edge = weighted[x] - weighted[y]
-        residuals.append(np.linalg.norm(edge + px.r * px.d - py.r * py.d))
-        if (d_edge := np.linalg.norm(px.d - py.d)) > 1e-9:
+        residuals.append(np.linalg.norm(edge + rx * dx - ry * dy))
+        if (d_edge := np.linalg.norm(dx - dy)) > 1e-9:
             ratios.append(np.linalg.norm(edge) / d_edge)
     report = congruence_check(sol)
     assert report.max_residual == max(residuals, default=0.0)

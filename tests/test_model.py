@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gptdisc import (
-    ComplementaryPair,
     Ensemble,
     GptModel,
     InvalidInputError,
@@ -215,7 +214,6 @@ def _equal_valued_pairs():
     yield [PolyhedralCone(3, np.eye(3)) for _ in range(2)]
     yield [dataclasses.replace(polygon_model(4)) for _ in range(2)]  # polygon_model(4) is one shared object
     yield [uniform_vertex_ensemble(4) for _ in range(2)]
-    yield [ComplementaryPair(r=0.5, d=np.array([0.0, 0.0, 1.0])) for _ in range(2)]
     yield solutions
     yield [verify_kkt(ensemble, solutions[0]) for _ in range(2)]
     yield [LpProblem([1.0, 2.0], [[1.0, 1.0]], [1.0]) for _ in range(2)]

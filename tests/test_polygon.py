@@ -85,8 +85,7 @@ def test_triangle_demo():
     sol = demo_n3()
     assert sol.p_guess == pytest.approx(1.0, abs=1e-9)
     assert_allclose(effects_of(sol), sol.ensemble.model.effect_gens, atol=1e-9)
-    for pair in sol.complementary:
-        assert pair.r == pytest.approx(2.0 / 3.0, abs=1e-9)
+    assert_allclose(sol.weights, 2.0 / 3.0, atol=1e-9)
 
 
 def test_square_demo_and_alternates():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gptdisc import InvalidInputError, polygon_model, solve_discrimination, verify_kkt
+from gptdisc import Ensemble, InvalidInputError, polygon_model, solve_discrimination, verify_kkt
 from gptdisc.discrimination import KktReport
 from gptdisc.geometry import CongruenceReport, congruence_check
-from gptdisc.polygon import uniform_vertex_ensemble
+from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 from gptdisc.serialize import (
     dumps,
     ensemble_from_dict,
@@ -79,17 +79,28 @@ def test_ensemble_round_trip_inline_and_by_path(tmp_path):
     assert_allclose(loaded.priors, ensemble.priors)
 
 
-def test_solution_round_trip_preserves_certificate():
-    ensemble = uniform_vertex_ensemble(4)
+def _reversed(ensemble: Ensemble) -> Ensemble:
+    return Ensemble(model=ensemble.model, states=ensemble.states[::-1], priors=ensemble.priors[::-1])
+
+
+@pytest.mark.parametrize(
+    "ensemble",
+    [
+        uniform_vertex_ensemble(4),
+        # Reversed, the mixture's degenerate pair ("d": null) comes first, so the stated d rows follow it.
+        _reversed(no_measurement_ensemble(0.7)),
+    ],
+    ids=["square", "null-d-first"],
+)
+def test_solution_round_trip_preserves_certificate(ensemble):
     solution = solve_discrimination(ensemble)
-    kkt = verify_kkt(ensemble, solution)
-    payload = json.loads(
-        dumps(solution_to_dict(solution, kkt, congruence_check(solution)))
-    )
-    rebuilt = solution_from_dict(payload, ensemble)
+    kkt, congruence = verify_kkt(ensemble, solution), congruence_check(solution)
+    text = dumps(solution_to_dict(solution, kkt, congruence))
+    rebuilt = solution_from_dict(json.loads(text), ensemble)
     assert rebuilt.p_guess == pytest.approx(solution.p_guess)
     assert_allclose(rebuilt.symmetry_operator, solution.symmetry_operator)
     assert verify_kkt(ensemble, rebuilt).passes(1e-9)
+    assert dumps(solution_to_dict(rebuilt, kkt, congruence)) == text
 
 
 def test_reports_render_from_their_own_fields():
