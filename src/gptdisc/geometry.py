@@ -6,6 +6,8 @@ corresponding edges are equal-length and anti-parallel,
 
     q_x w_x - q_y w_y = r_y d_y - r_x d_x   for all x, y.
 
+With the stability vectors ``s_x = K - q_x w_x - r_x d_x``, the identity's
+residual at (x, y) is ``s_y - s_x``, so ``2 max_x |s_x|`` bounds all of them.
 For uniform priors the common weight ``r`` equals the edge-length ratio
 of the two polytopes and the guessing probability is ``1/N + r``.  Norms
 here are Euclidean on ambient coordinates; at optimum the ratio is
@@ -27,7 +29,7 @@ from .model import DEFAULT_TOL, Ensemble, check_tol
 
 @dataclass(frozen=True)
 class CongruenceReport:
-    """Worst pairwise congruence residual and the edge-length ratio statistics."""
+    """A bound on every pairwise congruence residual and the edge-length ratio statistics."""
 
     max_residual: float
     ratio: float | None
@@ -38,20 +40,18 @@ class CongruenceReport:
 def congruence_check(solution: DiscriminationSolution, tol: float = DEFAULT_TOL) -> CongruenceReport:
     """Check edge congruence of the given-state and complementary polytopes.
 
-    Degenerate complementary pairs cannot contribute a vertex and are
-    skipped; their indices are reported.
+    ``max_residual`` is the bound ``2 max_x |s_x|`` over the stated pairs, 0 when none is stated; the ratios
+    are those of the edges between consecutive stated pairs whose ``d`` differ by more than ``tol``.
+    Degenerate complementary pairs cannot contribute a vertex and are skipped; their indices are reported.
     """
     check_tol(tol)
     weights, stated, d = solution.weights, solution.stated, solution.stated_d
     weighted = solution.ensemble.weighted_states()[stated]
-    rd = weights[stated, None] * d
-    order = np.arange(len(d))
-    x, y = (order[:, None] < order).nonzero()  # the pair order of combinations over the stated pairs
-    state_edges = weighted[x] - weighted[y]
-    max_residual = float(row_norms(state_edges + rd[x] - rd[y]).max(initial=0.0))
-    d_edges = row_norms(d[x] - d[y])
+    stability = solution.symmetry_operator - weighted - weights[stated, None] * d  # s_x, as verify_kkt forms it
+    max_residual = 2.0 * float(row_norms(stability).max(initial=0.0))
+    d_edges = row_norms(np.diff(d, axis=0))
     keep = d_edges > tol
-    ratios = row_norms(state_edges[keep]) / d_edges[keep]
+    ratios = row_norms(np.diff(weighted, axis=0)[keep]) / d_edges[keep]
     ratio = float(np.mean(ratios)) if ratios.size else None
     spread = float(ratios.max() - ratios.min()) if ratios.size else 0.0
     skipped = tuple(np.flatnonzero(~stated).tolist())
@@ -62,9 +62,10 @@ def ratio_r(solution: DiscriminationSolution, tol: float = DEFAULT_TOL) -> float
     """Edge-length ratio of the two polytopes for a uniform-prior solution.
 
     Read from :func:`congruence_check` (for uniform priors
-    ``q_x w_x - q_y w_y = (w_x - w_y) / N``), required identical across all
-    admissible vertex pairs and cross-checked against ``p_guess - 1/N``;
-    disagreement means the supplied solution is not optimal.
+    ``q_x w_x - q_y w_y = (w_x - w_y) / N``), whose residual bound must be
+    within ``tol``, whose ratio must be identical across the edges it reads
+    and must match ``p_guess - 1/N``; a failure means the supplied solution
+    is not optimal.
     """
     check_tol(tol)
     ens = solution.ensemble
@@ -72,15 +73,14 @@ def ratio_r(solution: DiscriminationSolution, tol: float = DEFAULT_TOL) -> float
     if float(np.max(np.abs(ens.priors - 1.0 / n))) > tol:
         raise PreconditionError("ratio is defined for uniform priors only")
     report = congruence_check(solution, tol)
+    if report.max_residual > tol:
+        raise InvalidInputError(f"congruence residual {report.max_residual:g}; solution is not optimal")
     if report.ratio is None:
         raise UndefinedRatioError("all complementary vertex pairs are degenerate or coincident")
-    spread = report.ratio_spread
-    if spread > tol:
-        raise InvalidInputError(f"per-pair ratios disagree (spread {spread:g}); solution is not optimal")
+    if report.ratio_spread > tol:
+        raise InvalidInputError(f"per-pair ratios disagree (spread {report.ratio_spread:g}); solution is not optimal")
     if abs(report.ratio - (solution.p_guess - 1.0 / n)) > tol:
-        raise InvalidInputError(
-            f"ratio {report.ratio:g} does not match p_guess - 1/N = {solution.p_guess - 1.0 / n:g}"
-        )
+        raise InvalidInputError(f"ratio {report.ratio:g} does not match p_guess - 1/N = {solution.p_guess - 1.0 / n:g}")
     return report.ratio
 
 

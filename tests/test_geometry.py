@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -43,8 +44,10 @@ def test_congruence_detects_swapped_complementary_state():
     sol = solve_discrimination(uniform_vertex_ensemble(3))
     broken = dataclasses.replace(sol, stated_d=sol.stated_d[[0, 0, 2]])  # outcome 1 states outcome 0's d
     report = congruence_check(broken)
-    expected = (2.0 / 3.0) * np.linalg.norm(sol.stated_d[1] - sol.stated_d[0])
-    assert report.max_residual == pytest.approx(expected, abs=1e-9)
+    edge = np.linalg.norm(sol.stated_d[1] - sol.stated_d[0])
+    # s_1 = r (d_1 - d_0) with r = 2/3, so the bound is twice that; the exact worst edge residual is |s_1| itself.
+    assert report.max_residual == pytest.approx((4.0 / 3.0) * edge, abs=1e-9)
+    assert report.max_residual >= (2.0 / 3.0) * edge
     assert report.max_residual > 1e-3
 
 
@@ -160,11 +163,25 @@ def test_axis_operator_rejects_a_malformed_axis(axis):
         symmetric_axis_k(uniform_vertex_ensemble(4), axis)
 
 
-def test_ratio_rejects_inconsistent_solution():
-    sol = solve_discrimination(uniform_vertex_ensemble(4))
-    stated_d = sol.stated_d.copy()
-    stated_d[0] = stated_d[0] * 0.5 + np.array([0.0, 0.0, 0.5])
-    broken = dataclasses.replace(sol, stated_d=stated_d)
+def _half_way_to_the_axis(d):
+    d = d.copy()
+    d[0] = d[0] * 0.5 + np.array([0.0, 0.0, 0.5])
+    return d
+
+
+@pytest.mark.parametrize(
+    "n, tamper",
+    [
+        (4, _half_way_to_the_axis),
+        # Both keep every consecutive edge ratio at p_guess - 1/N, so only the congruence residual rejects them.
+        (3, lambda d: d[[0, 0, 2]]),
+        (4, lambda d: d[[2, 3, 0, 1]]),
+    ],
+    ids=["square-half-way", "triangle-repeated-d", "square-antipodal-d"],
+)
+def test_ratio_rejects_inconsistent_solution(n, tamper):
+    sol = solve_discrimination(uniform_vertex_ensemble(n))
+    broken = dataclasses.replace(sol, stated_d=tamper(sol.stated_d))
     with pytest.raises(InvalidInputError):
         ratio_r(broken)
 
@@ -189,21 +206,40 @@ def test_verification_rejects_tolerance_outside_range(check, tol):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_congruence_report_matches_a_loop_over_pairs(seed):
-    # The pair indices come from a mask, not from triu_indices; a loop over combinations of the stated pairs must give
-    # the same report, bit for bit, with degenerate pairs skipped (the mixture at p = 0.5 has one).
+    # A loop over every pair of stated pairs is the reference: each edge residual lies within the report's bound
+    # (up to the rounding of the loop's own sums), which is twice the worst stability residual of verify_kkt, on the
+    # solution and on one whose d are stated in reverse; the ratios of the edges between consecutive stated pairs
+    # give the report's ratio statistics bit for bit, with degenerate pairs skipped (the mixture at p = 0.5 has one).
     ensemble = random_polygon_ensemble(np.random.default_rng(seed)) if seed < 5 else no_measurement_ensemble(0.5)
     sol = solve_discrimination(ensemble)
     stated = np.flatnonzero(sol.stated).tolist()
-    pairs = dict(zip(stated, zip(sol.weights[sol.stated], sol.stated_d)))
     weighted = ensemble.weighted_states()
-    residuals, ratios = [], []
-    for x, y in combinations(stated, 2):
-        (rx, dx), (ry, dy) = pairs[x], pairs[y]
-        edge = weighted[x] - weighted[y]
-        residuals.append(np.linalg.norm(edge + rx * dx - ry * dy))
-        if (d_edge := np.linalg.norm(dx - dy)) > 1e-9:
-            ratios.append(np.linalg.norm(edge) / d_edge)
+    for candidate in (sol, dataclasses.replace(sol, stated_d=sol.stated_d[::-1])):
+        pairs = dict(zip(stated, zip(candidate.weights[candidate.stated], candidate.stated_d)))
+        bound = congruence_check(candidate).max_residual
+        for x, y in combinations(stated, 2):
+            (rx, dx), (ry, dy) = pairs[x], pairs[y]
+            assert np.linalg.norm(weighted[x] - weighted[y] + rx * dx - ry * dy) <= bound + 1e-14
+        assert bound == 2 * verify_kkt(ensemble, candidate).stability_residuals[candidate.stated].max(initial=0.0)
     report = congruence_check(sol)
-    assert report.max_residual == max(residuals, default=0.0)
+    d = dict(zip(stated, sol.stated_d))
+    ratios = []
+    for x, y in zip(stated, stated[1:]):
+        if (d_edge := np.linalg.norm(d[x] - d[y])) > 1e-9:
+            ratios.append(np.linalg.norm(weighted[x] - weighted[y]) / d_edge)
     assert report.ratio == (float(np.mean(ratios)) if ratios else None)
     assert report.ratio_spread == (max(ratios) - min(ratios) if ratios else 0.0)
+
+
+def test_congruence_at_order_1024_stays_within_one_megabyte():
+    # The report needs a few N x d arrays, 25 kB each here; a loop's worth of pairs is N(N-1)/2 x d, 12.6 MB each.
+    sol = solve_discrimination(uniform_vertex_ensemble(1024))
+    tracemalloc.start()
+    try:
+        report = congruence_check(sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert report.max_residual <= 1e-9
+    assert report.ratio_spread <= 1e-9
