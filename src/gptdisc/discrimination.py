@@ -167,7 +167,7 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
 
     rewards = reward_matrix(ensemble)
     problem = build_primal(ensemble.model, rewards)
-    primal = solve_lp(problem, tol=tol)
+    primal = solve_lp(problem, tol=tol, start=ensemble.model.measurement_start)
     if primal.status != OPTIMAL:
         model_check = validate_model(ensemble.model, tol=max(tol, 1e-12))
         if not model_check.valid:

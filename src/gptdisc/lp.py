@@ -13,16 +13,24 @@ the entering column as Python floats, because the measurement LP has
 few rows and many columns: one row per model dimension and one column
 per effect generator, 3 x 128 for the order-128 polygon.  Phase 2 runs
 in the phase-1 tableau, whose artificial columns may no longer enter.
+
+Phase 1 reads the rows ``A x = b`` only, never the objective or the
+tolerance, so :func:`phase_one` runs it once into a read-only
+:class:`PhaseOneStart`, and :func:`solve_lp` runs phase 2 on a copy of
+that start for each objective.  A model keeps the start of its
+measurement LP's rows, so every ensemble after the first on that model
+pays for phase 2 alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalFailureError, finite_array
+from .errors import InvalidInputError, NumericalFailureError, finite_array
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -109,23 +117,57 @@ def _run_phase(tableau: np.ndarray, basis: list[int], enter_limit: int) -> str:
     raise NumericalFailureError("simplex iteration guard exceeded (possible cycling)")
 
 
-def solve_lp(problem: LpProblem, tol: float = 1e-9) -> LpSolution:
-    """Solve a standard-form LP, returning a certified solution.
+@dataclass(frozen=True, eq=False)
+class PhaseOneStart:
+    """Phase 1 of the rows ``A x = b``, which no objective enters, kept for every LP on those rows.
 
-    On ``optimal`` status the solution satisfies the certificate
-    invariants checked by :func:`check_certificate`.  Infeasibility and
-    unboundedness are reported through ``status``; only the iteration
-    guard (``_MAX_ITER`` pivots per phase) and a phase-1 "unbounded"
-    raise :class:`NumericalFailureError`.
+    ``sign`` flips the rows whose rhs is negative and ``matrix`` is ``A`` with those rows flipped;
+    ``tableau`` and ``basis`` are phase 1's final tableau and basis, and ``infeasibility`` is its optimal
+    value, the least sum of artificials.  The arrays are read-only.  :attr:`phase2` drives the leftover
+    artificials out on first use and keeps the result.
     """
-    c = problem.objective
-    m, n = problem.eq_matrix.shape
 
-    sign = np.where(problem.eq_rhs < 0.0, -1.0, 1.0)
-    a = problem.eq_matrix * sign[:, None]
-    b = problem.eq_rhs * sign
+    sign: np.ndarray
+    matrix: np.ndarray
+    tableau: np.ndarray
+    basis: tuple[int, ...]
+    infeasibility: float
 
-    # Phase 1: artificial basis, minimize the sum of artificials.
+    @cached_property
+    def phase2(self) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+        """Leftover artificials driven out of a copy of the tableau: its kept rows and cost row, their basis and their indices.
+
+        A row whose artificial cannot be pivoted out is redundant and is dropped.  Each solve copies the
+        tableau and overwrites its last row, the phase-1 costs.  Only a solve that accepts
+        :attr:`infeasibility` reads this, so an infeasible start never gets here.
+        """
+        tableau = self.tableau.copy()
+        basis = list(self.basis)
+        m, n = self.matrix.shape
+        kept_rows = []
+        for i in range(m):
+            if basis[i] < n:
+                kept_rows.append(i)
+            elif n:  # with no column at all, no row can be pivoted
+                row = np.abs(tableau[i, :n])
+                j = int(np.argmax(row))
+                if row[j] > PIVOT_FLOOR:
+                    _pivot(tableau, basis, i, j)
+                    kept_rows.append(i)
+        phase2 = tableau[kept_rows + [m]]
+        kept = np.array(kept_rows, dtype=np.intp)
+        phase2.setflags(write=False)
+        kept.setflags(write=False)
+        return phase2, tuple(basis[i] for i in kept_rows), kept
+
+
+def phase_one(eq_matrix: np.ndarray, eq_rhs: np.ndarray) -> PhaseOneStart:
+    """Run phase 1 on the rows ``eq_matrix x = eq_rhs``, ``x >= 0``: an artificial basis, minimizing the artificials' sum."""
+    m, n = eq_matrix.shape
+    sign = np.where(eq_rhs < 0.0, -1.0, 1.0)
+    a = eq_matrix * sign[:, None]
+    b = eq_rhs * sign
+
     tableau = np.zeros((m + 1, n + m + 1))
     tableau[:m, :n] = a
     tableau[:m, n : n + m] = np.eye(m)
@@ -134,30 +176,43 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9) -> LpSolution:
     tableau[-1, -1] = -b.sum()
     basis = list(range(n, n + m))
 
-    status = _run_phase(tableau, basis, enter_limit=n)
-    if status == UNBOUNDED:
+    if _run_phase(tableau, basis, enter_limit=n) == UNBOUNDED:
         raise NumericalFailureError("phase-1 problem reported unbounded")
-    infeasibility = -tableau[-1, -1]
-    if infeasibility > tol:
-        return LpSolution(status=INFEASIBLE)
+    for array in (sign, a, tableau):
+        array.setflags(write=False)
+    return PhaseOneStart(sign, a, tableau, tuple(basis), float(-tableau[-1, -1]))
 
-    # Drive leftover artificials out of the basis; rows that cannot be
-    # pivoted are redundant and get dropped.
-    kept_rows = []
-    for i in range(m):
-        if basis[i] < n:
-            kept_rows.append(i)
-            continue
-        row = np.abs(tableau[i, :n])
-        j = int(np.argmax(row))
-        if row[j] > PIVOT_FLOOR:
-            _pivot(tableau, basis, i, j)
-            kept_rows.append(i)
+
+def solve_lp(problem: LpProblem, tol: float = 1e-9, start: PhaseOneStart | None = None) -> LpSolution:
+    """Solve a standard-form LP, returning a certified solution.
+
+    ``start`` is :func:`phase_one` of the problem's own rows, built here when
+    none is given: a caller that solves many objectives on the same rows
+    passes one start to each, and every solve then runs phase 2 only, on a
+    copy, with the same bits as a solve without it.  A start whose shape
+    differs from the problem's raises :class:`InvalidInputError`; one built
+    from other rows of the same shape is the caller's error.  ``tol`` bounds
+    the phase-1 infeasibility that still counts as feasible.  On
+    ``optimal`` status the solution satisfies the certificate invariants
+    checked by :func:`check_certificate`.  Infeasibility and unboundedness
+    are reported through ``status``; only the iteration guard
+    (``_MAX_ITER`` pivots per phase) and a phase-1 "unbounded" raise
+    :class:`NumericalFailureError`.
+    """
+    c = problem.objective
+    m, n = problem.eq_matrix.shape
+    if start is None:
+        start = phase_one(problem.eq_matrix, problem.eq_rhs)
+    elif start.matrix.shape != (m, n):
+        raise InvalidInputError(f"phase-1 start of shape {start.matrix.shape} does not fit an LP of shape {(m, n)}")
+    if start.infeasibility > tol:
+        return LpSolution(status=INFEASIBLE)
+    phase2, basis2, kept_rows = start.phase2
 
     # Phase 2 in the phase-1 tableau: the kept rows, artificial columns that
     # may not enter, and a last row of fresh reduced costs.
-    phase2 = tableau[kept_rows + [m]]
-    basis2 = [basis[i] for i in kept_rows]
+    phase2 = phase2.copy()
+    basis2 = list(basis2)
     phase2[-1, :n] = c
     phase2[-1, n:] = 0.0
     phase2[-1] -= c[basis2] @ phase2[:-1]
@@ -172,10 +227,10 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9) -> LpSolution:
     # Dual multipliers from the final basis, mapped back to original rows.
     y = np.zeros(m)
     if basis2:
-        basis_matrix = a[kept_rows][:, basis2]
+        basis_matrix = start.matrix[kept_rows][:, basis2]
         y_kept = np.linalg.solve(basis_matrix.T, c[basis2])
         y[kept_rows] = y_kept
-    y *= sign
+    y *= start.sign
 
     x.setflags(write=False)
     y.setflags(write=False)

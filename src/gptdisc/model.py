@@ -16,10 +16,12 @@ certify them (every facet simplicial and among the generators), and
 come from the double description of the state generators otherwise.
 
 A model is frozen and holds read-only arrays, so it keeps what it
-derives: the state cone, and the verdict of :func:`validate_model` for
-each ``tol`` it was validated at.  A repeat call returns a fresh report
-from that verdict; ``dataclasses.replace`` gives a new model that keeps
-nothing.
+derives: the state cone, the phase-1 start of its measurement LP (whose
+rows ``sum_j C_j g_j = u`` no ensemble changes, so every solve after the
+first on a model runs phase 2 only), and the verdict of
+:func:`validate_model` for each ``tol`` it was validated at.  A repeat
+call returns a fresh report from that verdict; ``dataclasses.replace``
+gives a new model that keeps nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .cone import PolyhedralCone, certified_facets, inside, unit_rows
 from .errors import InvalidInputError, finite_array
-from .lp import feasibility_gap
+from .lp import PhaseOneStart, feasibility_gap, phase_one
 
 DEFAULT_TOL = 1e-9
 #: Largest tolerance the solver, the validators and the ``--tol`` option accept.
@@ -68,6 +70,11 @@ class GptModel:
         if facets is not None:
             vars(cone)["dual"] = PolyhedralCone._of_unit_rays(self.dim, facets, 0)
         return cone
+
+    @cached_property
+    def measurement_start(self) -> PhaseOneStart:
+        """Phase 1 of the measurement LP's completeness rows ``effect_gens.T C = unit_effect``, shared by its ensembles."""
+        return phase_one(self.effect_gens.T, self.unit_effect)
 
     @cached_property
     def _verdicts(self) -> dict:

@@ -11,8 +11,9 @@ so the number of discriminated states is independent of ``n`` (the
 no-measurement demo puts five states on the order-4 polygon).
 
 :func:`polygon_model` returns one shared model per order, kept for the
-128 most recently used orders, so each order's state facets and
-validation verdict are computed once however many ensembles use it.
+128 most recently used orders, so each order's state facets, validation
+verdict and measurement-LP phase 1 are computed once however many
+ensembles use it.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ def polygon_model(n: int) -> GptModel:
     """The order-``n`` polygon model (states, effects, unit effect), one shared object per order.
 
     ``n`` is checked before the lookup, so ``5.0`` raises as it would on a
-    first call.  The last 128 orders used are kept: an order-4,096 model
-    and its facets hold about 0.5 MB.
+    first call.  The last 128 orders used are kept: an order-4,096 model,
+    its facets and its validation verdict hold about 0.5 MB, and its
+    measurement LP's phase-1 start, once solved, 0.36 MB more.
     """
     polygon_radius(n)
     return _polygon_model(int(n))

@@ -860,3 +860,84 @@ def test_nine_dimensional_simplex_validates_with_one_dual(monkeypatch):
     assert sol.p_guess == pytest.approx(14.0 / 15.0, abs=1e-9)
     assert verify_kkt(ensemble, sol).passes()
     assert calls == []  # each facet is tight on eight independent vertices, so the effect generators certify it
+
+
+def _solution_bits(sol):
+    """Every number a solution states, as bytes, so that ``-0.0`` and ``0.0`` differ."""
+    arrays = (sol.p_guess, sol.coefficients, sol.symmetry_operator, sol.weights, sol.stated, sol.stated_d)
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def _uniform_ensemble(model: GptModel) -> Ensemble:
+    k = len(model.state_gens)
+    return Ensemble(model=model, states=model.state_gens, priors=np.full(k, 1.0 / k))
+
+
+WARM_AND_COLD_CASES = {
+    **{f"uniform{n}": lambda n=n: uniform_vertex_ensemble(n) for n in range(3, 65)},
+    **{f"mixed{seed}": lambda seed=seed: random_polygon_ensemble(np.random.default_rng(seed)) for seed in range(8)},
+    "restricted-square": _restricted_square_ensemble,
+    "cube3": lambda: _uniform_ensemble(hypercube_model(3)),
+    "boxworld": lambda: _uniform_ensemble(boxworld_model()),
+    "no-measurement-0.7": lambda: no_measurement_ensemble(0.7),
+}
+
+
+@pytest.mark.parametrize("name", WARM_AND_COLD_CASES)
+def test_warm_and_cold_solves_are_bitwise_equal(name):
+    ensemble = WARM_AND_COLD_CASES[name]()
+    model = ensemble.model
+    ramp = np.arange(1.0, ensemble.n_states + 1)
+    solve_discrimination(Ensemble(model=model, states=ensemble.states, priors=ramp / ramp.sum()))
+    assert "measurement_start" in vars(model)
+    warm = solve_discrimination(ensemble)
+    fresh = dataclasses.replace(model)
+    assert "measurement_start" not in vars(fresh)
+    cold = solve_discrimination(Ensemble(model=fresh, states=ensemble.states, priors=ensemble.priors))
+    assert _solution_bits(warm) == _solution_bits(cold)
+
+
+def test_phase_one_runs_once_per_model(monkeypatch):
+    import gptdisc.lp as lp
+
+    phases = []
+    run_phase = lp._run_phase
+
+    def counting_run_phase(tableau, basis, enter_limit):
+        phases.append(len(basis))
+        return run_phase(tableau, basis, enter_limit)
+
+    monkeypatch.setattr(lp, "_run_phase", counting_run_phase)
+    model = polygon_model(12)
+    rng = np.random.default_rng(5)
+    counts = []
+    for _ in range(3):
+        priors = rng.random(12)
+        phases.clear()
+        solve_discrimination(Ensemble(model=model, states=model.state_gens, priors=priors / priors.sum()))
+        counts.append(len(phases))
+        if len(counts) == 1:
+            start = model.measurement_start
+            arrays = (start.sign, start.matrix, start.tableau, start.phase2[0], start.phase2[2])
+            kept = [a.copy() for a in arrays]
+    assert counts == [2, 1, 1]  # phase 1 and phase 2, then phase 2 alone
+    assert model.measurement_start is start
+    for array, copy in zip(arrays, kept):
+        assert not array.flags.writeable
+        assert array.tobytes() == copy.tobytes()
+    phases.clear()
+    solve_discrimination(_uniform_ensemble(dataclasses.replace(model)))
+    assert len(phases) == 2  # a replaced model keeps no start
+
+
+@pytest.mark.parametrize("n_effects", [0, 2], ids=["none", "two-adjacent"])
+def test_an_infeasible_start_names_the_unit_effect_on_every_solve(n_effects):
+    # The effect cone misses u, so phase 1 ends infeasible, and nothing past it may run: with no effect
+    # generator at all there is no column to drive an artificial out on.
+    square = polygon_model(4)
+    effects = square.effect_gens[:n_effects]
+    model = GptModel(dim=3, state_gens=square.state_gens, effect_gens=effects, unit_effect=square.unit_effect)
+    for _ in range(2):
+        with pytest.raises(InvalidInputError, match="unit effect is not in the cone of the effect generators"):
+            solve_discrimination(_uniform_ensemble(model))
+    assert model.measurement_start.infeasibility > 0.5

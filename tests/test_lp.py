@@ -339,3 +339,54 @@ def test_feasibility_gap_measures_l1_distance():
     gap = feasibility_gap(np.array([[1.0], [0.0]]), np.array([1.0, -1.0]))
     assert_allclose(gap, 1.0, atol=1e-9)
     assert feasibility_gap(np.array([[1.0], [0.0]]), np.array([2.0, 0.0])) <= 1e-12
+
+
+def _bits(solution):
+    """Everything a solution states, as bytes, so that ``-0.0`` and ``0.0`` differ."""
+    arrays = (solution.x, solution.y, np.array(solution.objective, dtype=float))
+    return solution.status, [None if a is None else a.tobytes() for a in arrays]
+
+
+def _problems_of_this_module():
+    rng = np.random.default_rng(11)
+    problems = {
+        "equality-split": LpProblem([1.0, 1.0], [[1.0, 1.0]], [1.0]),
+        "slack": slack_form([-1.0], [[1.0]], [2.0]),
+        "infeasible": LpProblem([0.0], [[1.0], [1.0]], [1.0, 2.0]),
+        "unbounded": LpProblem([-1.0, 0.0], [[0.0, 1.0]], [1.0]),
+        "negative-rhs": slack_form([1.0], [[-1.0]], [-1.0]),
+        "redundant-rows": LpProblem([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0]),
+        "degenerate": _degenerate_lp(),
+        "without-rows": LpProblem([1.0, -1.0, 0.0], np.zeros((0, 3)), np.zeros(0)),
+        "without-columns": LpProblem(np.zeros(0), np.zeros((1, 0)), [0.0]),
+    }
+    for i in range(10):
+        problems[f"random{i}"] = slack_form(rng.uniform(-2, 2, 5), rng.uniform(-2, 2, (6, 5)), rng.uniform(-1, 3, 6))
+    problems.update({f"uniform{n}": measurement_lp(uniform_vertex_ensemble(n)) for n in (3, 8, 13, 24, 128)})
+    problems.update({f"mixed{seed}": measurement_lp(random_polygon_ensemble(np.random.default_rng(seed))) for seed in range(4)})
+    problems.update({f"no-measurement-{p}": measurement_lp(no_measurement_ensemble(p)) for p in (0.1, 0.3)})
+    return problems
+
+
+def test_a_solve_from_a_start_equals_a_solve_without_one():
+    for name, problem in _problems_of_this_module().items():
+        start = lp_module.phase_one(problem.eq_matrix, problem.eq_rhs)
+        cold = solve_lp(problem)
+        # The start is reused: its second solve reads the drive-out that the first one kept.
+        assert _bits(solve_lp(problem, start=start)) == _bits(cold), name
+        assert _bits(solve_lp(problem, start=start)) == _bits(cold), name
+
+
+def test_lp_without_columns():
+    # Rows that no column can pivot on are redundant when their rhs is zero, and infeasible otherwise.
+    sol = solve_lp(LpProblem(np.zeros(0), np.zeros((1, 0)), [0.0]))
+    assert (sol.status, sol.x.tolist(), sol.y.tolist(), sol.objective) == (OPTIMAL, [], [0.0], 0.0)
+    assert solve_lp(LpProblem(np.zeros(0), np.zeros((1, 0)), [1.0])).status == INFEASIBLE
+
+
+@pytest.mark.parametrize("rows, columns", [(4, 8), (2, 8), (3, 9), (3, 7)])
+def test_start_of_another_shape_is_rejected(rows, columns):
+    problem = measurement_lp(uniform_vertex_ensemble(8))
+    start = lp_module.phase_one(np.ones((rows, columns)), np.ones(rows))
+    with pytest.raises(InvalidInputError, match=rf"start of shape \({rows}, {columns}\) does not fit an LP of shape \(3, 8\)"):
+        solve_lp(problem, start=start)
