@@ -118,7 +118,7 @@ def member_of(cone: PolyhedralCone, v, tol: float = 1e-9) -> bool:
 
 def inside(normals: np.ndarray, points: np.ndarray, tol: float) -> np.ndarray:
     """One bool per row ``v`` of ``points``: ``f . v >= -tol`` for every row ``f`` of ``normals`` (facets or generators)."""
-    return (points @ normals.T).min(axis=1, initial=0.0) >= -tol
+    return np.minimum.reduce(points @ normals.T, axis=1, initial=0.0) >= -tol
 
 
 def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:

@@ -26,6 +26,7 @@ them to one tolerance, so untrusted solutions need no other check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -101,7 +102,7 @@ class KktReport:
 
     def passes(self, tol: float = DEFAULT_TOL) -> bool:
         """True iff every residual is at most ``tol``; :class:`InvalidInputError` on a ``tol`` outside ``(0, MAX_TOL]``."""
-        check_tol(tol)
+        tol = check_tol(tol)
         return all(worst <= tol for worst in self.worst_residuals().values())
 
 
@@ -160,7 +161,7 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
     fails :func:`check_certificate`, or ``p_guess`` falls outside the
     sandwich bound ``[max_x q_x, 1]``.
     """
-    check_tol(tol)
+    tol = check_tol(tol)
     check = validate_ensemble(ensemble, tol=max(tol, 1e-12))
     if not check.valid:
         raise InvalidInputError("; ".join(check.issues))
@@ -218,19 +219,20 @@ def verify_kkt(ensemble: Ensemble, solution: DiscriminationSolution) -> KktRepor
 
     weighted = ensemble.weighted_states()
     margins = k - weighted  # v_x
-    measurement_residual = float(np.linalg.norm(effects.sum(axis=0) - model.unit_effect))
-    primal_value = float(np.sum(ensemble.priors * np.einsum("xd,xd->x", effects, ensemble.states)))
+    completeness = np.add.reduce(effects) - model.unit_effect
+    measurement_residual = math.sqrt(completeness @ completeness)  # np.linalg.norm's own formula
+    primal_value = float(np.add.reduce(ensemble.priors * np.einsum("xd,xd->x", effects, ensemble.states)))
     value = float(model.unit_effect @ k)  # u[K]
     weights, stated = solution.weights, solution.stated
     stability = np.abs(weights)  # a null d claims only r_x d_x = 0
     stability[stated] = row_norms(margins[stated] - weights[stated, None] * solution.stated_d)
     return KktReport(
         stability_residuals=stability,
-        positivity_residuals=0.0 - (margins @ model.effect_gens.T).min(axis=1, initial=0.0),  # K >= q_x w_x
+        positivity_residuals=0.0 - np.minimum.reduce(margins @ model.effect_gens.T, axis=1, initial=0.0),  # K >= q_x w_x
         orthogonality_residuals=np.abs(_row_dots(effects, margins)),
         measurement_residual=measurement_residual,
         gap=abs(primal_value - value),
-        effect_residuals=0.0 - coefficients.min(axis=1, initial=0.0),  # 0.0 - m, not -m, writes no -0.0
+        effect_residuals=0.0 - np.minimum.reduce(coefficients, axis=1, initial=0.0),  # 0.0 - m, not -m, writes no -0.0
         value_residual=abs(solution.p_guess - value),
         weight_residuals=np.abs(weights - (value - ensemble.priors)),
     )

@@ -44,16 +44,16 @@ def congruence_check(solution: DiscriminationSolution, tol: float = DEFAULT_TOL)
     are those of the edges between consecutive stated pairs whose ``d`` differ by more than ``tol``.
     Degenerate complementary pairs cannot contribute a vertex and are skipped; their indices are reported.
     """
-    check_tol(tol)
+    tol = check_tol(tol)
     weights, stated, d = solution.weights, solution.stated, solution.stated_d
     weighted = solution.ensemble.weighted_states()[stated]
     stability = solution.symmetry_operator - weighted - weights[stated, None] * d  # s_x, as verify_kkt forms it
-    max_residual = 2.0 * float(row_norms(stability).max(initial=0.0))
-    d_edges = row_norms(np.diff(d, axis=0))
+    max_residual = 2.0 * float(np.maximum.reduce(row_norms(stability), initial=0.0))
+    d_edges = row_norms(d[1:] - d[:-1])
     keep = d_edges > tol
-    ratios = row_norms(np.diff(weighted, axis=0)[keep]) / d_edges[keep]
-    ratio = float(np.mean(ratios)) if ratios.size else None
-    spread = float(ratios.max() - ratios.min()) if ratios.size else 0.0
+    ratios = row_norms((weighted[1:] - weighted[:-1])[keep]) / d_edges[keep]
+    ratio = float(np.add.reduce(ratios) / ratios.size) if ratios.size else None
+    spread = float(np.maximum.reduce(ratios) - np.minimum.reduce(ratios)) if ratios.size else 0.0
     skipped = tuple(np.flatnonzero(~stated).tolist())
     return CongruenceReport(max_residual=max_residual, ratio=ratio, ratio_spread=spread, skipped=skipped)
 
@@ -67,7 +67,7 @@ def ratio_r(solution: DiscriminationSolution, tol: float = DEFAULT_TOL) -> float
     and must match ``p_guess - 1/N``; a failure means the supplied solution
     is not optimal.
     """
-    check_tol(tol)
+    tol = check_tol(tol)
     ens = solution.ensemble
     n = ens.n_states
     if float(np.max(np.abs(ens.priors - 1.0 / n))) > tol:
@@ -93,7 +93,7 @@ def symmetric_axis_k(ensemble: Ensemble, axis, tol: float = DEFAULT_TOL) -> np.n
     is optimal when the ensemble has a transitive symmetry fixing the
     axis, which the caller should confirm through the KKT report.
     """
-    check_tol(tol)
+    tol = check_tol(tol)
     model = ensemble.model
     direction = finite_array(axis, "axis", (model.dim,))
     if abs(float(model.unit_effect @ direction) - 1.0) > tol:

@@ -252,10 +252,10 @@ def certificate_residual(problem: LpProblem, solution: LpSolution) -> float:
     c = problem.objective
     reduced = c - a.T @ y
     residuals = (
-        -np.min(x, initial=0.0),
-        np.max(np.abs(a @ x - b), initial=0.0),
-        -np.min(reduced, initial=0.0),
-        np.max(np.abs(x * reduced), initial=0.0),
+        -np.minimum.reduce(x, initial=0.0),
+        np.maximum.reduce(np.abs(a @ x - b), initial=0.0),
+        -np.minimum.reduce(reduced, initial=0.0),
+        np.maximum.reduce(np.abs(x * reduced), initial=0.0),
         abs(float(c @ x) - float(b @ y)),
     )
     return math.nan if any(map(math.isnan, residuals)) else float(max(residuals))

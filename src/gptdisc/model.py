@@ -15,13 +15,16 @@ state cone's facets are read off the effect generators when those
 certify them (every facet simplicial and among the generators), and
 come from the double description of the state generators otherwise.
 
-A model is frozen and holds read-only arrays, so it keeps what it
-derives: the state cone, the phase-1 start of its measurement LP (whose
-rows ``sum_j C_j g_j = u`` no ensemble changes, so every solve after the
-first on a model runs phase 2 only), and the verdict of
-:func:`validate_model` for each ``tol`` it was validated at.  A repeat
-call returns a fresh report from that verdict; ``dataclasses.replace``
-gives a new model that keeps nothing.
+Models and ensembles are frozen and hold read-only arrays, so each keeps
+what it derives.  A model keeps its state cone, the phase-1 start of its
+measurement LP (whose rows ``sum_j C_j g_j = u`` no ensemble changes, so
+every solve after the first on a model runs phase 2 only), and the
+verdict of :func:`validate_model` for each ``tol`` it was validated at.
+An ensemble keeps its scaled states ``q_x w_x`` and the verdict of
+:func:`validate_ensemble` for each ``tol``, so the caller's validation,
+the solve and both certificate checks scale and check it once.  A repeat
+validation returns a fresh report from the kept verdict;
+``dataclasses.replace`` gives a new object that keeps nothing.
 """
 
 from __future__ import annotations
@@ -40,10 +43,23 @@ DEFAULT_TOL = 1e-9
 MAX_TOL = 1e-3
 
 
-def check_tol(tol: float) -> None:
-    """Raise :class:`InvalidInputError` unless ``0 < tol <= MAX_TOL``, a range that NaN and infinities miss."""
+def check_tol(tol) -> float:
+    """``tol`` as a float; :class:`InvalidInputError` unless it is a real scalar with ``0 < tol <= MAX_TOL``.
+
+    A Python or numpy integer or float, or a 0-d array of one, is a real scalar; a one-element array,
+    a string, a boolean or None is not.  NaN and infinities miss the range.
+    """
+    if type(tol) is not float:  # a plain float, the usual tol, needs no conversion
+        try:
+            arr = np.asarray(tol)
+        except (TypeError, ValueError):  # a ragged list
+            arr = np.asarray(None)
+        if arr.shape != () or arr.dtype.kind not in "iuf":
+            raise InvalidInputError(f"tol must be a real scalar, got {tol!r}")
+        tol = float(arr)
     if not 0.0 < tol <= MAX_TOL:
         raise InvalidInputError(f"tol must lie in (0, {MAX_TOL:g}], got {tol!r}")
+    return tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +100,10 @@ class GptModel:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """A discrimination instance: N states of a model with prior probabilities."""
+    """A discrimination instance: N states of a model with prior probabilities.
+
+    Like its model, an ensemble keeps its scaled states and its :func:`validate_ensemble` verdicts.
+    """
 
     model: GptModel
     states: np.ndarray
@@ -99,8 +118,19 @@ class Ensemble:
         return self.states.shape[0]
 
     def weighted_states(self) -> np.ndarray:
-        """The scaled states ``q_x w_x`` as rows."""
-        return self.priors[:, None] * self.states
+        """The scaled states ``q_x w_x`` as rows: one read-only array, formed on first use and shared by every caller."""
+        return self._weighted_states
+
+    @cached_property
+    def _weighted_states(self) -> np.ndarray:
+        weighted = self.priors[:, None] * self.states
+        weighted.setflags(write=False)
+        return weighted
+
+    @cached_property
+    def _verdicts(self) -> dict:
+        """:func:`validate_ensemble`'s findings by ``tol``."""
+        return {}
 
 
 @dataclass
@@ -134,12 +164,16 @@ def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationRepor
     ``(0, MAX_TOL]`` raises :class:`InvalidInputError`.  The findings are
     computed once per model and ``tol``; each call returns a new report.
     """
-    check_tol(tol)
-    tol = float(tol)  # a 0-d array passes check_tol but cannot key a dict
-    if tol not in model._verdicts:
-        report = _validate_model(model, tol)
-        model._verdicts[tol] = (tuple(report.issues), tuple(report.warnings), report.unrestricted_effects)
-    issues, warnings, unrestricted_effects = model._verdicts[tol]
+    return _kept(model, check_tol(tol), _validate_model)
+
+
+def _kept(subject: GptModel | Ensemble, tol: float, validate) -> ValidationReport:
+    """A new report of the findings ``subject`` keeps for ``tol``, from ``validate(subject, tol)`` on first use."""
+    verdicts = subject._verdicts
+    if tol not in verdicts:
+        report = validate(subject, tol)
+        verdicts[tol] = (tuple(report.issues), tuple(report.warnings), report.unrestricted_effects)
+    issues, warnings, unrestricted_effects = verdicts[tol]
     return ValidationReport(list(issues), list(warnings), unrestricted_effects)
 
 
@@ -182,8 +216,14 @@ def _validate_model(model: GptModel, tol: float) -> ValidationReport:
 
 
 def validate_ensemble(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Report prior-simplex and per-state problems, assuming a validated model; only a bad ``tol`` raises."""
-    check_tol(tol)
+    """Report prior-simplex and per-state problems, assuming a validated model; only a bad ``tol`` raises.
+
+    The findings are computed once per ensemble and ``tol``; each call returns a new report.
+    """
+    return _kept(ensemble, check_tol(tol), _validate_ensemble)
+
+
+def _validate_ensemble(ensemble: Ensemble, tol: float) -> ValidationReport:
     report = ValidationReport()
     priors = ensemble.priors
     for i in np.flatnonzero(priors < -tol):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from gptdisc import (
     verify_kkt,
 )
 from gptdisc.cone import inside
-from gptdisc.discrimination import build_primal, measurement_from_primal, reward_matrix
-from gptdisc.lp import OPTIMAL, LpSolution, check_certificate
+from gptdisc.discrimination import _row_dots, build_primal, measurement_from_primal, reward_matrix, row_norms
+from gptdisc.lp import OPTIMAL, LpSolution, certificate_residual, check_certificate
 from gptdisc.oracle import MAX_ORACLE_CONSTRAINTS, dual_vertex_enumeration
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
@@ -941,3 +942,99 @@ def test_an_infeasible_start_names_the_unit_effect_on_every_solve(n_effects):
         with pytest.raises(InvalidInputError, match="unit effect is not in the cone of the effect generators"):
             solve_discrimination(_uniform_ensemble(model))
     assert model.measurement_start.infeasibility > 0.5
+
+
+def _parent_kkt_fields(ensemble: Ensemble, solution) -> dict:
+    """``verify_kkt``'s fields by the reference expressions: ``np.linalg.norm``, ``np.sum`` and ``.min(initial=...)``."""
+    model = ensemble.model
+    k, coefficients = solution.symmetry_operator, solution.coefficients
+    effects = coefficients @ model.effect_gens
+    margins = k - ensemble.priors[:, None] * ensemble.states
+    value = float(model.unit_effect @ k)
+    weights, stated = solution.weights, solution.stated
+    stability = np.abs(weights)
+    stability[stated] = row_norms(margins[stated] - weights[stated, None] * solution.stated_d)
+    primal_value = float(np.sum(ensemble.priors * np.einsum("xd,xd->x", effects, ensemble.states)))
+    return {
+        "stability_residuals": stability,
+        "positivity_residuals": 0.0 - (margins @ model.effect_gens.T).min(axis=1, initial=0.0),
+        "orthogonality_residuals": np.abs(_row_dots(effects, margins)),
+        "measurement_residual": float(np.linalg.norm(effects.sum(axis=0) - model.unit_effect)),
+        "gap": abs(primal_value - value),
+        "effect_residuals": 0.0 - coefficients.min(axis=1, initial=0.0),
+        "value_residual": abs(solution.p_guess - value),
+        "weight_residuals": np.abs(weights - (value - ensemble.priors)),
+    }
+
+
+def _parent_congruence_fields(solution, tol: float = 1e-9) -> dict:
+    """``congruence_check``'s fields by the reference expressions: ``np.diff``, ``np.mean`` and ``.max()``."""
+    weights, stated, d = solution.weights, solution.stated, solution.stated_d
+    weighted = (solution.ensemble.priors[:, None] * solution.ensemble.states)[stated]
+    stability = solution.symmetry_operator - weighted - weights[stated, None] * d
+    d_edges = row_norms(np.diff(d, axis=0))
+    keep = d_edges > tol
+    ratios = row_norms(np.diff(weighted, axis=0)[keep]) / d_edges[keep]
+    return {
+        "max_residual": 2.0 * float(row_norms(stability).max(initial=0.0)),
+        "ratio": float(np.mean(ratios)) if ratios.size else None,
+        "ratio_spread": float(ratios.max() - ratios.min()) if ratios.size else 0.0,
+        "skipped": tuple(np.flatnonzero(~stated).tolist()),
+    }
+
+
+def _parent_certificate_residual(problem, solution) -> float:
+    """``certificate_residual`` by the reference expressions ``np.min`` and ``np.max``."""
+    x, y, a, b, c = solution.x, solution.y, problem.eq_matrix, problem.eq_rhs, problem.objective
+    reduced = c - a.T @ y
+    residuals = (
+        -np.min(x, initial=0.0),
+        np.max(np.abs(a @ x - b), initial=0.0),
+        -np.min(reduced, initial=0.0),
+        np.max(np.abs(x * reduced), initial=0.0),
+        abs(float(c @ x) - float(b @ y)),
+    )
+    return math.nan if any(map(math.isnan, residuals)) else float(max(residuals))
+
+
+def _bits(value):
+    """A value's type, shape and bytes, so that ``-0.0`` and ``0.0`` differ; None and tuples as they are."""
+    if value is None or isinstance(value, tuple):
+        return value
+    return type(value), np.shape(value), np.asarray(value, dtype=float).tobytes()
+
+
+def _one_stated_pair(sol):
+    stated = np.arange(sol.ensemble.n_states) == np.flatnonzero(sol.stated)[0]
+    return dataclasses.replace(sol, stated=stated, stated_d=sol.stated_d[:1])
+
+
+def _no_stated_pair(sol):
+    return dataclasses.replace(sol, stated=np.zeros(sol.ensemble.n_states, bool), stated_d=np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("name", [*WARM_AND_COLD_CASES, "one-stated-pair", "no-stated-pair"])
+def test_check_path_matches_the_reference_expressions_bit_for_bit(name):
+    if name in WARM_AND_COLD_CASES:
+        ensemble = WARM_AND_COLD_CASES[name]()
+        sol = solve_discrimination(ensemble)
+    else:
+        ensemble = uniform_vertex_ensemble(4)
+        sol = (_one_stated_pair if name == "one-stated-pair" else _no_stated_pair)(solve_discrimination(ensemble))
+    kkt = verify_kkt(ensemble, sol)
+    assert {f.name: _bits(getattr(kkt, f.name)) for f in dataclasses.fields(kkt)} == {
+        field: _bits(value) for field, value in _parent_kkt_fields(ensemble, sol).items()
+    }
+    report = congruence_check(sol)
+    assert {f.name: _bits(getattr(report, f.name)) for f in dataclasses.fields(report)} == {
+        field: _bits(value) for field, value in _parent_congruence_fields(sol).items()
+    }
+    if name.endswith("stated-pair"):
+        assert report.ratio is None
+    problem = measurement_lp(ensemble)
+    primal = solve_lp(problem)
+    assert _bits(certificate_residual(problem, primal)) == _bits(_parent_certificate_residual(problem, primal))
+    facets = ensemble.model.state_cone.facets
+    assert inside(facets, ensemble.states, 1e-9).tolist() == (
+        (ensemble.states @ facets.T).min(axis=1, initial=0.0) >= -1e-9
+    ).tolist()

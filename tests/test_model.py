@@ -13,11 +13,14 @@ from gptdisc import (
     LpSolution,
     OracleResult,
     PolyhedralCone,
+    congruence_check,
     cones_equal,
     demo_n4,
     member_of,
     polygon_model,
+    ratio_r,
     solve_discrimination,
+    symmetric_axis_k,
     validate_ensemble,
     validate_model,
     verify_kkt,
@@ -25,6 +28,7 @@ from gptdisc import (
 from gptdisc.cone import inside
 from gptdisc.errors import finite_array
 from gptdisc.lp import LpProblem
+from gptdisc.model import check_tol
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
 from conftest import (
@@ -586,3 +590,90 @@ def test_a_replaced_object_gets_its_own_verdict():
     halved = dataclasses.replace(full, effect_gens=full.effect_gens[::2])
     assert validate_model(halved).unrestricted_effects is False
     assert validate_model(full).unrestricted_effects is True
+
+
+def test_an_ensemble_is_validated_once_per_tol(monkeypatch):
+    # The caller's validation, the solve's own and both certificate checks share one verdict per tol.
+    calls = _counted(monkeypatch, "_validate_ensemble")
+    ensemble = random_polygon_ensemble(np.random.default_rng(4))
+    for _ in range(2):
+        assert validate_ensemble(ensemble).valid
+        solution = solve_discrimination(ensemble)
+        assert verify_kkt(ensemble, solution).passes()
+        assert congruence_check(solution).max_residual <= 1e-9
+        assert validate_ensemble(ensemble, 1e-6).valid
+    assert [tol for _, tol in calls] == [1e-9, 1e-6]
+    replaced = dataclasses.replace(ensemble)
+    assert set(vars(replaced)) == {"model", "states", "priors"}  # a replaced ensemble keeps nothing
+    assert validate_ensemble(replaced).valid
+    assert len(calls) == 3
+
+
+def test_an_ensemble_report_is_the_callers_own():
+    model = polygon_model(4)
+    ensemble = Ensemble(model=model, states=model.state_gens[:3], priors=np.array([-0.25, 1.5, -0.25]))
+    issues = ["prior 0 negative (-0.25)", "prior 2 negative (-0.25)"]
+    report = validate_ensemble(ensemble)
+    assert report.issues == issues
+    report.issues.append("edited")
+    report.warnings.append("edited")
+    again = validate_ensemble(ensemble)
+    assert (again.issues, again.warnings, again.unrestricted_effects) == (issues, [], None)
+    for _ in range(2):  # the first solve and a repeat both refuse the ensemble
+        with pytest.raises(InvalidInputError, match="prior 0 negative"):
+            solve_discrimination(ensemble)
+
+
+def test_weighted_states_are_one_read_only_array():
+    ensemble = random_polygon_ensemble(np.random.default_rng(2))
+    weighted = ensemble.weighted_states()
+    assert ensemble.weighted_states() is weighted
+    assert not weighted.flags.writeable
+    with pytest.raises(ValueError):
+        weighted[0, 0] = 1.0
+    assert weighted.tobytes() == (ensemble.priors[:, None] * ensemble.states).tobytes()
+    assert dataclasses.replace(ensemble).weighted_states() is not weighted
+
+
+#: Every public entry point that takes a tol, called on the uniform square, its solution and a tol.
+TOL_ENTRY_POINTS = {
+    "validate_model": lambda ensemble, solution, tol: validate_model(ensemble.model, tol),
+    "validate_ensemble": lambda ensemble, solution, tol: validate_ensemble(ensemble, tol),
+    "solve_discrimination": lambda ensemble, solution, tol: solve_discrimination(ensemble, tol).p_guess,
+    "passes": lambda ensemble, solution, tol: verify_kkt(ensemble, solution).passes(tol),
+    "congruence_check": lambda ensemble, solution, tol: congruence_check(solution, tol),
+    "ratio_r": lambda ensemble, solution, tol: ratio_r(solution, tol),
+    "symmetric_axis_k": lambda ensemble, solution, tol: symmetric_axis_k(ensemble, [0.0, 0.0, 1.0], tol).tolist(),
+}
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [np.array([1e-9]), np.array([[1e-9]]), "1e-9", None, True, [[1e-9], []]],
+    ids=["one-element", "one-by-one", "string", "none", "boolean", "ragged"],
+)
+@pytest.mark.parametrize("entry", TOL_ENTRY_POINTS)
+def test_a_tol_that_is_not_a_real_scalar_is_rejected(entry, tol):
+    # A one-element array passed the range test: validate_model then raised a bare TypeError on numpy 2
+    # (an array cannot key a dict), solve_discrimination an IndexError, and passes() answered.
+    ensemble = uniform_vertex_ensemble(4)
+    solution = solve_discrimination(ensemble)
+    with pytest.raises(InvalidInputError, match="tol must be a real scalar"):
+        TOL_ENTRY_POINTS[entry](ensemble, solution, tol)
+
+
+@pytest.mark.parametrize("tol", [np.array(1e-9), np.float64(1e-9)], ids=["0-d array", "float64"])
+@pytest.mark.parametrize("entry", TOL_ENTRY_POINTS)
+def test_a_numpy_scalar_tol_acts_as_its_float(entry, tol):
+    ensemble = uniform_vertex_ensemble(4)
+    solution = solve_discrimination(ensemble)
+    expected = TOL_ENTRY_POINTS[entry](ensemble, solution, 1e-9)
+    assert TOL_ENTRY_POINTS[entry](ensemble, solution, tol) == expected
+
+
+@pytest.mark.parametrize(
+    "tol", [1e-9, np.float64(1e-9), np.array(1e-9), np.float32(1e-4)], ids=["float", "float64", "0-d array", "float32"]
+)
+def test_check_tol_returns_a_plain_float(tol):
+    checked = check_tol(tol)
+    assert type(checked) is float and checked == float(tol)
