@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedSizeError,
 )
 from .geometry import CongruenceReport, congruence_check, ratio_r, symmetric_axis_k
-from .lp import LpProblem, LpSolution, check_certificate, feasibility_gap, solve_lp
+from .lp import LpProblem, LpSolution, feasibility_gap, solve_lp
 from .model import (
     DEFAULT_TOL,
     Ensemble,
@@ -78,7 +78,6 @@ __all__ = [
     "symmetric_axis_k",
     "LpProblem",
     "LpSolution",
-    "check_certificate",
     "feasibility_gap",
     "solve_lp",
     "DEFAULT_TOL",

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InternalInconsistencyError, InvalidInputError, finite_array
-from .lp import OPTIMAL, LpProblem, check_certificate, solve_lp
+from .lp import OPTIMAL, LpProblem, solve_lp
 from .model import DEFAULT_TOL, Ensemble, GptModel, check_tol, validate_ensemble, validate_model
 
 
@@ -98,7 +98,7 @@ class KktReport:
 
     def worst_residuals(self) -> dict[str, float]:
         """Each field name mapped to its largest residual; a NaN anywhere in a field makes its entry NaN."""
-        return {f.name: float(np.max(getattr(self, f.name), initial=0.0)) for f in fields(self)}
+        return {f.name: float(np.maximum.reduce(getattr(self, f.name), axis=None, initial=0.0)) for f in fields(self)}
 
     def passes(self, tol: float = DEFAULT_TOL) -> bool:
         """True iff every residual is at most ``tol``; :class:`InvalidInputError` on a ``tol`` outside ``(0, MAX_TOL]``."""
@@ -152,14 +152,14 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
     """Solve the measurement LP once and assemble the full certificate.
 
     ``K`` is the negated multiplier vector of the completeness rows, so
-    ``p_guess = u[K] = -b.y``; :func:`check_certificate` has already
-    bounded its distance from the primal value ``-c.x`` by ``tol``.
+    ``p_guess = u[K] = -b.y``; :func:`solve_lp` has already bounded its
+    distance from the primal value ``-c.x`` by ``tol``.
     Raises :class:`InvalidInputError` when ``tol`` is outside
     ``(0, MAX_TOL]``, the ensemble fails validation, or the LP fails and
-    so does :func:`validate_model`; :class:`InternalInconsistencyError`
-    when the LP of a valid model is not solved optimally, its certificate
-    fails :func:`check_certificate`, or ``p_guess`` falls outside the
-    sandwich bound ``[max_x q_x, 1]``.
+    so does :func:`validate_model`; :class:`NumericalFailureError` when
+    the LP's certificate fails; :class:`InternalInconsistencyError` when
+    the LP of a valid model is not solved optimally or ``p_guess`` falls
+    outside the sandwich bound ``[max_x q_x, 1]``.
     """
     tol = check_tol(tol)
     check = validate_ensemble(ensemble, tol=max(tol, 1e-12))
@@ -174,8 +174,6 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
         if not model_check.valid:
             raise InvalidInputError("; ".join(model_check.issues))
         raise InternalInconsistencyError(f"measurement LP must be solvable (status {primal.status})")
-    if not check_certificate(problem, primal, tol):
-        raise InternalInconsistencyError("measurement LP certificate failed re-verification")
     k = -primal.y
     p_guess = float(problem.eq_rhs @ k)  # u[K]
 
@@ -191,7 +189,7 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
         symmetry_operator=k,
         weights=weights,
         stated=stated,
-        stated_d=(k - ensemble.weighted_states()[stated]) / weights[stated, None],  # d_x = v_x / r_x
+        stated_d=(k - ensemble.weighted_states[stated]) / weights[stated, None],  # d_x = v_x / r_x
     )
 
 
@@ -217,7 +215,7 @@ def verify_kkt(ensemble: Ensemble, solution: DiscriminationSolution) -> KktRepor
         raise InvalidInputError("solution shapes do not match the ensemble")
     effects = coefficients @ model.effect_gens
 
-    weighted = ensemble.weighted_states()
+    weighted = ensemble.weighted_states
     margins = k - weighted  # v_x
     completeness = np.add.reduce(effects) - model.unit_effect
     measurement_residual = math.sqrt(completeness @ completeness)  # np.linalg.norm's own formula

@@ -46,7 +46,7 @@ def congruence_check(solution: DiscriminationSolution, tol: float = DEFAULT_TOL)
     """
     tol = check_tol(tol)
     weights, stated, d = solution.weights, solution.stated, solution.stated_d
-    weighted = solution.ensemble.weighted_states()[stated]
+    weighted = solution.ensemble.weighted_states[stated]
     stability = solution.symmetry_operator - weighted - weights[stated, None] * d  # s_x, as verify_kkt forms it
     max_residual = 2.0 * float(np.maximum.reduce(row_norms(stability), initial=0.0))
     d_edges = row_norms(d[1:] - d[:-1])
@@ -101,7 +101,7 @@ def symmetric_axis_k(ensemble: Ensemble, axis, tol: float = DEFAULT_TOL) -> np.n
     gen_values = model.effect_gens @ direction
     if gen_values.size == 0 or float(gen_values.min()) <= tol:
         raise PreconditionError("axis must be strictly interior (g[axis] > 0 for every effect generator)")
-    targets = ensemble.weighted_states() @ model.effect_gens.T  # (x, j) -> g_j[q_x w_x]
+    targets = ensemble.weighted_states @ model.effect_gens.T  # (x, j) -> g_j[q_x w_x]
     scale = float((targets / gen_values[None, :]).max())
     k = scale * direction
     k.setflags(write=False)

@@ -15,18 +15,23 @@ per effect generator, 3 x 128 for the order-128 polygon.  Phase 2 runs
 in the phase-1 tableau, whose artificial columns may no longer enter.
 
 Phase 1 reads the rows ``A x = b`` only, never the objective or the
-tolerance, so :func:`phase_one` runs it once into a read-only
-:class:`PhaseOneStart`, and :func:`solve_lp` runs phase 2 on a copy of
-that start for each objective.  A model keeps the start of its
-measurement LP's rows, so every ensemble after the first on that model
-pays for phase 2 alone.
+tolerance, so :func:`phase_one` runs it once, drives the leftover
+artificials out, and returns a read-only :class:`PhaseOneStart`;
+:func:`solve_lp` runs phase 2 on a copy of that start for each
+objective.  A model keeps the start of its measurement LP's rows, so
+every ensemble after the first on that model pays for phase 2 alone.
+
+:func:`solve_lp` checks its own answer: it returns ``optimal`` only when
+:func:`certificate_residual`, recomputed from the problem by direct
+arithmetic, is at most its ``tol``, and raises
+:class:`NumericalFailureError` naming the worst residual otherwise, so no
+caller re-checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -121,48 +126,27 @@ def _run_phase(tableau: np.ndarray, basis: list[int], enter_limit: int) -> str:
 class PhaseOneStart:
     """Phase 1 of the rows ``A x = b``, which no objective enters, kept for every LP on those rows.
 
-    ``sign`` flips the rows whose rhs is negative and ``matrix`` is ``A`` with those rows flipped;
-    ``tableau`` and ``basis`` are phase 1's final tableau and basis, and ``infeasibility`` is its optimal
-    value, the least sum of artificials.  The arrays are read-only.  :attr:`phase2` drives the leftover
-    artificials out on first use and keeps the result.
+    ``sign`` flips the rows whose rhs is negative and ``matrix`` is ``A`` with those rows flipped.
+    ``tableau`` is phase 1's final tableau with its leftover artificials driven out: the ``kept`` rows
+    of ``A``, whose basic columns are ``basis``, and a last row that each solve overwrites with its
+    reduced costs.  ``infeasibility`` is phase 1's optimal value, the least sum of artificials.  The
+    arrays are read-only.
     """
 
     sign: np.ndarray
     matrix: np.ndarray
     tableau: np.ndarray
     basis: tuple[int, ...]
+    kept: np.ndarray
     infeasibility: float
-
-    @cached_property
-    def phase2(self) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
-        """Leftover artificials driven out of a copy of the tableau: its kept rows and cost row, their basis and their indices.
-
-        A row whose artificial cannot be pivoted out is redundant and is dropped.  Each solve copies the
-        tableau and overwrites its last row, the phase-1 costs.  Only a solve that accepts
-        :attr:`infeasibility` reads this, so an infeasible start never gets here.
-        """
-        tableau = self.tableau.copy()
-        basis = list(self.basis)
-        m, n = self.matrix.shape
-        kept_rows = []
-        for i in range(m):
-            if basis[i] < n:
-                kept_rows.append(i)
-            elif n:  # with no column at all, no row can be pivoted
-                row = np.abs(tableau[i, :n])
-                j = int(np.argmax(row))
-                if row[j] > PIVOT_FLOOR:
-                    _pivot(tableau, basis, i, j)
-                    kept_rows.append(i)
-        phase2 = tableau[kept_rows + [m]]
-        kept = np.array(kept_rows, dtype=np.intp)
-        phase2.setflags(write=False)
-        kept.setflags(write=False)
-        return phase2, tuple(basis[i] for i in kept_rows), kept
 
 
 def phase_one(eq_matrix: np.ndarray, eq_rhs: np.ndarray) -> PhaseOneStart:
-    """Run phase 1 on the rows ``eq_matrix x = eq_rhs``, ``x >= 0``: an artificial basis, minimizing the artificials' sum."""
+    """Run phase 1 on the rows ``eq_matrix x = eq_rhs``, ``x >= 0``: an artificial basis, minimizing the artificials' sum.
+
+    Then each artificial still basic is pivoted out on its row's largest entry; a row with no entry above
+    ``PIVOT_FLOOR`` is redundant and is dropped.
+    """
     m, n = eq_matrix.shape
     sign = np.where(eq_rhs < 0.0, -1.0, 1.0)
     a = eq_matrix * sign[:, None]
@@ -178,9 +162,22 @@ def phase_one(eq_matrix: np.ndarray, eq_rhs: np.ndarray) -> PhaseOneStart:
 
     if _run_phase(tableau, basis, enter_limit=n) == UNBOUNDED:
         raise NumericalFailureError("phase-1 problem reported unbounded")
-    for array in (sign, a, tableau):
+    infeasibility = float(-tableau[-1, -1])  # read first: a pivot on an artificial at a positive level moves it
+    kept_rows = []
+    for i in range(m):
+        if basis[i] < n:
+            kept_rows.append(i)
+        elif n:  # with no column at all, no row can be pivoted
+            row = np.abs(tableau[i, :n])
+            j = int(np.argmax(row))
+            if row[j] > PIVOT_FLOOR:
+                _pivot(tableau, basis, i, j)
+                kept_rows.append(i)
+    kept = np.array(kept_rows, dtype=np.intp)
+    tableau = tableau[kept_rows + [m]]
+    for array in (sign, a, tableau, kept):
         array.setflags(write=False)
-    return PhaseOneStart(sign, a, tableau, tuple(basis), float(-tableau[-1, -1]))
+    return PhaseOneStart(sign, a, tableau, tuple(basis[i] for i in kept_rows), kept, infeasibility)
 
 
 def solve_lp(problem: LpProblem, tol: float = 1e-9, start: PhaseOneStart | None = None) -> LpSolution:
@@ -190,14 +187,14 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, start: PhaseOneStart | None 
     none is given: a caller that solves many objectives on the same rows
     passes one start to each, and every solve then runs phase 2 only, on a
     copy, with the same bits as a solve without it.  A start whose shape
-    differs from the problem's raises :class:`InvalidInputError`; one built
-    from other rows of the same shape is the caller's error.  ``tol`` bounds
-    the phase-1 infeasibility that still counts as feasible.  On
-    ``optimal`` status the solution satisfies the certificate invariants
-    checked by :func:`check_certificate`.  Infeasibility and unboundedness
-    are reported through ``status``; only the iteration guard
-    (``_MAX_ITER`` pivots per phase) and a phase-1 "unbounded" raise
-    :class:`NumericalFailureError`.
+    differs from the problem's raises :class:`InvalidInputError`.  ``tol``
+    bounds the phase-1 infeasibility that still counts as feasible and the
+    :func:`certificate_residual` of an ``optimal`` solution.  Infeasibility
+    and unboundedness are reported through ``status``.  The iteration guard
+    (``_MAX_ITER`` pivots per phase), a phase-1 "unbounded" and a
+    certificate residual above ``tol`` (or NaN) raise
+    :class:`NumericalFailureError`; the last names the worst residual, so a
+    start built from other rows of the same shape cannot give a wrong ``x``.
     """
     c = problem.objective
     m, n = problem.eq_matrix.shape
@@ -207,34 +204,36 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, start: PhaseOneStart | None 
         raise InvalidInputError(f"phase-1 start of shape {start.matrix.shape} does not fit an LP of shape {(m, n)}")
     if start.infeasibility > tol:
         return LpSolution(status=INFEASIBLE)
-    phase2, basis2, kept_rows = start.phase2
 
-    # Phase 2 in the phase-1 tableau: the kept rows, artificial columns that
-    # may not enter, and a last row of fresh reduced costs.
-    phase2 = phase2.copy()
-    basis2 = list(basis2)
-    phase2[-1, :n] = c
-    phase2[-1, n:] = 0.0
-    phase2[-1] -= c[basis2] @ phase2[:-1]
+    # Phase 2 in a copy of the start's tableau: the kept rows, artificial
+    # columns that may not enter, and a last row of fresh reduced costs.
+    tableau = start.tableau.copy()
+    basis = list(start.basis)
+    tableau[-1, :n] = c
+    tableau[-1, n:] = 0.0
+    tableau[-1] -= c[basis] @ tableau[:-1]
 
-    status = _run_phase(phase2, basis2, enter_limit=n)
+    status = _run_phase(tableau, basis, enter_limit=n)
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED)
 
     x = np.zeros(n)
-    x[basis2] = phase2[:-1, -1]
+    x[basis] = tableau[:-1, -1]
 
     # Dual multipliers from the final basis, mapped back to original rows.
     y = np.zeros(m)
-    if basis2:
-        basis_matrix = start.matrix[kept_rows][:, basis2]
-        y_kept = np.linalg.solve(basis_matrix.T, c[basis2])
-        y[kept_rows] = y_kept
+    if basis:
+        basis_matrix = start.matrix[start.kept][:, basis]
+        y[start.kept] = np.linalg.solve(basis_matrix.T, c[basis])
     y *= start.sign
 
     x.setflags(write=False)
     y.setflags(write=False)
-    return LpSolution(status=OPTIMAL, x=x, objective=float(c @ x), y=y)
+    solution = LpSolution(status=OPTIMAL, x=x, objective=float(c @ x), y=y)
+    residual = certificate_residual(problem, solution)
+    if not residual <= tol:
+        raise NumericalFailureError(f"LP certificate failed: worst residual {residual:g}")
+    return solution
 
 
 def certificate_residual(problem: LpProblem, solution: LpSolution) -> float:
@@ -261,38 +260,21 @@ def certificate_residual(problem: LpProblem, solution: LpSolution) -> float:
     return math.nan if any(map(math.isnan, residuals)) else float(max(residuals))
 
 
-def check_certificate(problem: LpProblem, solution: LpSolution, tol: float = 1e-9) -> bool:
-    """Re-verify the optimality certificate of ``solution`` by direct arithmetic.
-
-    Checks primal feasibility, dual feasibility (reduced costs >= -tol),
-    complementary slackness and the duality gap, independently of how the
-    solution was produced: :func:`certificate_residual` is at most ``tol``.
-    """
-    if solution.status != OPTIMAL or solution.x is None or solution.y is None:
-        return False
-    return certificate_residual(problem, solution) <= tol
-
-
 def feasibility_gap(eq_matrix, eq_rhs, tol: float = 1e-9) -> float:
     """Smallest L1 residual ``min ||A x - b||_1`` over ``x >= 0``.
 
     Zero (up to ``tol``) exactly when ``A x = b`` has a nonnegative
     solution; with a cone's generators as columns, model validation decides
     membership in the effect cone this way, without the cone's facets.
-    The elastic LP's certificate is re-verified before its value is
-    returned; :class:`NumericalFailureError` is raised, with the worst
-    residual, when it fails.
+    :func:`solve_lp` certifies the elastic LP, so a failed certificate
+    raises :class:`NumericalFailureError` with the worst residual.
     """
     a = np.atleast_2d(np.asarray(eq_matrix, dtype=float))
     b = np.atleast_1d(np.asarray(eq_rhs, dtype=float))
     m, n = a.shape
     elastic = np.hstack([a, np.eye(m), -np.eye(m)])
     cost = np.concatenate([np.zeros(n), np.ones(2 * m)])
-    problem = LpProblem(cost, elastic, b)
-    sol = solve_lp(problem, tol=tol)
+    sol = solve_lp(LpProblem(cost, elastic, b), tol=tol)
     if sol.status != OPTIMAL:
         raise NumericalFailureError("elastic feasibility problem did not solve")
-    residual = certificate_residual(problem, sol)
-    if not residual <= tol:
-        raise NumericalFailureError(f"elastic feasibility certificate failed: worst residual {residual:g}")
     return max(float(sol.objective), 0.0)

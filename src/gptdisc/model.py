@@ -117,12 +117,9 @@ class Ensemble:
     def n_states(self) -> int:
         return self.states.shape[0]
 
+    @cached_property
     def weighted_states(self) -> np.ndarray:
         """The scaled states ``q_x w_x`` as rows: one read-only array, formed on first use and shared by every caller."""
-        return self._weighted_states
-
-    @cached_property
-    def _weighted_states(self) -> np.ndarray:
         weighted = self.priors[:, None] * self.states
         weighted.setflags(write=False)
         return weighted

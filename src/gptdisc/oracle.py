@@ -46,7 +46,7 @@ def dual_vertex_enumeration(ensemble: Ensemble) -> OracleResult:
         raise UnsupportedSizeError(f"dual vertex enumeration supports dim <= {MAX_ORACLE_DIM}")
     gens = model.effect_gens
     normals = np.tile(gens, (ensemble.n_states, 1))  # (n*g, dim), x-major
-    rhs = (ensemble.weighted_states() @ gens.T).reshape(-1)
+    rhs = (ensemble.weighted_states @ gens.T).reshape(-1)
     m = normals.shape[0]
     if m > MAX_ORACLE_CONSTRAINTS:
         raise UnsupportedSizeError(

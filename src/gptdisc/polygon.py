@@ -53,7 +53,7 @@ def polygon_model(n: int) -> GptModel:
     ``n`` is checked before the lookup, so ``5.0`` raises as it would on a
     first call.  The last 128 orders used are kept: an order-4,096 model,
     its facets and its validation verdict hold about 0.5 MB, and its
-    measurement LP's phase-1 start, once solved, 0.36 MB more.
+    measurement LP's phase-1 start, once solved, 0.23 MB more.
     """
     polygon_radius(n)
     return _polygon_model(int(n))

@@ -7,7 +7,7 @@ import gptdisc.cone as cone
 from gptdisc import Ensemble, GptModel, LpProblem, PolyhedralCone, dual_cone, polygon_model
 from gptdisc.discrimination import build_primal, reward_matrix
 from gptdisc.errors import finite_array
-from gptdisc.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
+from gptdisc.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution, certificate_residual
 from gptdisc.oracle import _nonsingular
 from gptdisc.polygon import _polygon_model
 
@@ -86,6 +86,13 @@ def full_measurement_lp(ensemble: Ensemble) -> LpProblem:
     n, g = ensemble.n_states, gens.shape[0]
     objective = -(ensemble.priors[:, None] * (ensemble.states @ gens.T)).reshape(n * g)
     return LpProblem(objective, np.tile(gens.T, n), ensemble.model.unit_effect)
+
+
+def check_certificate(problem: LpProblem, solution: LpSolution, tol: float = 1e-9) -> bool:
+    """True iff ``solution`` is optimal and its :func:`certificate_residual` is at most ``tol``."""
+    if solution.status != OPTIMAL or solution.x is None or solution.y is None:
+        return False
+    return certificate_residual(problem, solution) <= tol
 
 
 def brute_force_lp(problem: LpProblem, tol: float = 1e-9) -> tuple[str, float | None]:

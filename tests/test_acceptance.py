@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 
 from gptdisc import (
     Ensemble,
-    check_certificate,
     congruence_check,
     demo_n3,
     demo_n4,
@@ -29,7 +28,7 @@ from gptdisc import (
 from gptdisc.lp import OPTIMAL
 from gptdisc.polygon import AXIS_FEASIBILITY_THRESHOLD, QUANTUM_ANALOGUE_THRESHOLD
 
-from conftest import brute_force_lp, effect_cone, effects_of, random_polygon_ensemble, same_generator_set, slack_form
+from conftest import brute_force_lp, check_certificate, effect_cone, effects_of, random_polygon_ensemble, same_generator_set, slack_form
 
 
 @contextmanager

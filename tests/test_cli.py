@@ -100,6 +100,17 @@ def test_solve_numerical_failure_maps_to_exit_two(square_files, capsys, monkeypa
     assert main(["solve", str(ensemble_path)]) == 2
 
 
+def test_a_failed_measurement_certificate_maps_to_exit_two(square_files, capsys, monkeypatch):
+    # The model's phase-1 start comes from rows twice the model's, so the engine's own certificate check fails.
+    import gptdisc.lp as lp
+
+    _, ensemble_path = square_files
+    monkeypatch.setattr("gptdisc.model.phase_one", lambda eq_matrix, eq_rhs: lp.phase_one(2.0 * eq_matrix, eq_rhs))
+    assert main(["solve", str(ensemble_path)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("numerical failure: ") and "worst residual" in line
+
+
 def test_solve_oracle_disagreement_maps_to_exit_three(square_files, capsys, monkeypatch):
     _, ensemble_path = square_files
 

@@ -22,12 +22,13 @@ from gptdisc import (
 )
 from gptdisc.cone import inside
 from gptdisc.discrimination import _row_dots, build_primal, measurement_from_primal, reward_matrix, row_norms
-from gptdisc.lp import OPTIMAL, LpSolution, certificate_residual, check_certificate
+from gptdisc.lp import OPTIMAL, LpSolution, certificate_residual
 from gptdisc.oracle import MAX_ORACLE_CONSTRAINTS, dual_vertex_enumeration
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
 from conftest import (
     boxworld_model,
+    check_certificate,
     cone_ge,
     counted_dual_cones,
     cross_polytope_model,
@@ -79,9 +80,9 @@ def test_dual_triangle_minimizer_is_unit_axis_point():
 def test_average_state_is_dual_feasible_with_value_one():
     # K = sum_x q_x w_x satisfies every constraint and has u[K] = 1.
     ensemble = uniform_vertex_ensemble(4)
-    k = ensemble.weighted_states().sum(axis=0)
+    k = ensemble.weighted_states.sum(axis=0)
     gens = ensemble.model.effect_gens
-    margins = gens @ (k[:, None] - ensemble.weighted_states().T)
+    margins = gens @ (k[:, None] - ensemble.weighted_states.T)
     assert margins.min() >= -1e-12
     assert_allclose(float(ensemble.model.unit_effect @ k), 1.0, atol=1e-12)
     # The measurement LP's multipliers give the dual value -b.y = u[K].
@@ -350,7 +351,7 @@ def test_residuals_decide_as_the_boolean_checks_did():
         ]
         for candidate in candidates:
             report = verify_kkt(ensemble, candidate)
-            margins = candidate.symmetry_operator - ensemble.weighted_states()
+            margins = candidate.symmetry_operator - ensemble.weighted_states
             for tol in (1e-9, 1e-3):
                 positive = inside(ensemble.model.effect_gens, margins, tol)
                 in_cone = candidate.coefficients.min(axis=1, initial=0.0) >= -tol
@@ -371,6 +372,26 @@ def test_a_nan_residual_fails(field, value):
     report = dataclasses.replace(verify_kkt(ensemble, solve_discrimination(ensemble)), **{field: value})
     assert np.isnan(report.worst_residuals()[field])
     assert not report.passes(1e-3)
+
+
+WORST_RESIDUAL_CASES = {
+    "array": np.array([1e-3, 2.0]),
+    "empty": np.zeros(0),
+    "scalar": 0.25,
+    "negative-zero": -0.0,
+    "negative-zeros": np.array([-0.0, -1.0]),
+    "nan": np.array([np.nan, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", WORST_RESIDUAL_CASES)
+def test_worst_residuals_match_np_max_bit_for_bit(name):
+    value = WORST_RESIDUAL_CASES[name]
+    ensemble = uniform_vertex_ensemble(4)
+    report = dataclasses.replace(verify_kkt(ensemble, solve_discrimination(ensemble)), stability_residuals=value, gap=value)
+    expected = np.array(float(np.max(value, initial=0.0))).tobytes()
+    worst = report.worst_residuals()
+    assert np.array(worst["stability_residuals"]).tobytes() == np.array(worst["gap"]).tobytes() == expected
 
 
 def test_kkt_value_and_weight_residuals_are_zero_on_solver_output():
@@ -400,7 +421,7 @@ def test_strong_duality_and_sandwich_on_random_instances():
         assert verify_kkt(ensemble, sol).gap <= 1e-8
         assert ensemble.priors.max() - 1e-9 <= sol.p_guess <= 1.0 + 1e-9
         stated = sol.stated
-        recon = ensemble.weighted_states()[stated] + sol.weights[stated, None] * sol.stated_d
+        recon = ensemble.weighted_states[stated] + sol.weights[stated, None] * sol.stated_d
         assert np.linalg.norm(sol.symmetry_operator - recon, axis=1).max(initial=0.0) <= 1e-9
 
 
@@ -919,7 +940,7 @@ def test_phase_one_runs_once_per_model(monkeypatch):
         counts.append(len(phases))
         if len(counts) == 1:
             start = model.measurement_start
-            arrays = (start.sign, start.matrix, start.tableau, start.phase2[0], start.phase2[2])
+            arrays = (start.sign, start.matrix, start.tableau, start.kept)
             kept = [a.copy() for a in arrays]
     assert counts == [2, 1, 1]  # phase 1 and phase 2, then phase 2 alone
     assert model.measurement_start is start
@@ -929,6 +950,16 @@ def test_phase_one_runs_once_per_model(monkeypatch):
     phases.clear()
     solve_discrimination(_uniform_ensemble(dataclasses.replace(model)))
     assert len(phases) == 2  # a replaced model keeps no start
+
+
+def test_a_start_from_other_rows_fails_the_solve_loudly():
+    from gptdisc import NumericalFailureError
+    from gptdisc.lp import phase_one
+
+    model = dataclasses.replace(polygon_model(8))
+    vars(model)["measurement_start"] = phase_one(2.0 * model.effect_gens.T, model.unit_effect)
+    with pytest.raises(NumericalFailureError, match=r"worst residual 0\.5$"):
+        solve_discrimination(_uniform_ensemble(model))
 
 
 @pytest.mark.parametrize("n_effects", [0, 2], ids=["none", "two-adjacent"])

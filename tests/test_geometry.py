@@ -141,7 +141,7 @@ def test_axis_operator_always_dual_feasible_and_upper_bound():
         ensemble = random_polygon_ensemble(rng)
         k = symmetric_axis_k(ensemble, AXIS)
         gens = ensemble.model.effect_gens
-        margins = gens @ (k[:, None] - ensemble.weighted_states().T)
+        margins = gens @ (k[:, None] - ensemble.weighted_states.T)
         assert margins.min() >= -1e-9
         sol = solve_discrimination(ensemble)
         assert float(ensemble.model.unit_effect @ k) >= sol.p_guess - 1e-9
@@ -213,7 +213,7 @@ def test_congruence_report_matches_a_loop_over_pairs(seed):
     ensemble = random_polygon_ensemble(np.random.default_rng(seed)) if seed < 5 else no_measurement_ensemble(0.5)
     sol = solve_discrimination(ensemble)
     stated = np.flatnonzero(sol.stated).tolist()
-    weighted = ensemble.weighted_states()
+    weighted = ensemble.weighted_states
     for candidate in (sol, dataclasses.replace(sol, stated_d=sol.stated_d[::-1])):
         pairs = dict(zip(stated, zip(candidate.weights[candidate.stated], candidate.stated_d)))
         bound = congruence_check(candidate).max_residual

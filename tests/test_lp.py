@@ -6,7 +6,6 @@ from gptdisc import (
     InvalidInputError,
     LpProblem,
     LpSolution,
-    check_certificate,
     feasibility_gap,
     solve_lp,
 )
@@ -14,7 +13,7 @@ import gptdisc.lp as lp_module
 from gptdisc.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
-from conftest import brute_force_lp, measurement_lp, random_polygon_ensemble, slack_form
+from conftest import brute_force_lp, check_certificate, measurement_lp, random_polygon_ensemble, slack_form
 
 
 def test_simplex_equality_split():
@@ -321,15 +320,13 @@ def test_iteration_guard_raises_numerical_failure(monkeypatch):
 def test_feasibility_gap_raises_on_a_failed_certificate(monkeypatch):
     from gptdisc import NumericalFailureError
 
-    solve = lp_module.solve_lp
+    phase_one = lp_module.phase_one
 
-    def perturbed_solve(problem, tol=1e-9):
-        sol = solve(problem, tol)
-        x = sol.x.copy()
-        x[int(np.argmax(x))] += 1e-3
-        return LpSolution(status=sol.status, x=x, objective=sol.objective, y=sol.y)
+    def shifted_phase_one(eq_matrix, eq_rhs):
+        # Phase 1 of rows whose first rhs is 1e-3 off, below the engine's check: x misses row 0 by 1e-3.
+        return phase_one(eq_matrix, eq_rhs + np.array([1e-3, 0.0]))
 
-    monkeypatch.setattr("gptdisc.lp.solve_lp", perturbed_solve)
+    monkeypatch.setattr(lp_module, "phase_one", shifted_phase_one)
     with pytest.raises(NumericalFailureError, match="worst residual 0.001"):
         feasibility_gap(np.array([[1.0], [0.0]]), np.array([1.0, -1.0]))
 
@@ -382,6 +379,17 @@ def test_lp_without_columns():
     sol = solve_lp(LpProblem(np.zeros(0), np.zeros((1, 0)), [0.0]))
     assert (sol.status, sol.x.tolist(), sol.y.tolist(), sol.objective) == (OPTIMAL, [], [0.0], 0.0)
     assert solve_lp(LpProblem(np.zeros(0), np.zeros((1, 0)), [1.0])).status == INFEASIBLE
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.5])
+def test_start_from_other_rows_of_the_same_shape_fails_the_certificate(scale):
+    from gptdisc import NumericalFailureError
+
+    problem = measurement_lp(uniform_vertex_ensemble(8))
+    start = lp_module.phase_one(scale * problem.eq_matrix, problem.eq_rhs)  # its x is the true x over scale
+    residual = abs(1.0 - 1.0 / scale)  # |A x - b| on the row u = (0, 0, 1)
+    with pytest.raises(NumericalFailureError, match=rf"worst residual {residual:g}$"):
+        solve_lp(problem, start=start)
 
 
 @pytest.mark.parametrize("rows, columns", [(4, 8), (2, 8), (3, 9), (3, 7)])

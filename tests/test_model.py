@@ -626,13 +626,16 @@ def test_an_ensemble_report_is_the_callers_own():
 
 def test_weighted_states_are_one_read_only_array():
     ensemble = random_polygon_ensemble(np.random.default_rng(2))
-    weighted = ensemble.weighted_states()
-    assert ensemble.weighted_states() is weighted
+    weighted = ensemble.weighted_states
+    assert vars(ensemble)["weighted_states"] is weighted
+    assert ensemble.weighted_states is weighted
     assert not weighted.flags.writeable
     with pytest.raises(ValueError):
         weighted[0, 0] = 1.0
     assert weighted.tobytes() == (ensemble.priors[:, None] * ensemble.states).tobytes()
-    assert dataclasses.replace(ensemble).weighted_states() is not weighted
+    fresh = dataclasses.replace(ensemble)
+    assert "weighted_states" not in vars(fresh)
+    assert fresh.weighted_states is not weighted
 
 
 #: Every public entry point that takes a tol, called on the uniform square, its solution and a tol.
