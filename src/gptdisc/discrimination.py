@@ -13,8 +13,8 @@ Every complementary number is read off ``v_x = K - q_x w_x``: the weight
 ``r_x = u[K] - q_x`` and, where ``r_x`` exceeds the tolerance, the
 normalized complementary state ``d_x = v_x / r_x``, so that
 ``K = q_x w_x + r_x d_x``; optimal effects obey slackness, ``e_x[v_x] = 0``.
-A solution states the pairs as arrays: every ``r_x``, the mask of the
-stated ``d_x`` and those ``d_x`` as rows.
+A solution states each number once: ``K``, the mask of the stated ``d_x``
+and those ``d_x`` as rows; every ``r_x`` is read off ``K``.
 ``d_x`` is a state only when effects are unrestricted (a restricted
 effect cone has a larger dual).  Measurements are stated as coefficients
 ``C >= 0`` on the effect generators.  A :class:`DiscriminationSolution`
@@ -41,19 +41,18 @@ class DiscriminationSolution:
     """Optimal discrimination data: value, measurement coefficients ``C``, symmetry operator ``K``, pairs.
 
     Outcome x has effect ``e_x = sum_j C[x, j] g_j`` on the effect generators, in file order.  The pairs
-    ``(r_x, d_x)`` are three arrays: the N ``weights`` r, the N booleans ``stated`` that mark which ``d_x``
-    are given, and those ``d_x`` as the rows of ``stated_d``, in outcome order.  An unstated ``d_x`` (``r_x``
-    within tolerance of zero) makes a degenerate pair, which claims only ``r_x d_x = 0``, not ``K = q_x w_x``.
-    Construction is the one reader of these numbers: it raises :class:`InvalidInputError` unless ``p_guess``
-    is a finite scalar, ``C`` is N x g, ``K`` has d entries, ``stated`` is N booleans, the weights are N
-    finite reals and ``stated_d`` is a finite array of one d-vector per stated pair.
+    ``(r_x, d_x)`` are read off ``K``: the :attr:`weights` ``r_x = u[K] - q_x``, the N booleans ``stated`` that
+    mark which ``d_x`` are given, and those ``d_x`` as the rows of ``stated_d``, in outcome order.  An unstated
+    ``d_x`` (``r_x`` within tolerance of zero) makes a degenerate pair, which claims only ``r_x d_x = 0``, not
+    ``K = q_x w_x``.  Construction is the one reader of these numbers: it raises :class:`InvalidInputError`
+    unless ``p_guess`` is a finite scalar, ``C`` is N x g, ``K`` has d entries, ``stated`` is N booleans and
+    ``stated_d`` is a finite array of one d-vector per stated pair.
     """
 
     ensemble: Ensemble
     p_guess: float
     coefficients: np.ndarray
     symmetry_operator: np.ndarray
-    weights: np.ndarray
     stated: np.ndarray
     stated_d: np.ndarray
 
@@ -70,8 +69,12 @@ class DiscriminationSolution:
             raise InvalidInputError(f"one complementary pair per state is required (stated must be {n} booleans)")
         stated.setflags(write=False)
         object.__setattr__(self, "stated", stated)
-        object.__setattr__(self, "weights", finite_array(self.weights, "complementary weights r", (n,)))
         object.__setattr__(self, "stated_d", finite_array(self.stated_d, "complementary states d", (stated.sum(), dim)))
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The weights ``r_x = u[K] - q_x`` of the pairs, one per state."""
+        return self.ensemble.model.unit_effect @ self.symmetry_operator - self.ensemble.priors
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +86,7 @@ class KktReport:
     over the effect generators as given, and 0 when every ``g_j[v_x] >= 0``,
     ``orthogonality_residuals[x]`` is ``|e_x[v_x]|``, ``effect_residuals[x]`` is
     ``max_j -C[x, j]``, and 0 when the row is nonnegative, ``value_residual`` is
-    ``|p_guess - u[K]|`` and ``weight_residuals[x]`` is ``|r_x - (u[K] - q_x)|``.
+    ``|p_guess - u[K]|``, with ``r_x = u[K] - q_x`` throughout.
     No field is a verdict: :meth:`passes` is the one place a tolerance is applied.
     """
 
@@ -94,7 +97,6 @@ class KktReport:
     gap: float
     effect_residuals: np.ndarray
     value_residual: float
-    weight_residuals: np.ndarray
 
     def worst_residuals(self) -> dict[str, float]:
         """Each field name mapped to its largest residual; a NaN anywhere in a field makes its entry NaN."""
@@ -180,14 +182,13 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
     if p_guess < no_measurement_value(ensemble) - 10.0 * tol or p_guess > 1.0 + 10.0 * tol:
         raise InternalInconsistencyError(f"guessing probability {p_guess!r} outside sandwich bound")
 
-    weights = p_guess - ensemble.priors  # r_x
+    weights = p_guess - ensemble.priors  # r_x, the bits of DiscriminationSolution.weights
     stated = weights > tol
     return DiscriminationSolution(
         ensemble=ensemble,
         p_guess=p_guess,
         coefficients=measurement_from_primal(rewards, primal.x),
         symmetry_operator=k,
-        weights=weights,
         stated=stated,
         stated_d=(k - ensemble.weighted_states[stated]) / weights[stated, None],  # d_x = v_x / r_x
     )
@@ -200,7 +201,7 @@ def verify_kkt(ensemble: Ensemble, solution: DiscriminationSolution) -> KktRepor
     all quantities are derived from the ensemble, the coefficients ``C``,
     ``K`` and the complementary pairs.  A passing report certifies optimality
     (KKT conditions are sufficient here because strong duality holds) and
-    every number the solution states, ``p_guess`` and the weights included.
+    every number the solution states, ``p_guess`` included.
     Positivity, ``K >= q_x w_x``, is measured as the most negative
     ``g[K - q_x w_x]`` over the supplied effect generators ``g`` as given,
     unnormalized.  Every field is a residual, so no tolerance is taken here:
@@ -221,7 +222,7 @@ def verify_kkt(ensemble: Ensemble, solution: DiscriminationSolution) -> KktRepor
     measurement_residual = math.sqrt(completeness @ completeness)  # np.linalg.norm's own formula
     primal_value = float(np.add.reduce(ensemble.priors * np.einsum("xd,xd->x", effects, ensemble.states)))
     value = float(model.unit_effect @ k)  # u[K]
-    weights, stated = solution.weights, solution.stated
+    weights, stated = value - ensemble.priors, solution.stated  # r_x
     stability = np.abs(weights)  # a null d claims only r_x d_x = 0
     stability[stated] = row_norms(margins[stated] - weights[stated, None] * solution.stated_d)
     return KktReport(
@@ -232,5 +233,4 @@ def verify_kkt(ensemble: Ensemble, solution: DiscriminationSolution) -> KktRepor
         gap=abs(primal_value - value),
         effect_residuals=0.0 - np.minimum.reduce(coefficients, axis=1, initial=0.0),  # 0.0 - m, not -m, writes no -0.0
         value_residual=abs(solution.p_guess - value),
-        weight_residuals=np.abs(weights - (value - ensemble.priors)),
     )

@@ -9,8 +9,7 @@ generators and unit effect; ensemble files reference a model inline or
 by path (resolved relative to the ensemble file).  The loaders read
 standard input when the source is ``-``.  Reports are dataclasses and
 render as objects keyed by their field names; models, oracle results and
-the complementary pairs, which a solution keeps as arrays, have their
-own file keys.
+solutions have their own file keys, and no weight ``r_x`` is written.
 """
 
 from __future__ import annotations
@@ -149,10 +148,7 @@ def solution_to_dict(
         "p_guess": solution.p_guess,
         "coefficients": solution.coefficients,
         "K": solution.symmetry_operator,
-        "complementary": [
-            {"r": r, "d": next(d) if stated else None}
-            for r, stated in zip(solution.weights.tolist(), solution.stated.tolist())
-        ],
+        "complementary_states": [next(d) if stated else None for stated in solution.stated.tolist()],
         "kkt": kkt,
         "geometry": congruence,
     }
@@ -165,27 +161,24 @@ def solution_from_dict(data, ensemble: Ensemble) -> DiscriminationSolution:
     """Rebuild an (untrusted) solution certificate for re-verification.
 
     The :class:`DiscriminationSolution` constructor checks every number;
-    ``p_guess`` and the weights ``r`` are claims that :func:`verify_kkt`
-    checks against ``u[K]``, and it recomputes the duality gap, so a
-    tampered certificate cannot vouch for itself.  Keys not read here, such
-    as ``gap`` or the effects under ``measurement`` of older files, are ignored.
+    :func:`verify_kkt` checks ``p_guess`` and each ``d`` against ``K`` and
+    recomputes the duality gap, so a tampered certificate cannot vouch for
+    itself.  ``complementary_states`` holds one ``d`` per state, ``null``
+    where the pair is degenerate; other keys, such as the reports, are ignored.
     """
     if not isinstance(data, dict):
         raise InvalidInputError("solution must be a JSON object")
     coefficients = _require(data, "coefficients", "solution")
     k = _require(data, "K", "solution")
-    entries = _require(data, "complementary", "solution")
-    if not isinstance(entries, list):
-        raise InvalidInputError("solution field 'complementary' must be a list")
-    weights = [_require(entry, "r", "complementary pair") for entry in entries]
-    d = [entry.get("d") for entry in entries]  # null where the pair is degenerate
+    d = _require(data, "complementary_states", "solution")
+    if not isinstance(d, list):
+        raise InvalidInputError("solution field 'complementary_states' must be a list")
     stated_d = [row for row in d if row is not None]
     return DiscriminationSolution(
         ensemble=ensemble,
         p_guess=_require(data, "p_guess", "solution"),
         coefficients=coefficients,
         symmetry_operator=k,
-        weights=weights,
         stated=np.array([row is not None for row in d], dtype=bool),
         stated_d=stated_d if stated_d else np.zeros((0, ensemble.model.dim)),
     )

@@ -11,7 +11,7 @@ from gptdisc import Ensemble, GptModel, polygon_model
 from gptdisc.cli import main
 from gptdisc.errors import NumericalFailureError
 from gptdisc.oracle import OracleResult
-from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
+from gptdisc.polygon import uniform_vertex_ensemble
 from gptdisc.serialize import dumps, ensemble_to_dict, model_to_dict
 
 from conftest import hypercube_model
@@ -265,21 +265,32 @@ def test_verify_tampered_p_guess_exit_four(square_files, tmp_path, capsys):
     assert "KKT check failed: value_residual 0.4" in err
 
 
-def test_verify_rescaled_complementary_weights_exit_four(square_files, tmp_path, capsys):
-    # (2 r, d / 2) keeps every product r_x d_x, so only the weights themselves can expose it.
+def test_verify_halved_complementary_states_exit_four(square_files, tmp_path, capsys):
+    # r_x = 1/4 is read off K, so each halved d leaves r_x d_x / 2 of v_x unexplained.
     _, ensemble_path = square_files
     solution_path = tmp_path / "solution.json"
     assert main(["solve", str(ensemble_path), "--out", str(solution_path)]) == 0
     data = json.loads(solution_path.read_text())
-    for pair in data["complementary"]:
-        pair["r"] *= 2.0
-        pair["d"] = [v / 2.0 for v in pair["d"]]
+    data["complementary_states"] = [[v / 2.0 for v in d] for d in data["complementary_states"]]
     tampered_path = tmp_path / "tampered.json"
     tampered_path.write_text(json.dumps(data))
     assert main(["verify", str(ensemble_path), str(tampered_path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("verification failed: ")
-    assert "weight_residuals 0.25" in err
+    assert "KKT check failed: stability_residuals" in err
+
+
+def test_verify_rejects_a_file_that_states_the_weights(square_files, tmp_path, capsys):
+    # The previous schema stated {"r": r_x, "d": d_x} pairs under "complementary"; no reader accepts it.
+    ensemble_path, solution_path, data = _square_solution(square_files, tmp_path)
+    d = data.pop("complementary_states")
+    data["complementary"] = [{"r": 0.25, "d": row} for row in d]
+    solution_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(ensemble_path), str(solution_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: solution is missing required field 'complementary_states'"
+    ]
 
 
 def test_verify_rejects_complementary_state_of_wrong_length(square_files, tmp_path):
@@ -287,7 +298,7 @@ def test_verify_rejects_complementary_state_of_wrong_length(square_files, tmp_pa
     solution_path = tmp_path / "solution.json"
     assert main(["solve", str(ensemble_path), "--out", str(solution_path)]) == 0
     data = json.loads(solution_path.read_text())
-    data["complementary"][0]["d"] = [0.5, 1.0]
+    data["complementary_states"][0] = [0.5, 1.0]
     malformed_path = tmp_path / "malformed.json"
     malformed_path.write_text(json.dumps(data))
     proc = subprocess.run(
@@ -300,18 +311,12 @@ def test_verify_rejects_complementary_state_of_wrong_length(square_files, tmp_pa
     assert "Traceback" not in proc.stderr
 
 
-def _nan_weight_on_degenerate_pair(data):
-    pair = next(pair for pair in data["complementary"] if pair["d"] is None)
-    pair["r"] = float("nan")
-
-
 @pytest.mark.parametrize(
     "ensemble, tamper",
     [
         pytest.param(uniform_vertex_ensemble(4), lambda data: data.update(p_guess=float("nan")), id="nan-p-guess"),
-        # At p = 0.5 the mixture's pair is degenerate (d is null): its r is the only number it states.
-        pytest.param(no_measurement_ensemble(0.5), _nan_weight_on_degenerate_pair, id="nan-r-degenerate"),
-        pytest.param(uniform_vertex_ensemble(4), lambda data: data.update(complementary=5), id="complementary-not-list"),
+        pytest.param(uniform_vertex_ensemble(4), lambda data: data.update(complementary_states=5),
+                     id="complementary-not-list"),
         pytest.param(uniform_vertex_ensemble(4), lambda data: data["coefficients"].pop(), id="measurement-missing-row"),
     ],
 )
@@ -439,8 +444,8 @@ def test_verify_rejects_a_measurement_stated_as_effects(effects_as, square_files
     assert capsys.readouterr().err.splitlines() == [expected[effects_as]]
 
 
-def _set_first_pair(key, value):
-    return lambda data: data["complementary"][0].update({key: value})
+def _set_first_state(value):
+    return lambda data: data["complementary_states"].__setitem__(0, value)
 
 
 @pytest.mark.parametrize(
@@ -450,17 +455,18 @@ def _set_first_pair(key, value):
         pytest.param(lambda data: data.update(p_guess=float("nan")), "p_guess", id="p-guess-nan"),
         pytest.param(lambda data: data.update(K=data["K"][:2]), "solution K", id="k-short"),
         pytest.param(lambda data: data["K"].__setitem__(0, float("nan")), "solution K", id="k-nan"),
-        pytest.param(lambda data: data.update(complementary={}), "'complementary'", id="complementary-object"),
-        pytest.param(lambda data: data["complementary"].__setitem__(0, 0.25), "complementary pair", id="pair-number"),
-        pytest.param(lambda data: data["complementary"][0].pop("r"), "complementary pair", id="pair-without-r"),
-        pytest.param(_set_first_pair("r", "0.25"), "complementary weight", id="r-string"),
-        pytest.param(_set_first_pair("r", float("nan")), "complementary weight", id="r-nan"),
-        pytest.param(_set_first_pair("r", True), "complementary weights r", id="r-true"),
-        pytest.param(_set_first_pair("d", "abc"), "complementary state", id="d-string"),
-        pytest.param(_set_first_pair("d", [0.5, 1.0]), "complementary state", id="d-short"),
-        pytest.param(lambda data: data["complementary"].pop(), "complementary pair", id="three-pairs"),
-        pytest.param(lambda data: data["complementary"].append(data["complementary"][0]), "complementary pair",
-                     id="five-pairs"),
+        pytest.param(lambda data: data.update(complementary_states={}), "'complementary_states'",
+                     id="complementary-object"),
+        pytest.param(_set_first_state(0.25), "complementary states d", id="pair-number"),
+        pytest.param(_set_first_state("abc"), "complementary states d", id="d-string"),
+        pytest.param(_set_first_state([0.5, 1.0]), "complementary states d", id="d-short"),
+        pytest.param(_set_first_state(True), "complementary states d", id="d-true"),
+        pytest.param(_set_first_state(float("nan")), "complementary states d", id="d-nan"),
+        pytest.param(lambda data: data["complementary_states"][0].__setitem__(0, float("nan")),
+                     "complementary states d", id="d-entry-nan"),
+        pytest.param(lambda data: data["complementary_states"].pop(), "complementary pair", id="three-pairs"),
+        pytest.param(lambda data: data["complementary_states"].append(data["complementary_states"][0]),
+                     "complementary pair", id="five-pairs"),
         pytest.param(lambda data: data["coefficients"][0].pop(), "solution coefficients", id="coefficients-ragged"),
         pytest.param(lambda data: data["coefficients"][0].__setitem__(0, float("nan")), "solution coefficients",
                      id="coefficients-nan"),

@@ -207,12 +207,14 @@ def test_kkt_flags_perturbed_symmetry_operator():
     tampered = dataclasses.replace(sol, symmetry_operator=np.array([0.0, 0.0, 0.6]))
     report = verify_kkt(sol.ensemble, tampered)
     assert not report.passes(1e-9)
-    assert report.stability_residuals.max() == pytest.approx(0.1, abs=1e-9)
+    # r_x = u[K] - 1/4 = 0.35 and d_x = w_{x+2}, so s_x = K - w_x / 4 - 0.35 w_{x+2} has height 0 and
+    # in-plane length 0.1 times the square's radius 2^(1/4): about 0.1189.
+    assert report.stability_residuals.max() == pytest.approx(0.1 * 2.0**0.25, abs=1e-9)
 
 
 def _rescaled_pairs(sol):
-    # (2 r, d / 2) keeps every product r_x d_x, so only the weights themselves can expose it.
-    return dataclasses.replace(sol, weights=2.0 * sol.weights, stated_d=sol.stated_d / 2.0)
+    # r_x is read off K, so halving every d leaves |r_x d_x| / 2 of v_x unexplained: 2/3 * sqrt(3/2) / 2 on the triangle.
+    return dataclasses.replace(sol, stated_d=sol.stated_d / 2.0)
 
 
 def _swapped_states(sol):
@@ -225,18 +227,13 @@ def _falsely_degenerate(sol):
     return dataclasses.replace(sol, stated=np.arange(4) > 0, stated_d=sol.stated_d[1:])
 
 
-def _degenerate_weight_raised(sol):
-    return dataclasses.replace(sol, weights=np.where(sol.stated, sol.weights, 0.25))
-
 
 @pytest.mark.parametrize(
     "ensemble, tamper, field",
     [
         pytest.param(uniform_vertex_ensemble(4), lambda sol: dataclasses.replace(sol, p_guess=0.9),
                      "value_residual", id="p-guess"),
-        pytest.param(uniform_vertex_ensemble(4), _rescaled_pairs, "weight_residuals", id="rescaled-pairs"),
-        # At p = 0.5 the mixture's pair is degenerate (its d is not stated): its r is checked against u[K] - q.
-        pytest.param(no_measurement_ensemble(0.5), _degenerate_weight_raised, "weight_residuals", id="degenerate-r"),
+        pytest.param(uniform_vertex_ensemble(3), _rescaled_pairs, "stability_residuals", id="rescaled-pairs"),
         pytest.param(uniform_vertex_ensemble(4), _swapped_states, "stability_residuals", id="swapped-d"),
         pytest.param(uniform_vertex_ensemble(4), _falsely_degenerate, "stability_residuals", id="false-degenerate"),
     ],
@@ -396,9 +393,10 @@ def test_worst_residuals_match_np_max_bit_for_bit(name):
 
 def test_kkt_value_and_weight_residuals_are_zero_on_solver_output():
     for ensemble in (uniform_vertex_ensemble(13), no_measurement_ensemble(0.5)):
-        report = verify_kkt(ensemble, solve_discrimination(ensemble))
-        assert report.value_residual == 0.0
-        assert not report.weight_residuals.any()
+        sol = solve_discrimination(ensemble)
+        assert verify_kkt(ensemble, sol).value_residual == 0.0
+        # The weights read off K are the ones the solver divided by, bit for bit.
+        assert sol.weights.tobytes() == (sol.p_guess - ensemble.priors).tobytes()
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), 0.5])
@@ -761,11 +759,6 @@ def test_kkt_rejects_a_solution_of_another_ensemble(other):
         pytest.param(lambda sol: {"p_guess": float("nan")}, "p_guess", id="nan-p-guess"),
         pytest.param(lambda sol: {"symmetry_operator": np.array([0.0, np.nan, 0.5])}, "solution K", id="nan-K"),
         pytest.param(
-            lambda sol: {"weights": np.where(np.arange(4) == 0, np.nan, sol.weights)},
-            "complementary weights r",
-            id="nan-r",
-        ),
-        pytest.param(
             lambda sol: {"stated_d": np.vstack([np.full(3, np.nan), sol.stated_d[1:]])},
             "complementary states d",
             id="nan-d",
@@ -839,11 +832,8 @@ def test_malformed_stated_complementary_state_is_invalid_input(tamper, check):
 @pytest.mark.parametrize(
     "tamper",
     [
-        pytest.param(lambda sol: {"weights": np.where(np.arange(4) == 0, np.nan, sol.weights)}, id="nan-r"),
-        pytest.param(lambda sol: {"weights": sol.weights[:3], "stated": sol.stated[:3], "stated_d": sol.stated_d[:3]},
-                     id="three-pairs"),
-        pytest.param(lambda sol: {"weights": np.append(sol.weights, sol.weights[0]),
-                                  "stated": np.append(sol.stated, True),
+        pytest.param(lambda sol: {"stated": sol.stated[:3], "stated_d": sol.stated_d[:3]}, id="three-pairs"),
+        pytest.param(lambda sol: {"stated": np.append(sol.stated, True),
                                   "stated_d": np.vstack([sol.stated_d, sol.stated_d[:1]])}, id="five-pairs"),
         pytest.param(lambda sol: {"stated": sol.stated[:3]}, id="stated-three"),
         pytest.param(lambda sol: {"stated": [1, 0, 1, 1]}, id="stated-not-boolean"),
@@ -886,7 +876,7 @@ def test_nine_dimensional_simplex_validates_with_one_dual(monkeypatch):
 
 def _solution_bits(sol):
     """Every number a solution states, as bytes, so that ``-0.0`` and ``0.0`` differ."""
-    arrays = (sol.p_guess, sol.coefficients, sol.symmetry_operator, sol.weights, sol.stated, sol.stated_d)
+    arrays = (sol.p_guess, sol.coefficients, sol.symmetry_operator, sol.stated, sol.stated_d)
     return [np.asarray(a).tobytes() for a in arrays]
 
 
@@ -982,7 +972,7 @@ def _parent_kkt_fields(ensemble: Ensemble, solution) -> dict:
     effects = coefficients @ model.effect_gens
     margins = k - ensemble.priors[:, None] * ensemble.states
     value = float(model.unit_effect @ k)
-    weights, stated = solution.weights, solution.stated
+    weights, stated = value - ensemble.priors, solution.stated  # r_x = u[K] - q_x
     stability = np.abs(weights)
     stability[stated] = row_norms(margins[stated] - weights[stated, None] * solution.stated_d)
     primal_value = float(np.sum(ensemble.priors * np.einsum("xd,xd->x", effects, ensemble.states)))
@@ -994,14 +984,14 @@ def _parent_kkt_fields(ensemble: Ensemble, solution) -> dict:
         "gap": abs(primal_value - value),
         "effect_residuals": 0.0 - coefficients.min(axis=1, initial=0.0),
         "value_residual": abs(solution.p_guess - value),
-        "weight_residuals": np.abs(weights - (value - ensemble.priors)),
     }
 
 
 def _parent_congruence_fields(solution, tol: float = 1e-9) -> dict:
     """``congruence_check``'s fields by the reference expressions: ``np.diff``, ``np.mean`` and ``.max()``."""
-    weights, stated, d = solution.weights, solution.stated, solution.stated_d
-    weighted = (solution.ensemble.priors[:, None] * solution.ensemble.states)[stated]
+    ensemble, stated, d = solution.ensemble, solution.stated, solution.stated_d
+    weights = float(ensemble.model.unit_effect @ solution.symmetry_operator) - ensemble.priors  # r_x = u[K] - q_x
+    weighted = (ensemble.priors[:, None] * ensemble.states)[stated]
     stability = solution.symmetry_operator - weighted - weights[stated, None] * d
     d_edges = row_norms(np.diff(d, axis=0))
     keep = d_edges > tol
@@ -1060,6 +1050,8 @@ def test_check_path_matches_the_reference_expressions_bit_for_bit(name):
     assert {f.name: _bits(getattr(report, f.name)) for f in dataclasses.fields(report)} == {
         field: _bits(value) for field, value in _parent_congruence_fields(sol).items()
     }
+    # Both layers form the same s_x, so the congruence bound is twice the worst stated stability residual.
+    assert _bits(report.max_residual) == _bits(2.0 * float(np.max(kkt.stability_residuals[sol.stated], initial=0.0)))
     if name.endswith("stated-pair"):
         assert report.ratio is None
     problem = measurement_lp(ensemble)

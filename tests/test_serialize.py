@@ -110,8 +110,8 @@ def test_reports_render_from_their_own_fields():
     payload = json.loads(dumps(solution_to_dict(solution, kkt, congruence_check(solution))))
     assert list(payload["kkt"]) == [field.name for field in dataclasses.fields(KktReport)]
     assert list(payload["geometry"]) == [field.name for field in dataclasses.fields(CongruenceReport)]
-    assert payload["kkt"]["weight_residuals"] == [0, 0, 0, 0]
-    assert [list(pair) for pair in payload["complementary"]] == [["r", "d"]] * 4
+    assert payload["kkt"]["value_residual"] == 0
+    assert [len(d) for d in payload["complementary_states"]] == [3] * 4  # one d per state, no weights
 
 
 def test_malformed_model_rejected():
