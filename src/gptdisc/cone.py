@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedSizeError, finite_array
+from .errors import InvalidInputError, UnsupportedSizeError, finite_array, owned
 
 #: Largest 0/1 product (entries) one double-description step may form; 2**24 float32 entries are 64 MiB.
 MAX_DUAL_ENTRIES = 2**24
@@ -76,14 +76,6 @@ class PolyhedralCone:
         units.setflags(write=False)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "units", units)
-
-    @classmethod
-    def _of_unit_rays(cls, dim: int, rays: np.ndarray, lineality: int) -> PolyhedralCone:
-        """The cone of ``rays`` that are already finite, unit and pairwise non-parallel, without a copy or a check."""
-        rays.setflags(write=False)
-        cone = object.__new__(cls)
-        vars(cone).update(dim=dim, generators=rays, units=rays, lineality=lineality)
-        return cone
 
     @property
     def n_generators(self) -> int:
@@ -203,7 +195,8 @@ def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
             rays[holes[: len(tail)]] = rays[tail]
             tight[holes[: len(tail)], : j + 1] = tight[tail, : j + 1]
         count = end
-    return PolyhedralCone._of_unit_rays(d, np.concatenate([rays[:count], lines, -lines]), len(lines))
+    rays = np.concatenate([rays[:count], lines, -lines])
+    return owned(PolyhedralCone, dim=d, generators=rays, units=rays, lineality=len(lines))
 
 
 def certified_facets(cone: PolyhedralCone, normals: np.ndarray) -> np.ndarray | None:

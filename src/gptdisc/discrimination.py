@@ -18,7 +18,7 @@ and those ``d_x`` as rows; every ``r_x`` is read off ``K``.
 ``d_x`` is a state only when effects are unrestricted (a restricted
 effect cone has a larger dual).  Measurements are stated as coefficients
 ``C >= 0`` on the effect generators.  A :class:`DiscriminationSolution`
-checks its own numbers when it is built and stores no LP objective
+checks the numbers handed to its constructor and stores no LP objective
 values; :func:`verify_kkt` recomputes the duality gap and the residual of
 every optimality condition, and :meth:`KktReport.passes` holds each of
 them to one tolerance, so untrusted solutions need no other check.
@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InternalInconsistencyError, InvalidInputError, finite_array
+from .errors import InternalInconsistencyError, InvalidInputError, finite_array, owned
 from .lp import OPTIMAL, LpProblem, solve_lp
 from .model import DEFAULT_TOL, Ensemble, GptModel, check_tol, validate_ensemble, validate_model
 
@@ -44,9 +44,9 @@ class DiscriminationSolution:
     ``(r_x, d_x)`` are read off ``K``: the :attr:`weights` ``r_x = u[K] - q_x``, the N booleans ``stated`` that
     mark which ``d_x`` are given, and those ``d_x`` as the rows of ``stated_d``, in outcome order.  An unstated
     ``d_x`` (``r_x`` within tolerance of zero) makes a degenerate pair, which claims only ``r_x d_x = 0``, not
-    ``K = q_x w_x``.  Construction is the one reader of these numbers: it raises :class:`InvalidInputError`
-    unless ``p_guess`` is a finite scalar, ``C`` is N x g, ``K`` has d entries, ``stated`` is N booleans and
-    ``stated_d`` is a finite array of one d-vector per stated pair.
+    ``K = q_x w_x``.  The constructor is the one reader of numbers handed in; the solver's record skips it.  It
+    raises :class:`InvalidInputError` unless ``p_guess`` is a finite scalar, ``C`` is N x g, ``K`` has d entries,
+    ``stated`` is N booleans and ``stated_d`` is a finite array of one d-vector per stated pair.
     """
 
     ensemble: Ensemble
@@ -128,9 +128,10 @@ def build_primal(model: GptModel, rewards: np.ndarray) -> LpProblem:
 
     ``t_j = max_x rewards[x, j]`` for the :func:`reward_matrix` of an ensemble of ``model``.  The full LP's
     other N - 1 columns of each ``g_j`` cannot bind: their reduced costs ``g_j[K] - q_x g_j[w_x]`` are at
-    least ``g_j[K] - t_j >= -tol``.
+    least ``g_j[K] - t_j >= -tol``.  The model's rows go in uncopied; the objective, from ``rewards``, is checked.
     """
-    return LpProblem(-rewards.max(axis=0), model.effect_gens.T, model.unit_effect)
+    objective = finite_array(-rewards.max(axis=0), "objective", (len(model.effect_gens),))
+    return owned(LpProblem, objective=objective, eq_matrix=model.effect_gens.T, eq_rhs=model.unit_effect)
 
 
 def measurement_from_primal(rewards: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -184,7 +185,8 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
 
     weights = p_guess - ensemble.priors  # r_x, the bits of DiscriminationSolution.weights
     stated = weights > tol
-    return DiscriminationSolution(
+    return owned(
+        DiscriminationSolution,
         ensemble=ensemble,
         p_guess=p_guess,
         coefficients=measurement_from_primal(rewards, primal.x),

@@ -1,9 +1,9 @@
-"""Exception hierarchy shared across the package, and the one check on input arrays.
+"""Exception hierarchy shared across the package, and the two ways a record takes its arrays.
 
-Every array that enters the package (model and ensemble coordinates,
-measurements, LP data, cone generators, the numbers of a solution file)
-passes through :func:`finite_array`, so a malformed value raises
-:class:`InvalidInputError` wherever it arrives.
+Every value that enters the package (model and ensemble coordinates, measurements, LP data,
+cone generators, the numbers of a solution file) passes through :func:`finite_array`, so a
+malformed value raises :class:`InvalidInputError` wherever it arrives.  Arrays the package
+formed itself from checked values go into their records through :func:`owned`, unchecked.
 """
 
 import numpy as np
@@ -63,6 +63,15 @@ def finite_array(value, name: str, shape: tuple) -> np.ndarray:
         raise InvalidInputError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def owned(cls, **values):
+    """A ``cls`` record of ``values`` as given, each ndarray made read-only in place; ``__post_init__`` does not run."""
+    record = object.__new__(cls)
+    for array in [value for value in values.values() if isinstance(value, np.ndarray)]:
+        array.setflags(write=False)
+    vars(record).update(values)
+    return record
 
 
 def _has_bool(value) -> bool:

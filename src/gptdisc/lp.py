@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError, finite_array
+from .errors import InvalidInputError, NumericalFailureError, finite_array, owned
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -175,9 +175,8 @@ def phase_one(eq_matrix: np.ndarray, eq_rhs: np.ndarray) -> PhaseOneStart:
                 kept_rows.append(i)
     kept = np.array(kept_rows, dtype=np.intp)
     tableau = tableau[kept_rows + [m]]
-    for array in (sign, a, tableau, kept):
-        array.setflags(write=False)
-    return PhaseOneStart(sign, a, tableau, tuple(basis[i] for i in kept_rows), kept, infeasibility)
+    basis = tuple(basis[i] for i in kept_rows)
+    return owned(PhaseOneStart, sign=sign, matrix=a, tableau=tableau, basis=basis, kept=kept, infeasibility=infeasibility)
 
 
 def solve_lp(problem: LpProblem, tol: float = 1e-9, start: PhaseOneStart | None = None) -> LpSolution:
@@ -227,9 +226,7 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, start: PhaseOneStart | None 
         y[start.kept] = np.linalg.solve(basis_matrix.T, c[basis])
     y *= start.sign
 
-    x.setflags(write=False)
-    y.setflags(write=False)
-    solution = LpSolution(status=OPTIMAL, x=x, objective=float(c @ x), y=y)
+    solution = owned(LpSolution, status=OPTIMAL, x=x, objective=float(c @ x), y=y)
     residual = certificate_residual(problem, solution)
     if not residual <= tol:
         raise NumericalFailureError(f"LP certificate failed: worst residual {residual:g}")
@@ -267,14 +264,15 @@ def feasibility_gap(eq_matrix, eq_rhs, tol: float = 1e-9) -> float:
     solution; with a cone's generators as columns, model validation decides
     membership in the effect cone this way, without the cone's facets.
     :func:`solve_lp` certifies the elastic LP, so a failed certificate
-    raises :class:`NumericalFailureError` with the worst residual.
+    raises :class:`NumericalFailureError` with the worst residual.  A bad
+    ``eq_matrix`` (m x n) or ``eq_rhs`` (m) raises :class:`InvalidInputError`.
     """
-    a = np.atleast_2d(np.asarray(eq_matrix, dtype=float))
-    b = np.atleast_1d(np.asarray(eq_rhs, dtype=float))
+    a = finite_array(eq_matrix, "eq_matrix", (None, None))
     m, n = a.shape
+    b = finite_array(eq_rhs, "eq_rhs", (m,))
     elastic = np.hstack([a, np.eye(m), -np.eye(m)])
     cost = np.concatenate([np.zeros(n), np.ones(2 * m)])
-    sol = solve_lp(LpProblem(cost, elastic, b), tol=tol)
+    sol = solve_lp(owned(LpProblem, objective=cost, eq_matrix=elastic, eq_rhs=b), tol=tol)
     if sol.status != OPTIMAL:
         raise NumericalFailureError("elastic feasibility problem did not solve")
     return max(float(sol.objective), 0.0)

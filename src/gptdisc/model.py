@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .cone import PolyhedralCone, certified_facets, inside, unit_rows
-from .errors import InvalidInputError, finite_array
+from .errors import InvalidInputError, finite_array, owned
 from .lp import PhaseOneStart, feasibility_gap, phase_one
 
 DEFAULT_TOL = 1e-9
@@ -84,7 +84,7 @@ class GptModel:
         cone = PolyhedralCone(self.dim, self.state_gens)
         facets = certified_facets(cone, unit_rows(self.effect_gens)[1])
         if facets is not None:
-            vars(cone)["dual"] = PolyhedralCone._of_unit_rays(self.dim, facets, 0)
+            vars(cone)["dual"] = owned(PolyhedralCone, dim=self.dim, generators=facets, units=facets, lineality=0)
         return cone
 
     @cached_property

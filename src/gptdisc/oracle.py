@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import NumericalFailureError, UnsupportedSizeError
+from .errors import NumericalFailureError, UnsupportedSizeError, owned
 from .model import Ensemble
 
 #: Hard bounds keeping subset enumeration at desk scale.
@@ -70,9 +70,7 @@ def dual_vertex_enumeration(ensemble: Ensemble) -> OracleResult:
     best = float(objectives.min())
     near = vertices[objectives <= best + 1e-12]
     k = min(map(tuple, near))  # lexicographic tie-break for determinism
-    k_arr = np.array(k)
-    k_arr.setflags(write=False)
-    return OracleResult(p_guess=best, k=k_arr, vertices_examined=int(vertices.shape[0]))
+    return owned(OracleResult, p_guess=best, k=np.array(k), vertices_examined=int(vertices.shape[0]))
 
 
 def _nonsingular(mats: np.ndarray) -> np.ndarray:

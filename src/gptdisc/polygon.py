@@ -31,7 +31,7 @@ from .discrimination import (
     solve_discrimination,
     verify_kkt,
 )
-from .errors import InvalidInputError, finite_array
+from .errors import InvalidInputError, finite_array, owned
 from .model import DEFAULT_TOL, Ensemble, GptModel
 from .oracle import dual_vertex_enumeration
 
@@ -72,13 +72,13 @@ def _polygon_model(n: int) -> GptModel:
         )
     else:
         effects = states / (1.0 + r * r)
-    return GptModel(dim=3, state_gens=states, effect_gens=effects, unit_effect=np.array([0.0, 0.0, 1.0]))
+    return owned(GptModel, dim=3, state_gens=states, effect_gens=effects, unit_effect=np.array([0.0, 0.0, 1.0]))
 
 
 def uniform_vertex_ensemble(n: int) -> Ensemble:
     """Uniform priors over all vertex states of the order-``n`` polygon."""
     model = polygon_model(n)
-    return Ensemble(model=model, states=model.state_gens, priors=np.full(n, 1.0 / n))
+    return owned(Ensemble, model=model, states=model.state_gens, priors=np.full(n, 1.0 / n))
 
 
 def demo_n3() -> DiscriminationSolution:
@@ -127,7 +127,7 @@ def no_measurement_ensemble(p: float) -> Ensemble:
     mixture = model.state_gens.mean(axis=0)
     states = np.vstack([model.state_gens, mixture])
     priors = np.array([(1.0 - p) / 4.0] * 4 + [p])
-    return Ensemble(model=model, states=states, priors=priors)
+    return owned(Ensemble, model=model, states=states, priors=priors)
 
 
 def demo_no_measurement(p: float) -> DiscriminationSolution:

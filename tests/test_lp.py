@@ -338,6 +338,25 @@ def test_feasibility_gap_measures_l1_distance():
     assert feasibility_gap(np.array([[1.0], [0.0]]), np.array([2.0, 0.0])) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "eq_matrix, eq_rhs",
+    [
+        ([[True, False]], [1.0]),
+        ([[1.0, 0.0]], [True]),
+        ([["1", "0"]], ["1"]),
+        ("abc", [1]),
+        ([[1.0, 0.0], [1.0]], [1.0, 0.0]),
+        ([[1.0, np.nan]], [1.0]),
+        ([[1.0, 0.0]], [np.nan]),
+    ],
+    ids=["boolean-matrix", "boolean-rhs", "numeric-strings", "string", "ragged", "nan-matrix", "nan-rhs"],
+)
+def test_feasibility_gap_rejects_what_is_not_an_array_of_numbers(eq_matrix, eq_rhs):
+    # Read with np.asarray(..., dtype=float), the booleans and the numeric strings gave a gap of 0.0.
+    with pytest.raises(InvalidInputError):
+        feasibility_gap(eq_matrix, eq_rhs)
+
+
 def _bits(solution):
     """Everything a solution states, as bytes, so that ``-0.0`` and ``0.0`` differ."""
     arrays = (solution.x, solution.y, np.array(solution.objective, dtype=float))
