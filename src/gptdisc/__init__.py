@@ -12,9 +12,7 @@ from .cone import PolyhedralCone, cones_equal, dual_cone, member_of
 from .discrimination import (
     DiscriminationSolution,
     KktReport,
-    build_primal,
     no_measurement_value,
-    reward_matrix,
     solve_discrimination,
     verify_kkt,
 )
@@ -60,9 +58,7 @@ __all__ = [
     "member_of",
     "DiscriminationSolution",
     "KktReport",
-    "build_primal",
     "no_measurement_value",
-    "reward_matrix",
     "solve_discrimination",
     "verify_kkt",
     "GptDiscError",

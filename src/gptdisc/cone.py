@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedSizeError, finite_array, owned
+from .errors import InvalidInputError, UnsupportedSizeError, check_dim, finite_array, owned
 
 #: Largest 0/1 product (entries) one double-description step may form; 2**24 float32 entries are 64 MiB.
 MAX_DUAL_ENTRIES = 2**24
@@ -66,8 +66,7 @@ class PolyhedralCone:
     lineality: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.dim <= 0:
-            raise InvalidInputError("cone dimension must be positive")
+        object.__setattr__(self, "dim", check_dim(self.dim))
         gens = self.generators
         if isinstance(gens, (list, tuple)) and not gens:  # an empty list has no second axis
             gens = np.zeros((0, self.dim))

@@ -17,11 +17,13 @@ A solution states each number once: ``K``, the mask of the stated ``d_x``
 and those ``d_x`` as rows; every ``r_x`` is read off ``K``.
 ``d_x`` is a state only when effects are unrestricted (a restricted
 effect cone has a larger dual).  Measurements are stated as coefficients
-``C >= 0`` on the effect generators.  A :class:`DiscriminationSolution`
-checks the numbers handed to its constructor and stores no LP objective
-values; :func:`verify_kkt` recomputes the duality gap and the residual of
-every optimality condition, and :meth:`KktReport.passes` holds each of
-them to one tolerance, so untrusted solutions need no other check.
+``C >= 0`` on the effect generators, by a private LP formed only from
+inputs that :func:`solve_discrimination` has validated.  A
+:class:`DiscriminationSolution` checks the numbers handed to its
+constructor and stores no LP objective values; :func:`verify_kkt`
+recomputes the duality gap and the residual of every optimality
+condition, and :meth:`KktReport.passes` holds each of them to one
+tolerance, so untrusted solutions need no other check.
 """
 
 from __future__ import annotations
@@ -118,23 +120,22 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(rows, rows))
 
 
-def reward_matrix(ensemble: Ensemble) -> np.ndarray:
+def _reward_matrix(ensemble: Ensemble) -> np.ndarray:
     """The rewards ``q_x g_j[w_x]`` with outcomes as rows and effect generators as columns."""
     return ensemble.priors[:, None] * (ensemble.states @ ensemble.model.effect_gens.T)
 
 
-def build_primal(model: GptModel, rewards: np.ndarray) -> LpProblem:
+def _build_primal(model: GptModel, rewards: np.ndarray) -> LpProblem:
     """Measurement LP: minimize ``-sum_j C_j t_j`` s.t. ``sum_j C_j g_j = u``, ``C >= 0`` (d rows, g columns).
 
-    ``t_j = max_x rewards[x, j]`` for the :func:`reward_matrix` of an ensemble of ``model``.  The full LP's
-    other N - 1 columns of each ``g_j`` cannot bind: their reduced costs ``g_j[K] - q_x g_j[w_x]`` are at
-    least ``g_j[K] - t_j >= -tol``.  The model's rows go in uncopied; the objective, from ``rewards``, is checked.
+    ``t_j = max_x rewards[x, j]`` for the :func:`_reward_matrix` of a validated ensemble of ``model``.  The full
+    LP's other N - 1 columns of each ``g_j`` cannot bind: their reduced costs ``g_j[K] - q_x g_j[w_x]`` are at
+    least ``g_j[K] - t_j >= -tol``.  The model's rows go in uncopied, and the objective, formed from validated values, unchecked.
     """
-    objective = finite_array(-rewards.max(axis=0), "objective", (len(model.effect_gens),))
-    return owned(LpProblem, objective=objective, eq_matrix=model.effect_gens.T, eq_rhs=model.unit_effect)
+    return owned(LpProblem, objective=-rewards.max(axis=0), eq_matrix=model.effect_gens.T, eq_rhs=model.unit_effect)
 
 
-def measurement_from_primal(rewards: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _measurement_from_primal(rewards: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Coefficients ``C[x, j] = max(C_j, 0)`` where outcome x attains ``t_j``, ties to the lowest x, and 0 elsewhere.
 
     Only the positive ``C_j`` are placed, each in the row of its owner, so a basic ``C_j`` a rounding error below
@@ -156,26 +157,25 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
 
     ``K`` is the negated multiplier vector of the completeness rows, so
     ``p_guess = u[K] = -b.y``; :func:`solve_lp` has already bounded its
-    distance from the primal value ``-c.x`` by ``tol``.
-    Raises :class:`InvalidInputError` when ``tol`` is outside
-    ``(0, MAX_TOL]``, the ensemble fails validation, or the LP fails and
-    so does :func:`validate_model`; :class:`NumericalFailureError` when
-    the LP's certificate fails; :class:`InternalInconsistencyError` when
-    the LP of a valid model is not solved optimally or ``p_guess`` falls
-    outside the sandwich bound ``[max_x q_x, 1]``.
+    distance from the primal value ``-c.x`` by ``tol``.  The model, then
+    the ensemble, is validated first through its kept verdicts at
+    ``max(tol, 1e-12)``.  Raises :class:`InvalidInputError` with the first
+    failing report's issues, or when ``tol`` is outside ``(0, MAX_TOL]``;
+    :class:`NumericalFailureError` when the LP's certificate fails;
+    :class:`InternalInconsistencyError` when the LP of validated inputs is
+    not solved optimally or ``p_guess`` falls outside the sandwich bound
+    ``[max_x q_x, 1]``.
     """
     tol = check_tol(tol)
-    check = validate_ensemble(ensemble, tol=max(tol, 1e-12))
-    if not check.valid:
-        raise InvalidInputError("; ".join(check.issues))
+    for validate, subject in ((validate_model, ensemble.model), (validate_ensemble, ensemble)):
+        check = validate(subject, tol=max(tol, 1e-12))
+        if not check.valid:
+            raise InvalidInputError("; ".join(check.issues))
 
-    rewards = reward_matrix(ensemble)
-    problem = build_primal(ensemble.model, rewards)
+    rewards = _reward_matrix(ensemble)
+    problem = _build_primal(ensemble.model, rewards)
     primal = solve_lp(problem, tol=tol, start=ensemble.model.measurement_start)
     if primal.status != OPTIMAL:
-        model_check = validate_model(ensemble.model, tol=max(tol, 1e-12))
-        if not model_check.valid:
-            raise InvalidInputError("; ".join(model_check.issues))
         raise InternalInconsistencyError(f"measurement LP must be solvable (status {primal.status})")
     k = -primal.y
     p_guess = float(problem.eq_rhs @ k)  # u[K]
@@ -189,7 +189,7 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
         DiscriminationSolution,
         ensemble=ensemble,
         p_guess=p_guess,
-        coefficients=measurement_from_primal(rewards, primal.x),
+        coefficients=_measurement_from_primal(rewards, primal.x),
         symmetry_operator=k,
         stated=stated,
         stated_d=(k - ensemble.weighted_states[stated]) / weights[stated, None],  # d_x = v_x / r_x

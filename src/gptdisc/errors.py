@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the package, and the two ways a record takes its arrays.
 
 Every value that enters the package (model and ensemble coordinates, measurements, LP data,
-cone generators, the numbers of a solution file) passes through :func:`finite_array`, so a
-malformed value raises :class:`InvalidInputError` wherever it arrives.  Arrays the package
-formed itself from checked values go into their records through :func:`owned`, unchecked.
+cone generators, the numbers of a solution file) passes through :func:`finite_array`, and a
+dimension through :func:`check_dim`, so a malformed value raises :class:`InvalidInputError`
+wherever it arrives.  Arrays the package formed itself from checked values go into their
+records through :func:`owned`, unchecked.
 """
 
 import numpy as np
@@ -63,6 +64,13 @@ def finite_array(value, name: str, shape: tuple) -> np.ndarray:
         raise InvalidInputError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def check_dim(dim) -> int:
+    """``dim`` as an ``int``: a Python or numpy integer (not a bool) of at least 1, or :class:`InvalidInputError`."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise InvalidInputError(f"dim must be an integer of at least 1, got {dim!r}")
+    return int(dim)
 
 
 def owned(cls, **values):

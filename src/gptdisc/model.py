@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .cone import PolyhedralCone, certified_facets, inside, unit_rows
-from .errors import InvalidInputError, finite_array, owned
+from .errors import InvalidInputError, check_dim, finite_array, owned
 from .lp import PhaseOneStart, feasibility_gap, phase_one
 
 DEFAULT_TOL = 1e-9
@@ -72,8 +72,7 @@ class GptModel:
     unit_effect: np.ndarray
 
     def __post_init__(self):
-        if self.dim <= 0:
-            raise InvalidInputError("ambient dimension must be positive")
+        object.__setattr__(self, "dim", check_dim(self.dim))
         object.__setattr__(self, "state_gens", finite_array(self.state_gens, "state_gens", (None, self.dim)))
         object.__setattr__(self, "effect_gens", finite_array(self.effect_gens, "effect_gens", (None, self.dim)))
         object.__setattr__(self, "unit_effect", finite_array(self.unit_effect, "unit_effect", (self.dim,)))

@@ -67,11 +67,8 @@ def model_to_dict(model: GptModel) -> dict:
 def model_from_dict(data) -> GptModel:
     if not isinstance(data, dict):
         raise InvalidInputError("model must be a JSON object")
-    dim = _require(data, "dim", "model")
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise InvalidInputError("model dim must be an integer")
     return GptModel(
-        dim=dim,
+        dim=_require(data, "dim", "model"),
         state_gens=_require(data, "state_generators", "model"),
         effect_gens=_require(data, "effect_generators", "model"),
         unit_effect=_require(data, "unit_effect", "model"),

@@ -5,7 +5,7 @@ import pytest
 
 import gptdisc.cone as cone
 from gptdisc import Ensemble, GptModel, LpProblem, PolyhedralCone, dual_cone, polygon_model
-from gptdisc.discrimination import build_primal, reward_matrix
+from gptdisc.discrimination import _build_primal, _reward_matrix
 from gptdisc.errors import finite_array
 from gptdisc.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution, certificate_residual
 from gptdisc.oracle import _nonsingular
@@ -77,7 +77,7 @@ def slack_form(c, a_ub, b_ub) -> LpProblem:
 
 def measurement_lp(ensemble: Ensemble) -> LpProblem:
     """The measurement LP that ``solve_discrimination`` solves: one column per effect generator."""
-    return build_primal(ensemble.model, reward_matrix(ensemble))
+    return _build_primal(ensemble.model, _reward_matrix(ensemble))
 
 
 def full_measurement_lp(ensemble: Ensemble) -> LpProblem:

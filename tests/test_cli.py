@@ -90,6 +90,15 @@ def test_file_that_is_not_utf8_exits_one_with_an_error_line(command, tmp_path, c
     assert line.startswith("error: ") and str(path) in line
 
 
+@pytest.mark.parametrize("dim", [3.0, True])
+def test_model_file_with_a_non_integer_dim_exits_one(dim, square_files, capsys):
+    model_path, ensemble_path = square_files
+    model_path.write_text(json.dumps({**json.loads(model_path.read_text()), "dim": dim}))
+    assert main(["solve", str(ensemble_path)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"error: dim must be an integer of at least 1, got {dim!r}"
+
+
 def test_solve_numerical_failure_maps_to_exit_two(square_files, capsys, monkeypatch):
     _, ensemble_path = square_files
 

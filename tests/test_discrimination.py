@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from gptdisc import (
     Ensemble,
     GptModel,
+    InternalInconsistencyError,
     InvalidInputError,
     congruence_check,
     member_of,
@@ -20,11 +21,13 @@ from gptdisc import (
     validate_model,
     verify_kkt,
 )
+from gptdisc.cli import main
 from gptdisc.cone import inside
-from gptdisc.discrimination import _row_dots, build_primal, measurement_from_primal, reward_matrix, row_norms
+from gptdisc.discrimination import _build_primal, _measurement_from_primal, _reward_matrix, _row_dots, row_norms
 from gptdisc.lp import OPTIMAL, LpSolution, certificate_residual
 from gptdisc.oracle import MAX_ORACLE_CONSTRAINTS, dual_vertex_enumeration
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
+from gptdisc.serialize import dumps, ensemble_to_dict
 
 from conftest import (
     boxworld_model,
@@ -130,7 +133,7 @@ def test_invalid_ensemble_rejected_by_solver():
     ],
 )
 def test_invalid_model_rejected_by_solver(effect_gens, issue):
-    # Both models make the measurement LP fail; that is bad input, not a solver fault.
+    # Both models would make the measurement LP fail; the solver validates the model before it builds the LP.
     square = polygon_model(4)
     model = GptModel(
         dim=3, state_gens=square.state_gens, effect_gens=effect_gens(square.effect_gens), unit_effect=square.unit_effect
@@ -138,6 +141,42 @@ def test_invalid_model_rejected_by_solver(effect_gens, issue):
     uniform = uniform_vertex_ensemble(4)
     with pytest.raises(InvalidInputError, match=issue):
         solve_discrimination(Ensemble(model=model, states=uniform.states, priors=uniform.priors))
+
+
+def _square_with_effect_zero_scaled(factor):
+    square = polygon_model(4)
+    effects = square.effect_gens.copy()
+    effects[0] *= factor
+    return GptModel(dim=3, state_gens=square.state_gens, effect_gens=effects, unit_effect=square.unit_effect)
+
+
+def test_a_model_whose_lp_solves_is_still_validated_by_the_solver():
+    # The measurement LP of this model is optimal, at p_guess 0.5 with a passing KKT report.
+    uniform = uniform_vertex_ensemble(4)
+    ensemble = Ensemble(model=_square_with_effect_zero_scaled(1.5), states=uniform.states, priors=uniform.priors)
+    with pytest.raises(InvalidInputError, match=r"^effect generator 0 exceeds 1 on state generator 0, value 1\.5$"):
+        solve_discrimination(ensemble)
+
+
+def test_the_model_is_validated_before_the_ensemble():
+    model = _square_with_effect_zero_scaled(1.5)
+    bad = Ensemble(model=model, states=model.state_gens[:2], priors=np.array([0.5, 0.6]))
+    assert not validate_ensemble(bad).valid
+    with pytest.raises(InvalidInputError, match=r"^effect generator 0 exceeds 1"):
+        solve_discrimination(bad)
+
+
+def test_an_unsolved_lp_of_validated_inputs_is_a_solver_fault(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr("gptdisc.discrimination.solve_lp", lambda problem, **kwargs: LpSolution(status="unbounded"))
+    ensemble = uniform_vertex_ensemble(5)
+    assert validate_model(ensemble.model).valid and validate_ensemble(ensemble).valid
+    with pytest.raises(InternalInconsistencyError, match="status unbounded"):
+        solve_discrimination(ensemble)
+    path = tmp_path / "pentagon.json"
+    path.write_text(dumps(ensemble_to_dict(ensemble)))
+    assert main(["solve", str(path)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "numerical failure: measurement LP must be solvable (status unbounded)"
 
 
 def test_kkt_report_on_solver_output():
@@ -504,7 +543,7 @@ def test_measurement_reconstruction_matches_generators():
     ensemble = uniform_vertex_ensemble(3)
     problem = measurement_lp(ensemble)
     sol = solve_lp(problem)
-    total = (measurement_from_primal(reward_matrix(ensemble), sol.x) @ ensemble.model.effect_gens).sum(axis=0)
+    total = (_measurement_from_primal(_reward_matrix(ensemble), sol.x) @ ensemble.model.effect_gens).sum(axis=0)
     assert_allclose(total, ensemble.model.unit_effect, atol=1e-12)
 
 
@@ -534,7 +573,7 @@ def test_collapsed_lp_certifies_the_full_measurement_lp():
         scattered[owner, np.arange(g)] = np.maximum(sol.x, 0.0)  # the solver clips rounding below zero
         lifted = LpSolution(OPTIMAL, x=scattered.reshape(-1), objective=sol.objective, y=sol.y)
         assert check_certificate(full, lifted), (ensemble.model.dim, ensemble.n_states)
-        coefficients = measurement_from_primal(reward_matrix(ensemble), sol.x)
+        coefficients = _measurement_from_primal(_reward_matrix(ensemble), sol.x)
         assert_allclose(coefficients, scattered, atol=0.0)
         assert not np.signbit(coefficients).any()  # no negative entry and no -0.0
 
@@ -550,8 +589,8 @@ def _measurement_inputs():
     ensembles = [uniform_vertex_ensemble(n) for n in (*range(3, 25), 128)]
     ensembles += [random_polygon_ensemble(rng) for _ in range(20)] + [no_measurement_ensemble(0.5)]
     for ensemble in ensembles:
-        rewards = reward_matrix(ensemble)
-        yield rewards, solve_lp(build_primal(ensemble.model, rewards)).x
+        rewards = _reward_matrix(ensemble)
+        yield rewards, solve_lp(_build_primal(ensemble.model, rewards)).x
     # Tied owners, a basic value a rounding error below zero, -0.0 and an exact zero.
     yield np.array([[1.0, 2.0, 0.5, 3.0, 1.0], [1.0, 2.0, 0.7, 3.0, 0.0]]), np.array([0.5, -1e-17, -0.0, 0.0, 0.25])
 
@@ -562,7 +601,7 @@ def test_measurement_from_the_basic_columns_matches_the_dense_owner_mask():
     inputs = list(_measurement_inputs())
     assert any((x < 0.0).any() for _, x in inputs[:-1])
     for rewards, x in inputs:
-        coefficients = measurement_from_primal(rewards, x)
+        coefficients = _measurement_from_primal(rewards, x)
         expected = _dense_measurement(rewards, x)
         assert coefficients.shape == expected.shape and coefficients.tobytes() == expected.tobytes()
 

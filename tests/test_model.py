@@ -258,6 +258,20 @@ def test_ragged_input_is_invalid_input(build):
         build()
 
 
+@pytest.mark.parametrize("dim", [3.0, "3", None, True, 0, -1], ids=repr)
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda dim: GptModel(dim, np.eye(3), np.eye(3), np.ones(3)), id="GptModel"),
+        pytest.param(lambda dim: PolyhedralCone(dim, np.eye(3)), id="PolyhedralCone"),
+    ],
+)
+def test_dim_is_an_integer_of_at_least_one(build, dim):
+    assert type(build(np.int64(3)).dim) is int
+    with pytest.raises(InvalidInputError, match="dim"):
+        build(dim)
+
+
 def test_finite_array_returns_checked_read_only_copy():
     source = np.ones((2, 3))
     arr = finite_array(source, "rows", (None, 3))

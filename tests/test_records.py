@@ -14,16 +14,14 @@ from gptdisc import (
     DiscriminationSolution,
     Ensemble,
     GptModel,
-    InvalidInputError,
-    build_primal,
     congruence_check,
     feasibility_gap,
     polygon_model,
-    reward_matrix,
     solve_discrimination,
     validate_ensemble,
     verify_kkt,
 )
+from gptdisc.discrimination import _build_primal, _reward_matrix
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
 from conftest import random_polygon_ensemble
@@ -60,7 +58,7 @@ _INSTANCES = (
 def test_records_built_unchecked_equal_the_checked_constructors_records(kind, arg):
     ensemble = _ENSEMBLES[kind](arg)
     model = ensemble.model
-    problem = build_primal(model, reward_matrix(ensemble))
+    problem = _build_primal(model, _reward_matrix(ensemble))
     solution = solve_discrimination(ensemble)
     # dataclasses.replace with no changes runs the constructor, so every field passes finite_array again.
     for record in (model, ensemble, problem, solution):
@@ -92,7 +90,7 @@ def _certify(ensemble):
     congruence_check(solution)
 
 
-@pytest.mark.parametrize("caller_built, expected", [(True, ["states", "priors", "objective"]), (False, ["objective"])])
+@pytest.mark.parametrize("caller_built, expected", [(True, ["states", "priors"]), (False, [])])
 def test_a_warm_instance_checks_only_the_numbers_handed_in(monkeypatch, caller_built, expected):
     model = polygon_model(8)
     _certify(uniform_vertex_ensemble(8))  # the model keeps its state facets and its measurement LP's phase-1 start
@@ -104,12 +102,6 @@ def test_a_warm_instance_checks_only_the_numbers_handed_in(monkeypatch, caller_b
     names = _count_entry_checks(monkeypatch)
     _certify(Ensemble(model=model, states=states, priors=priors) if caller_built else uniform_vertex_ensemble(8))
     assert names == expected
-
-
-@pytest.mark.parametrize("width, entry", [(4, np.nan), (4, np.inf), (3, 0.0), (5, 0.0)], ids=["nan", "inf", "narrow", "wide"])
-def test_the_objective_formed_from_a_callers_rewards_is_checked(width, entry):
-    with pytest.raises(InvalidInputError, match="objective"):
-        build_primal(polygon_model(4), np.full((2, width), entry))
 
 
 def _assert_unshared(arrays, record):
@@ -130,8 +122,8 @@ def test_a_callers_arrays_stay_writeable_and_unshared(monkeypatch):
     ensemble = Ensemble(model, states, priors)
     _assert_unshared([states, priors], ensemble)
 
-    rewards = reward_matrix(ensemble)
-    _assert_unshared([rewards], build_primal(model, rewards))
+    rewards = _reward_matrix(ensemble)
+    _assert_unshared([rewards], _build_primal(model, rewards))
 
     solved = solve_discrimination(ensemble)
     numbers = [np.array(a) for a in (solved.coefficients, solved.symmetry_operator, solved.stated, solved.stated_d)]
