@@ -1,13 +1,16 @@
 """Exception hierarchy shared across the package, and the two ways a record takes its arrays.
 
 Every value that enters the package (model and ensemble coordinates, measurements, LP data,
-cone generators, the numbers of a solution file) passes through :func:`finite_array`, and a
-dimension through :func:`check_dim`, so a malformed value raises :class:`InvalidInputError`
-wherever it arrives.  Arrays the package formed itself from checked values go into their
-records through :func:`owned`, unchecked.
+cone generators, the numbers of a solution file) passes through :func:`finite_array`, a
+dimension through :func:`check_dim` and a tolerance through :func:`check_tol`, so a malformed
+value raises :class:`InvalidInputError` wherever it arrives.  Arrays the package formed itself
+from checked values go into their records through :func:`owned`, unchecked.
 """
 
 import numpy as np
+
+#: Largest tolerance the solver, the LP engine, the validators and the ``--tol`` option accept.
+MAX_TOL = 1e-3
 
 
 class GptDiscError(Exception):
@@ -64,6 +67,25 @@ def finite_array(value, name: str, shape: tuple) -> np.ndarray:
         raise InvalidInputError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def check_tol(tol) -> float:
+    """``tol`` as a float; :class:`InvalidInputError` unless it is a real scalar with ``0 < tol <= MAX_TOL``.
+
+    A Python or numpy integer or float, or a 0-d array of one, is a real scalar; a one-element array,
+    a string, a boolean or None is not.  NaN and infinities miss the range.
+    """
+    if type(tol) is not float:  # a plain float, the usual tol, needs no conversion
+        try:
+            arr = np.asarray(tol)
+        except (TypeError, ValueError):  # a ragged list
+            arr = np.asarray(None)
+        if arr.shape != () or arr.dtype.kind not in "iuf":
+            raise InvalidInputError(f"tol must be a real scalar, got {tol!r}")
+        tol = float(arr)
+    if not 0.0 < tol <= MAX_TOL:
+        raise InvalidInputError(f"tol must lie in (0, {MAX_TOL:g}], got {tol!r}")
+    return tol
 
 
 def check_dim(dim) -> int:

@@ -12,7 +12,9 @@ and pivots update it with whole-array operations; the ratio test reads
 the entering column as Python floats, because the measurement LP has
 few rows and many columns: one row per model dimension and one column
 per effect generator, 3 x 128 for the order-128 polygon.  Phase 2 runs
-in the phase-1 tableau, whose artificial columns may no longer enter.
+in the phase-1 tableau, whose artificial columns may no longer enter; they
+began as the identity at zero cost, so their final reduced costs are
+``-c_B B^-1``, and the dual multipliers are read there, with no basis solve.
 
 Phase 1 reads the rows ``A x = b`` only, never the objective or the
 tolerance, so :func:`phase_one` runs it once, drives the leftover
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError, finite_array, owned
+from .errors import InvalidInputError, NumericalFailureError, check_tol, finite_array, owned
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -126,18 +128,16 @@ def _run_phase(tableau: np.ndarray, basis: list[int], enter_limit: int) -> str:
 class PhaseOneStart:
     """Phase 1 of the rows ``A x = b``, which no objective enters, kept for every LP on those rows.
 
-    ``sign`` flips the rows whose rhs is negative and ``matrix`` is ``A`` with those rows flipped.
-    ``tableau`` is phase 1's final tableau with its leftover artificials driven out: the ``kept`` rows
-    of ``A``, whose basic columns are ``basis``, and a last row that each solve overwrites with its
-    reduced costs.  ``infeasibility`` is phase 1's optimal value, the least sum of artificials.  The
-    arrays are read-only.
+    ``sign`` flips the rows of ``A`` whose rhs is negative.  ``tableau``, ``n + m + 1`` wide, is phase 1's
+    final tableau with its leftover artificials driven out: the rows not dropped as redundant, whose basic
+    columns are ``basis``, and a last row that each solve overwrites with its reduced costs; a solve reads
+    its multipliers off the ``m`` artificial columns.  ``infeasibility`` is phase 1's optimal value, the
+    least sum of artificials.  The arrays are read-only.
     """
 
     sign: np.ndarray
-    matrix: np.ndarray
     tableau: np.ndarray
     basis: tuple[int, ...]
-    kept: np.ndarray
     infeasibility: float
 
 
@@ -173,34 +173,34 @@ def phase_one(eq_matrix: np.ndarray, eq_rhs: np.ndarray) -> PhaseOneStart:
             if row[j] > PIVOT_FLOOR:
                 _pivot(tableau, basis, i, j)
                 kept_rows.append(i)
-    kept = np.array(kept_rows, dtype=np.intp)
     tableau = tableau[kept_rows + [m]]
     basis = tuple(basis[i] for i in kept_rows)
-    return owned(PhaseOneStart, sign=sign, matrix=a, tableau=tableau, basis=basis, kept=kept, infeasibility=infeasibility)
+    return owned(PhaseOneStart, sign=sign, tableau=tableau, basis=basis, infeasibility=infeasibility)
 
 
 def solve_lp(problem: LpProblem, tol: float = 1e-9, start: PhaseOneStart | None = None) -> LpSolution:
     """Solve a standard-form LP, returning a certified solution.
 
-    ``start`` is :func:`phase_one` of the problem's own rows, built here when
-    none is given: a caller that solves many objectives on the same rows
-    passes one start to each, and every solve then runs phase 2 only, on a
-    copy, with the same bits as a solve without it.  A start whose shape
-    differs from the problem's raises :class:`InvalidInputError`.  ``tol``
-    bounds the phase-1 infeasibility that still counts as feasible and the
-    :func:`certificate_residual` of an ``optimal`` solution.  Infeasibility
-    and unboundedness are reported through ``status``.  The iteration guard
-    (``_MAX_ITER`` pivots per phase), a phase-1 "unbounded" and a
-    certificate residual above ``tol`` (or NaN) raise
-    :class:`NumericalFailureError`; the last names the worst residual, so a
+    ``start`` is :func:`phase_one` of the problem's own rows, built here when none is given: a
+    caller that solves many objectives on the same rows passes one start to each, and every solve
+    then runs phase 2 only, on a copy, with the same bits as a solve without it.  A start whose
+    shape differs from the problem's raises :class:`InvalidInputError`.  ``tol`` bounds the phase-1
+    infeasibility that still counts as feasible and the :func:`certificate_residual` of an
+    ``optimal`` solution; one outside ``(0, MAX_TOL]`` raises :class:`InvalidInputError`.  ``y`` is
+    read off the artificial columns, so a row dropped as redundant may get a nonzero multiplier.
+    Infeasibility and unboundedness are reported through ``status``.  The iteration guard
+    (``_MAX_ITER`` pivots per phase), a phase-1 "unbounded" and a certificate residual above
+    ``tol`` (or NaN) raise :class:`NumericalFailureError`; the last names the worst residual, so a
     start built from other rows of the same shape cannot give a wrong ``x``.
     """
+    tol = check_tol(tol)
     c = problem.objective
     m, n = problem.eq_matrix.shape
     if start is None:
         start = phase_one(problem.eq_matrix, problem.eq_rhs)
-    elif start.matrix.shape != (m, n):
-        raise InvalidInputError(f"phase-1 start of shape {start.matrix.shape} does not fit an LP of shape {(m, n)}")
+    shape = (len(start.sign), start.tableau.shape[1] - len(start.sign) - 1)  # the tableau is n + m + 1 wide
+    if shape != (m, n):
+        raise InvalidInputError(f"phase-1 start of shape {shape} does not fit an LP of shape {(m, n)}")
     if start.infeasibility > tol:
         return LpSolution(status=INFEASIBLE)
 
@@ -218,13 +218,8 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, start: PhaseOneStart | None 
 
     x = np.zeros(n)
     x[basis] = tableau[:-1, -1]
-
-    # Dual multipliers from the final basis, mapped back to original rows.
-    y = np.zeros(m)
-    if basis:
-        basis_matrix = start.matrix[start.kept][:, basis]
-        y[start.kept] = np.linalg.solve(basis_matrix.T, c[basis])
-    y *= start.sign
+    # The artificial columns' reduced costs are -c_B B^-1, the multipliers of the sign-flipped rows.
+    y = -start.sign * tableau[-1, n:-1]
 
     solution = owned(LpSolution, status=OPTIMAL, x=x, objective=float(c @ x), y=y)
     residual = certificate_residual(problem, solution)
@@ -247,10 +242,10 @@ def certificate_residual(problem: LpProblem, solution: LpSolution) -> float:
     b = problem.eq_rhs
     c = problem.objective
     reduced = c - a.T @ y
-    residuals = (
-        -np.minimum.reduce(x, initial=0.0),
+    residuals = (  # 0.0 - m, not -m, so that an exact solution reads 0.0, not -0.0
+        0.0 - np.minimum.reduce(x, initial=0.0),
         np.maximum.reduce(np.abs(a @ x - b), initial=0.0),
-        -np.minimum.reduce(reduced, initial=0.0),
+        0.0 - np.minimum.reduce(reduced, initial=0.0),
         np.maximum.reduce(np.abs(x * reduced), initial=0.0),
         abs(float(c @ x) - float(b @ y)),
     )
@@ -265,7 +260,8 @@ def feasibility_gap(eq_matrix, eq_rhs, tol: float = 1e-9) -> float:
     membership in the effect cone this way, without the cone's facets.
     :func:`solve_lp` certifies the elastic LP, so a failed certificate
     raises :class:`NumericalFailureError` with the worst residual.  A bad
-    ``eq_matrix`` (m x n) or ``eq_rhs`` (m) raises :class:`InvalidInputError`.
+    ``eq_matrix`` (m x n) or ``eq_rhs`` (m), or a ``tol`` outside
+    ``(0, MAX_TOL]``, raises :class:`InvalidInputError`.
     """
     a = finite_array(eq_matrix, "eq_matrix", (None, None))
     m, n = a.shape

@@ -35,31 +35,10 @@ from functools import cached_property
 import numpy as np
 
 from .cone import PolyhedralCone, certified_facets, inside, unit_rows
-from .errors import InvalidInputError, check_dim, finite_array, owned
+from .errors import MAX_TOL, check_dim, check_tol, finite_array, owned  # the tol check, also read from here
 from .lp import PhaseOneStart, feasibility_gap, phase_one
 
 DEFAULT_TOL = 1e-9
-#: Largest tolerance the solver, the validators and the ``--tol`` option accept.
-MAX_TOL = 1e-3
-
-
-def check_tol(tol) -> float:
-    """``tol`` as a float; :class:`InvalidInputError` unless it is a real scalar with ``0 < tol <= MAX_TOL``.
-
-    A Python or numpy integer or float, or a 0-d array of one, is a real scalar; a one-element array,
-    a string, a boolean or None is not.  NaN and infinities miss the range.
-    """
-    if type(tol) is not float:  # a plain float, the usual tol, needs no conversion
-        try:
-            arr = np.asarray(tol)
-        except (TypeError, ValueError):  # a ragged list
-            arr = np.asarray(None)
-        if arr.shape != () or arr.dtype.kind not in "iuf":
-            raise InvalidInputError(f"tol must be a real scalar, got {tol!r}")
-        tol = float(arr)
-    if not 0.0 < tol <= MAX_TOL:
-        raise InvalidInputError(f"tol must lie in (0, {MAX_TOL:g}], got {tol!r}")
-    return tol
 
 
 @dataclass(frozen=True, eq=False)

@@ -969,7 +969,7 @@ def test_phase_one_runs_once_per_model(monkeypatch):
         counts.append(len(phases))
         if len(counts) == 1:
             start = model.measurement_start
-            arrays = (start.sign, start.matrix, start.tableau, start.kept)
+            arrays = (start.sign, start.tableau)
             kept = [a.copy() for a in arrays]
     assert counts == [2, 1, 1]  # phase 1 and phase 2, then phase 2 alone
     assert model.measurement_start is start
@@ -1047,10 +1047,10 @@ def _parent_certificate_residual(problem, solution) -> float:
     """``certificate_residual`` by the reference expressions ``np.min`` and ``np.max``."""
     x, y, a, b, c = solution.x, solution.y, problem.eq_matrix, problem.eq_rhs, problem.objective
     reduced = c - a.T @ y
-    residuals = (
-        -np.min(x, initial=0.0),
+    residuals = (  # 0.0 - m, so that an exact solution reads 0.0, as certificate_residual does
+        0.0 - np.min(x, initial=0.0),
         np.max(np.abs(a @ x - b), initial=0.0),
-        -np.min(reduced, initial=0.0),
+        0.0 - np.min(reduced, initial=0.0),
         np.max(np.abs(x * reduced), initial=0.0),
         abs(float(c @ x) - float(b @ y)),
     )

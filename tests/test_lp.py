@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from gptdisc import (
+    Ensemble,
     InvalidInputError,
     LpProblem,
     LpSolution,
@@ -13,7 +16,15 @@ import gptdisc.lp as lp_module
 from gptdisc.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
-from conftest import brute_force_lp, check_certificate, measurement_lp, random_polygon_ensemble, slack_form
+from conftest import (
+    boxworld_model,
+    brute_force_lp,
+    check_certificate,
+    hypercube_model,
+    measurement_lp,
+    random_polygon_ensemble,
+    slack_form,
+)
 
 
 def test_simplex_equality_split():
@@ -417,3 +428,78 @@ def test_start_of_another_shape_is_rejected(rows, columns):
     start = lp_module.phase_one(np.ones((rows, columns)), np.ones(rows))
     with pytest.raises(InvalidInputError, match=rf"start of shape \({rows}, {columns}\) does not fit an LP of shape \(3, 8\)"):
         solve_lp(problem, start=start)
+
+
+FEASIBLE = LpProblem([1.0, 2.0], [[1.0, 1.0]], [1.0])  # min x1 + 2 x2 s.t. x1 + x2 = 1
+
+
+@pytest.mark.parametrize(
+    "tol", [-1.0, 0.0, np.nan, np.inf, 2e-3, "1e-9", None, [1e-9]],
+    ids=["negative", "zero", "nan", "inf", "above-max", "string", "none", "list"],
+)
+def test_solve_lp_and_feasibility_gap_check_their_tol(tol):
+    # At tol = -1 the feasible LP read as infeasible, NaN failed its certificate, and a string raised a raw TypeError.
+    with pytest.raises(InvalidInputError, match="^tol must"):
+        solve_lp(FEASIBLE, tol=tol)
+    with pytest.raises(InvalidInputError, match="^tol must"):
+        feasibility_gap(np.eye(2), np.ones(2), tol=tol)
+
+
+def test_the_tol_check_lives_in_errors_and_is_still_read_from_model():
+    import gptdisc.errors
+    import gptdisc.model
+
+    assert gptdisc.model.check_tol is gptdisc.errors.check_tol
+    assert gptdisc.model.MAX_TOL == gptdisc.errors.MAX_TOL == 1e-3
+    assert solve_lp(FEASIBLE, tol=1e-3).status == solve_lp(FEASIBLE, tol=np.float32(1e-6)).status == OPTIMAL
+
+
+def test_the_certificate_residual_of_an_exact_solution_is_positive_zero():
+    sol = solve_lp(FEASIBLE)
+    assert (sol.x.tolist(), sol.y.tolist()) == ([1.0, 0.0], [1.0])
+    residual = lp_module.certificate_residual(FEASIBLE, sol)
+    assert residual == 0.0
+    assert math.copysign(1.0, residual) == 1.0  # it read -0.0, and a failure named "worst residual -0"
+
+
+def _uniform_ensemble(model):
+    k = len(model.state_gens)
+    return Ensemble(model=model, states=model.state_gens, priors=np.full(k, 1.0 / k))
+
+
+TABLEAU_DUAL_CASES = {
+    # The second row repeats the first, so phase 1 drops it.
+    "repeated-row": lambda: LpProblem([1.0, 2.0, 0.0], [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.0, 2.0]], [1.0, 1.0, 1.5]),
+    # x1 - x2 = -1 has a negative rhs, so phase 1 flips its sign; its multiplier is -2.
+    "negative-rhs": lambda: LpProblem([1.0, 3.0, 1.0], [[1.0, -1.0, 0.0], [1.0, 1.0, 1.0]], [-1.0, 3.0]),
+    "uniform256": lambda: measurement_lp(uniform_vertex_ensemble(256)),  # 130 pivots
+    "cube3": lambda: measurement_lp(_uniform_ensemble(hypercube_model(3))),
+    "boxworld": lambda: measurement_lp(_uniform_ensemble(boxworld_model())),
+}
+
+
+@pytest.mark.parametrize("name", TABLEAU_DUAL_CASES)
+def test_the_duals_read_off_the_tableau_certify_the_solve(monkeypatch, name):
+    problem = TABLEAU_DUAL_CASES[name]()
+    run_phase = lp_module._run_phase
+    bases = []
+
+    def recording_run_phase(tableau, basis, enter_limit):
+        status = run_phase(tableau, basis, enter_limit)
+        bases.append(list(basis))
+        return status
+
+    monkeypatch.setattr(lp_module, "_run_phase", recording_run_phase)
+    sol = solve_lp(problem)
+    assert sol.status == OPTIMAL
+    a, b, c = problem.eq_matrix, problem.eq_rhs, problem.objective
+    assert lp_module.certificate_residual(problem, sol) <= 1e-12
+    assert abs(float(c @ sol.x) - float(b @ sol.y)) <= 1e-12
+    basis = bases[-1]  # phase 2's final basis
+    if name == "repeated-row":  # the repeated rows' multipliers add up to the one row's, solved without the repeat
+        assert len(basis) == len(b) - 1
+        reference = np.linalg.solve(a[1:, basis].T, c[basis])
+        assert_allclose([sol.y[0] + sol.y[1], sol.y[2]], reference, rtol=0.0, atol=1e-12)
+    else:  # no row was dropped: the multipliers solve B^T y = c_B, by an independent LU solve
+        assert len(basis) == len(b)
+        assert_allclose(sol.y, np.linalg.solve(a[:, basis].T, c[basis]), rtol=0.0, atol=1e-12)
