@@ -8,7 +8,7 @@ from gptdisc import Ensemble, GptModel, LpProblem, PolyhedralCone, dual_cone, po
 from gptdisc.discrimination import _build_primal, _reward_matrix
 from gptdisc.errors import finite_array
 from gptdisc.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution, certificate_residual
-from gptdisc.oracle import _nonsingular
+from gptdisc.oracle import ORACLE_FEASIBILITY_TOL, OracleResult, _nonsingular
 from gptdisc.polygon import _polygon_model
 
 
@@ -151,6 +151,28 @@ def _independent_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
         elif np.linalg.matrix_rank(np.hstack([a, b[:, None]])[kept + [i]]) > len(kept):
             return None  # row is dependent in A but not in [A|b]
     return a[kept], b[kept]
+
+
+def all_subsets_vertex_enumeration(ensemble: Ensemble) -> OracleResult:
+    """The dual ``min u[K] s.t. K >= q_x w_x`` by solving every dim-subset of the N*g constraints on its own.
+
+    The constraints ``g_j[K] >= g_j[q_x w_x]`` are tiled x-major, and each
+    of the C(N*g, dim) subsets, including those that repeat a generator, is
+    filtered and solved as its own system: the reference for
+    ``dual_vertex_enumeration``, which factors each generator subset once.
+    """
+    model, dim = ensemble.model, ensemble.model.dim
+    normals = np.tile(model.effect_gens, (ensemble.n_states, 1))  # (n*g, dim), x-major
+    rhs = (ensemble.weighted_states @ model.effect_gens.T).reshape(-1)
+    subsets = np.array(list(itertools.combinations(range(normals.shape[0]), dim)))
+    mats = normals[subsets]
+    solvable = _nonsingular(mats)
+    candidates = np.linalg.solve(mats[solvable], rhs[subsets][solvable][..., None])[..., 0]
+    vertices = candidates[np.all(candidates @ normals.T >= rhs - ORACLE_FEASIBILITY_TOL, axis=1)]
+    objectives = vertices @ model.unit_effect
+    best = float(objectives.min())
+    k = min(map(tuple, vertices[objectives <= best + 1e-12]))
+    return OracleResult(p_guess=best, k=np.array(k), vertices_examined=int(vertices.shape[0]))
 
 
 def effects_of(solution) -> np.ndarray:
