@@ -151,7 +151,7 @@ def _demo_no_measurement(out: str) -> None:
     for p, p_guess, flag in scan.rows:
         lines.append(f"{float(p)!r},{float(p_guess)!r},{str(flag).lower()}")
     _write_out(out, "\n".join(lines) + "\n")
-    print(f"measured no-measurement threshold p* = {float(scan.p_star)!r}", file=sys.stderr)
+    print(f"no-measurement threshold p* = {float(scan.p_star)!r}", file=sys.stderr)
     print(f"closed-form dual-feasibility bound = {polygon_mod.AXIS_FEASIBILITY_THRESHOLD!r}", file=sys.stderr)
     print(f"quantum-analogue threshold = {polygon_mod.QUANTUM_ANALOGUE_THRESHOLD!r}", file=sys.stderr)
 

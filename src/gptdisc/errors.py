@@ -26,7 +26,8 @@ class PreconditionError(GptDiscError, ValueError):
 
 
 class UnsupportedSizeError(GptDiscError, ValueError):
-    """Problem size exceeds the work bound of the brute-force oracle or of ``dual_cone`` (so of any uncertified facet read)."""
+    """Problem size exceeds the work bound of the brute-force oracle or of ``dual_cone`` (so of any uncertified facet read),
+    or the oracle's feasible set has no vertex to enumerate."""
 
 
 class UndefinedRatioError(GptDiscError, ValueError):

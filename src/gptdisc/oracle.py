@@ -3,24 +3,25 @@
 Nothing here shares code paths with the simplex engine's pivoting: the
 dual problem is solved by exhaustive vertex enumeration over constraint
 subsets, so every solver output is checkable without trusting the solver.
-A subset that repeats an effect generator (for two states) is singular, so
-each subset of distinct generators is factored once, for every assignment
-of states to its generators.
+The constraints ``g_j[K] >= q_x g_j[w_x]`` of one generator are one
+constraint ``g_j[K] >= t_j``, with ``t_j`` the largest target over the
+states, so each subset of distinct effect generators is solved once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
 from .errors import NumericalFailureError, UnsupportedSizeError, owned
 from .model import Ensemble
 
-#: Hard bounds keeping subset enumeration at desk scale.
-MAX_ORACLE_DIM = 4
+#: Hard bounds keeping subset enumeration at desk scale: N·g constraints, and C(g, d) generator subsets.
 MAX_ORACLE_CONSTRAINTS = 60
+MAX_ORACLE_SUBSETS = 2**14
 
 #: Feasibility tolerance of the enumerator; fixed so the oracle cannot be weakened.
 ORACLE_FEASIBILITY_TOL = 1e-9
@@ -36,43 +37,43 @@ class OracleResult:
 
 
 def dual_vertex_enumeration(ensemble: Ensemble) -> OracleResult:
-    """Solve ``min u[K] s.t. K >= q_x w_x`` by enumerating all constraint-subset vertices.
+    """Solve ``min u[K] s.t. K >= q_x w_x`` by enumerating the vertices of its feasible set.
 
-    Every dim-subset of the constraints ``g_j[K] = g_j[q_x w_x]`` is
-    solved as a linear system; feasible solutions are compared directly.
-    A subset that names one generator twice has two equal rows and is
-    singular, so only the C(g, dim) subsets of distinct generators are
-    factored, each once, against its N^dim right-hand sides: one per way
-    of giving each chosen generator a state x. No pivoting heuristics are
-    involved, so the result is an independent check on the simplex path.
+    In effect-generator coordinates the feasible set is ``g_j[K] >= t_j``
+    with ``t_j = max_x g_j[q_x w_x]``.  Each of the C(g, dim) subsets of
+    distinct generators whose matrix is nonsingular is solved once, as
+    ``g_j[K] = t_j`` on the subset, and the feasible solutions are compared
+    directly.  No pivoting heuristics are involved, so the result is an
+    independent check on the simplex path.  Both size bounds are checked
+    from the shapes before any array is formed; past either, or when no
+    subset is nonsingular, :class:`UnsupportedSizeError` is raised.
     """
     model = ensemble.model
     dim = model.dim
-    if dim > MAX_ORACLE_DIM:
-        raise UnsupportedSizeError(f"dual vertex enumeration supports dim <= {MAX_ORACLE_DIM}")
     gens = model.effect_gens
-    n_states = ensemble.n_states
-    m = n_states * gens.shape[0]
+    n_gens = gens.shape[0]
+    m = ensemble.n_states * n_gens
     if m > MAX_ORACLE_CONSTRAINTS:
         raise UnsupportedSizeError(
             f"{m} constraints exceed the enumeration bound {MAX_ORACLE_CONSTRAINTS}"
+        )
+    n_subsets = math.comb(n_gens, dim)
+    if n_subsets > MAX_ORACLE_SUBSETS:
+        raise UnsupportedSizeError(
+            f"{n_subsets} effect-generator subsets exceed the enumeration bound {MAX_ORACLE_SUBSETS}"
         )
     if m < dim:
         raise UnsupportedSizeError("fewer constraints than dimensions; no vertex exists")
 
     # (s, dim) generator indices; s = 0 when there are fewer generators than dim.
-    subsets = np.array(list(combinations(range(gens.shape[0]), dim)), dtype=np.intp).reshape(-1, dim)
+    subsets = np.array(list(combinations(range(n_gens), dim)), dtype=np.intp).reshape(-1, dim)
     mats = gens[subsets]  # (s, dim, dim)
     solvable = _nonsingular(mats)
     if not solvable.any():
-        raise NumericalFailureError("no nonsingular constraint subset found")
-    subsets = subsets[solvable]
-    targets = ensemble.weighted_states @ gens.T  # (n, g): g_j[q_x w_x]
-    owners = np.array(list(product(range(n_states), repeat=dim))).T  # (dim, n^dim): the state of each chosen generator
-    rhs = targets[owners, subsets[:, :, None]]  # (s, dim, n^dim)
-    candidates = np.linalg.solve(mats[solvable], rhs).transpose(0, 2, 1).reshape(-1, dim)
-    # g_j[K] >= g_j[q_x w_x] for all x iff it holds at the largest target; max(t) - tol == max(t - tol) in floats.
-    feasible = np.all(candidates @ gens.T >= targets.max(axis=0) - ORACLE_FEASIBILITY_TOL, axis=1)
+        raise UnsupportedSizeError("no nonsingular subset of effect generators; no vertex exists")
+    targets = (ensemble.weighted_states @ gens.T).max(axis=0)  # (g,): t_j = max_x g_j[q_x w_x]
+    candidates = np.linalg.solve(mats[solvable], targets[subsets[solvable], None])[..., 0]
+    feasible = np.all(candidates @ gens.T >= targets - ORACLE_FEASIBILITY_TOL, axis=1)
     vertices = candidates[feasible]
     if vertices.shape[0] == 0:
         raise NumericalFailureError("vertex enumeration found no feasible point")

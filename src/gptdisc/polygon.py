@@ -24,16 +24,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .discrimination import (
-    DiscriminationSolution,
-    KktReport,
-    no_measurement_value,
-    solve_discrimination,
-    verify_kkt,
-)
+from .discrimination import DiscriminationSolution, KktReport, solve_discrimination, verify_kkt
 from .errors import InvalidInputError, finite_array, owned
 from .model import DEFAULT_TOL, Ensemble, GptModel
-from .oracle import dual_vertex_enumeration
 
 #: Threshold claimed for the analogous five-state quantum ensemble.
 QUANTUM_ANALOGUE_THRESHOLD = 0.2
@@ -137,18 +130,22 @@ def demo_no_measurement(p: float) -> DiscriminationSolution:
 
 @dataclass(frozen=True)
 class ThresholdScan:
-    """Grid of (p, p_guess, no-measurement-optimal) rows plus the measured threshold."""
+    """Grid of (p, p_guess, no-measurement-optimal) rows plus the closed-form threshold."""
 
     rows: tuple[tuple[float, float, bool], ...]
-    p_star: float | None
+    p_star: float
 
 
 def threshold_scan(p_grid) -> ThresholdScan:
     """Locate where guessing without measuring becomes optimal.
 
-    Each grid point is solved and flagged; the threshold ``p_star`` (the
-    smallest flagged prior) is then bisected to 1e-6, with the bisection
-    decided by the vertex-enumeration oracle rather than the solver.
+    Each grid point is solved, and flagged when ``K = q_max w_max`` is dual
+    feasible: ``g_j[q_max w_max - q_x w_x] >= -tol`` for every state x and
+    effect generator j, which for unrestricted effects holds exactly when
+    no measurement beats guessing.  Along the family each of these is
+    ``p a_j >= (1 - p) b_xj``, with ``a_j = g_j[w_4]`` and
+    ``b_xj = g_j[w_x] / 4``, so the threshold ``p_star`` is the largest
+    ratio ``b / (a + b)``.
     """
     grid = finite_array(p_grid, "grid", (None,)).tolist()
     if any(p < 0.0 or p > 1.0 for p in grid):
@@ -157,25 +154,15 @@ def threshold_scan(p_grid) -> ThresholdScan:
     rows = []
     for p in grid:
         solution = demo_no_measurement(p)
-        baseline = no_measurement_value(solution.ensemble)
-        rows.append((p, solution.p_guess, solution.p_guess <= baseline + DEFAULT_TOL))
+        rows.append((p, solution.p_guess, _guessing_is_optimal(solution.ensemble)))
+    gens = polygon_model(4).effect_gens
+    a = no_measurement_ensemble(1.0).weighted_states[4] @ gens.T
+    b = no_measurement_ensemble(0.0).weighted_states[:4] @ gens.T
+    return ThresholdScan(rows=tuple(rows), p_star=float((b / (a + b)).max()))
 
-    def oracle_flag(p: float) -> bool:
-        ensemble = no_measurement_ensemble(p)
-        result = dual_vertex_enumeration(ensemble)
-        return result.p_guess <= no_measurement_value(ensemble) + DEFAULT_TOL
 
-    flagged = sorted(p for p, _, flag in rows if flag)
-    if not flagged:
-        return ThresholdScan(rows=tuple(rows), p_star=None)
-    hi = flagged[0]
-    lo = 0.0
-    if oracle_flag(lo):
-        return ThresholdScan(rows=tuple(rows), p_star=lo)
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if oracle_flag(mid):
-            hi = mid
-        else:
-            lo = mid
-    return ThresholdScan(rows=tuple(rows), p_star=hi)
+def _guessing_is_optimal(ensemble: Ensemble) -> bool:
+    """Whether ``K = q_max w_max`` is dual feasible, so guessing the likeliest state without measuring is optimal."""
+    weighted = ensemble.weighted_states
+    dominance = (weighted[np.argmax(ensemble.priors)] - weighted) @ ensemble.model.effect_gens.T
+    return bool(dominance.min() >= -DEFAULT_TOL)

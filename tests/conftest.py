@@ -153,13 +153,15 @@ def _independent_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     return a[kept], b[kept]
 
 
-def all_subsets_vertex_enumeration(ensemble: Ensemble) -> OracleResult:
+def all_subsets_vertex_enumeration(ensemble: Ensemble) -> tuple[OracleResult, int]:
     """The dual ``min u[K] s.t. K >= q_x w_x`` by solving every dim-subset of the N*g constraints on its own.
 
     The constraints ``g_j[K] >= g_j[q_x w_x]`` are tiled x-major, and each
     of the C(N*g, dim) subsets, including those that repeat a generator, is
     filtered and solved as its own system: the reference for
-    ``dual_vertex_enumeration``, which factors each generator subset once.
+    ``dual_vertex_enumeration``, which solves each generator subset once
+    against the largest target of each generator.  Returns the result and
+    the number of distinct generator subsets among its feasible vertices.
     """
     model, dim = ensemble.model, ensemble.model.dim
     normals = np.tile(model.effect_gens, (ensemble.n_states, 1))  # (n*g, dim), x-major
@@ -168,11 +170,13 @@ def all_subsets_vertex_enumeration(ensemble: Ensemble) -> OracleResult:
     mats = normals[subsets]
     solvable = _nonsingular(mats)
     candidates = np.linalg.solve(mats[solvable], rhs[subsets][solvable][..., None])[..., 0]
-    vertices = candidates[np.all(candidates @ normals.T >= rhs - ORACLE_FEASIBILITY_TOL, axis=1)]
+    feasible = np.all(candidates @ normals.T >= rhs - ORACLE_FEASIBILITY_TOL, axis=1)
+    vertices = candidates[feasible]
     objectives = vertices @ model.unit_effect
     best = float(objectives.min())
     k = min(map(tuple, vertices[objectives <= best + 1e-12]))
-    return OracleResult(p_guess=best, k=np.array(k), vertices_examined=int(vertices.shape[0]))
+    generator_subsets = {frozenset(s) for s in (subsets[solvable][feasible] % model.effect_gens.shape[0]).tolist()}
+    return OracleResult(p_guess=best, k=np.array(k), vertices_examined=int(vertices.shape[0])), len(generator_subsets)
 
 
 def effects_of(solution) -> np.ndarray:

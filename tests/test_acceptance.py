@@ -103,7 +103,7 @@ def test_criterion_4_no_measurement_scan():
                 assert sol.p_guess == pytest.approx(p, abs=1e-9)
                 assert_allclose(sol.symmetry_operator, p * ensemble.states[4], atol=1e-9)
                 assert flag
-        # Threshold measured by bisection, reported beside both reference figures:
+        # Threshold read off the dominance certificate in closed form, reported beside both reference figures:
         # the quantum-analogue 1/5 claim does not hold for this model, the
         # dual-feasibility bound 1/3 does.
         assert scan.p_star == pytest.approx(AXIS_FEASIBILITY_THRESHOLD, abs=2e-6)

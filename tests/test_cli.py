@@ -169,6 +169,22 @@ def test_solve_oracle_past_its_size_bound_is_skipped(tmp_path, capsys):
     assert main(["verify", str(ensemble_path), str(solution_path)]) == 0
 
 
+def test_solve_oracle_with_no_vertex_is_skipped(tmp_path, capsys):
+    # The square's states with the effect generator (0, 0, 1/2) given twice: valid, restricted, and no
+    # three generators span the space, so the oracle's feasible set has no vertex.
+    square = polygon_model(4)
+    model = GptModel(dim=3, state_gens=square.state_gens, effect_gens=np.array([[0.0, 0.0, 0.5]] * 2), unit_effect=square.unit_effect)
+    ensemble_path = tmp_path / "flat.json"
+    ensemble_path.write_text(dumps(ensemble_to_dict(Ensemble(model=model, states=square.state_gens[:2], priors=[0.6, 0.4]))))
+    solution_path = tmp_path / "solution.json"
+    assert main(["solve", str(ensemble_path), "--oracle", "--out", str(solution_path)]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning: oracle")]
+    assert warnings == ["warning: oracle skipped: no nonsingular subset of effect generators; no vertex exists"]
+    payload = json.loads(solution_path.read_text())
+    assert "oracle" not in payload
+    assert payload["p_guess"] == pytest.approx(0.6, abs=1e-12)
+
+
 def test_polygon_command_emits_model(tmp_path):
     out = tmp_path / "model.json"
     assert main(["polygon", "--n", "5", "--out", str(out)]) == 0

@@ -7,20 +7,23 @@ from gptdisc import (
     demo_n3,
     demo_n4,
     demo_no_measurement,
+    no_measurement_value,
     polygon_model,
     polygon_radius,
     threshold_scan,
     uniform_vertex_ensemble,
+    solve_discrimination,
     validate_model,
 )
 from gptdisc.polygon import (
     AXIS_FEASIBILITY_THRESHOLD,
     QUANTUM_ANALOGUE_THRESHOLD,
+    _guessing_is_optimal,
     _polygon_model,
     no_measurement_ensemble,
 )
 
-from conftest import counted_dual_cones, effects_of
+from conftest import counted_dual_cones, effects_of, random_polygon_ensemble
 
 SQRT2 = np.sqrt(2.0)
 SQRT6 = np.sqrt(6.0)
@@ -133,10 +136,36 @@ def test_scan_computes_the_square_facets_once_per_process(monkeypatch):
     calls = counted_dual_cones(monkeypatch)
     threshold_scan([0.0, 0.25, 0.5])
     threshold_scan([0.75, 1.0])
-    # Every grid point and bisection step shares one square model, whose
+    # Every grid point and the closed-form threshold share one square model, whose
     # state facets the effect generators certify: no double description runs.
     assert calls == []
     assert no_measurement_ensemble(0.2).model is no_measurement_ensemble(0.5).model is polygon_model(4)
+
+
+def _solver_flag(ensemble, p_guess: float) -> bool:
+    """The solver's reading of point (i): its optimum is no better than guessing the likeliest state."""
+    return p_guess <= no_measurement_value(ensemble) + 1e-9
+
+
+@pytest.mark.parametrize("grid", [[round(0.05 * k, 2) for k in range(21)], [round(0.005 * k, 3) for k in range(201)]], ids=["21", "201"])
+def test_scan_flags_are_the_solvers_flags(grid):
+    scan = threshold_scan(grid)
+    assert [flag for _, _, flag in scan.rows] == [_solver_flag(no_measurement_ensemble(p), p_guess) for p, p_guess, _ in scan.rows]
+    assert any(flag for _, _, flag in scan.rows) and not all(flag for _, _, flag in scan.rows)
+
+
+def test_the_dominance_certificate_is_the_solvers_flag_on_random_polygon_ensembles():
+    rng = np.random.default_rng(17)
+    flags = []
+    for _ in range(300):
+        ensemble = random_polygon_ensemble(rng)
+        flags.append(_guessing_is_optimal(ensemble))
+        assert flags[-1] == _solver_flag(ensemble, solve_discrimination(ensemble).p_guess)
+    assert 0 < sum(flags) < 300
+
+
+def test_the_threshold_is_the_closed_form_one_third():
+    assert threshold_scan([]).p_star == AXIS_FEASIBILITY_THRESHOLD == 1.0 / 3.0
 
 
 def test_scan_rejects_out_of_range_grid():
