@@ -125,17 +125,18 @@ def validate_model(model: GptModel, tol: float = DEFAULT_TOL) -> ValidationRepor
     """Check every framework axiom of a model; all problems are reported, never raised.
 
     Pointedness needs no test of its own: with ``u[w] = 1`` on every state
-    generator, ``u`` is strictly positive on the cone, so a cone that is
-    not pointed always fails normalization.  The rank of the state
-    generators is ``dim`` less the lines that the state cone's dual keeps,
-    so no SVD is run.  Also reports whether the effect cone equals the full
-    dual of the state cone: every pairing is nonnegative and every state
-    facet lies within ``tol`` of a unit effect generator (a new array of the
-    nonzero ``effect_gens`` scaled to unit length) or else in the effect cone
-    by :func:`feasibility_gap`, tried facet by facet until one fails.  No
-    effect cone is built, and the state cone is dualized only when the effect
-    generators do not certify its facets; past ``MAX_DUAL_ENTRIES`` that
-    raises :class:`UnsupportedSizeError`, and a ``tol`` outside
+    generator, ``u`` is strictly positive on the cone, so a cone that is not
+    pointed always fails normalization.  Nor does ``u``'s membership in
+    unrestricted effects, the dual of the state cone: ``u[w] = 1`` decides it.
+    The rank of the state generators is ``dim`` less the lines that the state
+    cone's dual keeps, so no SVD is run.  Also reports whether the effect cone
+    equals the full dual of the state cone: every pairing is nonnegative and
+    every state facet lies within ``tol`` of a unit effect generator (a new
+    array of the nonzero ``effect_gens`` scaled to unit length) or else in the
+    effect cone by :func:`feasibility_gap`, tried facet by facet until one
+    fails.  No effect cone is built, and the state cone is dualized only when
+    the effect generators do not certify its facets; past ``MAX_DUAL_ENTRIES``
+    that raises :class:`UnsupportedSizeError`, and a ``tol`` outside
     ``(0, MAX_TOL]`` raises :class:`InvalidInputError`.  The findings are
     computed once per model and ``tol``; each call returns a new report.
     """
@@ -177,16 +178,14 @@ def _validate_model(model: GptModel, tol: float) -> ValidationReport:
     matched = np.linalg.norm(facets - nearest, axis=1) <= tol
     fits = (feasibility_gap(effects.T, f, tol) <= tol for f in facets[~matched])  # lazy: stops at the first miss
     report.unrestricted_effects = bool(pairings.min(initial=0.0) >= -tol and all(fits))
-    if report.unrestricted_effects:  # dual(E) = dual(dual(S)) = S: y is in E iff y . w >= 0 for every w in S
-        u_in_effects = inside(state_cone.units, u[None], tol)[0]
-    else:
+    # Unrestricted effects are the dual of S, which holds u exactly when u[w] >= 0 on S: normalization decides it.
+    if not report.unrestricted_effects:
         report.warnings.append(
             "effect cone differs from the full dual of the state cone (restricted effects); "
             "the solver uses the supplied cone as given"
         )
-        u_in_effects = feasibility_gap(effects.T, u, tol) <= tol
-    if not u_in_effects:
-        report.issues.append("unit effect is not in the cone of the effect generators")
+        if feasibility_gap(effects.T, u, tol) > tol:
+            report.issues.append("unit effect is not in the cone of the effect generators")
     return report
 
 

@@ -28,7 +28,8 @@ from gptdisc import (
 from gptdisc.lp import OPTIMAL
 from gptdisc.polygon import AXIS_FEASIBILITY_THRESHOLD, QUANTUM_ANALOGUE_THRESHOLD
 
-from conftest import brute_force_lp, check_certificate, effect_cone, effects_of, random_polygon_ensemble, same_generator_set, slack_form
+from conftest import brute_force_lp, check_certificate, effect_cone, effects_of, same_generator_set, slack_form
+from families import random_polygon_ensemble
 
 
 @contextmanager

@@ -14,7 +14,7 @@ from gptdisc.oracle import OracleResult
 from gptdisc.polygon import uniform_vertex_ensemble
 from gptdisc.serialize import dumps, ensemble_to_dict, model_to_dict
 
-from conftest import hypercube_model
+from families import hypercube_model, restricted_square_model
 
 
 @pytest.fixture
@@ -380,13 +380,9 @@ def test_solve_warns_once_about_restricted_effects(tmp_path, capsys):
 
 
 def test_solve_past_the_dual_cone_cap_exits_one_with_an_error_line(tmp_path, capsys, monkeypatch):
-    # Twelve effects (1 + (cos t, sin t) . x / 2) / 2 on the square's states: a restricted 12-gon effect cone.
-    square = polygon_model(4)
-    t = 2.0 * np.pi * np.arange(12) / 12.0
-    effects = np.column_stack([0.5 * np.cos(t), 0.5 * np.sin(t), np.ones(12)]) / 2.0
-    model = GptModel(dim=3, state_gens=square.state_gens, effect_gens=effects, unit_effect=square.unit_effect)
+    model = restricted_square_model()  # a restricted 12-gon effect cone on the square's states
     ensemble_path = tmp_path / "restricted.json"
-    ensemble_path.write_text(dumps(ensemble_to_dict(Ensemble(model=model, states=square.state_gens[:2], priors=[0.5, 0.5]))))
+    ensemble_path.write_text(dumps(ensemble_to_dict(Ensemble(model=model, states=model.state_gens[:2], priors=[0.5, 0.5]))))
     polygon_path = tmp_path / "polygon.json"  # the order-12 polygon: twelve state generators
     polygon_path.write_text(dumps(ensemble_to_dict(uniform_vertex_ensemble(12))))
     cube = hypercube_model(3)  # eight state generators; its square facets fail the certificate

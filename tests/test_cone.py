@@ -20,15 +20,8 @@ from gptdisc.cone import unit_rows
 from gptdisc.lp import feasibility_gap
 from gptdisc.polygon import no_measurement_ensemble
 
-from conftest import (
-    boxworld_model,
-    cone_ge,
-    cross_polytope_model,
-    effect_cone,
-    hypercube_model,
-    random_polytope_model,
-    same_generator_set,
-)
+from conftest import cone_ge, effect_cone, same_generator_set
+from families import boxworld_model, cross_polytope_model, hypercube_model, random_polytope_model
 
 
 def orthant(d=3):

@@ -30,18 +30,22 @@ from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 from gptdisc.serialize import dumps, ensemble_to_dict
 
 from conftest import (
-    boxworld_model,
     check_certificate,
     cone_ge,
     counted_dual_cones,
-    cross_polytope_model,
     effect_cone,
     effects_of,
     full_measurement_lp,
-    hypercube_model,
     measurement_lp,
+)
+from families import (
+    boxworld_model,
+    cross_polytope_model,
+    hypercube_model,
     random_polygon_ensemble,
     random_polytope_model,
+    restricted_square_model,
+    square_with_effect_zero_scaled,
 )
 
 
@@ -143,23 +147,16 @@ def test_invalid_model_rejected_by_solver(effect_gens, issue):
         solve_discrimination(Ensemble(model=model, states=uniform.states, priors=uniform.priors))
 
 
-def _square_with_effect_zero_scaled(factor):
-    square = polygon_model(4)
-    effects = square.effect_gens.copy()
-    effects[0] *= factor
-    return GptModel(dim=3, state_gens=square.state_gens, effect_gens=effects, unit_effect=square.unit_effect)
-
-
 def test_a_model_whose_lp_solves_is_still_validated_by_the_solver():
     # The measurement LP of this model is optimal, at p_guess 0.5 with a passing KKT report.
     uniform = uniform_vertex_ensemble(4)
-    ensemble = Ensemble(model=_square_with_effect_zero_scaled(1.5), states=uniform.states, priors=uniform.priors)
+    ensemble = Ensemble(model=square_with_effect_zero_scaled(1.5), states=uniform.states, priors=uniform.priors)
     with pytest.raises(InvalidInputError, match=r"^effect generator 0 exceeds 1 on state generator 0, value 1\.5$"):
         solve_discrimination(ensemble)
 
 
 def test_the_model_is_validated_before_the_ensemble():
-    model = _square_with_effect_zero_scaled(1.5)
+    model = square_with_effect_zero_scaled(1.5)
     bad = Ensemble(model=model, states=model.state_gens[:2], priors=np.array([0.5, 0.6]))
     assert not validate_ensemble(bad).valid
     with pytest.raises(InvalidInputError, match=r"^effect generator 0 exceeds 1"):
@@ -339,12 +336,8 @@ def test_batched_kkt_cone_checks_match_per_row_checks():
 
 
 def _restricted_square_ensemble() -> Ensemble:
-    """The square's states with twelve effects ``(1 + (cos t, sin t) . x / 2) / 2``: a restricted effect cone."""
-    square = polygon_model(4)
-    t = 2 * np.pi * np.arange(12) / 12
-    effects = np.column_stack([np.cos(t) / 2, np.sin(t) / 2, np.ones(12)]) / 2
-    model = GptModel(dim=3, state_gens=square.state_gens, effect_gens=effects, unit_effect=square.unit_effect)
-    return Ensemble(model=model, states=square.state_gens, priors=np.array([0.1, 0.2, 0.3, 0.4]))
+    model = restricted_square_model()
+    return Ensemble(model=model, states=model.state_gens, priors=np.array([0.1, 0.2, 0.3, 0.4]))
 
 
 def test_one_tolerance_decides_the_kkt_verdict():

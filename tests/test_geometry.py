@@ -21,7 +21,7 @@ from gptdisc import (
 from gptdisc.oracle import dual_vertex_enumeration
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
-from conftest import random_polygon_ensemble
+from families import random_polygon_ensemble
 
 AXIS = np.array([0.0, 0.0, 1.0])
 

@@ -16,15 +16,8 @@ import gptdisc.lp as lp_module
 from gptdisc.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
-from conftest import (
-    boxworld_model,
-    brute_force_lp,
-    check_certificate,
-    hypercube_model,
-    measurement_lp,
-    random_polygon_ensemble,
-    slack_form,
-)
+from conftest import brute_force_lp, check_certificate, measurement_lp, slack_form
+from families import boxworld_model, hypercube_model, random_polygon_ensemble
 
 
 def test_simplex_equality_split():

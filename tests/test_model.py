@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gptdisc import (
     congruence_check,
     cones_equal,
     demo_n4,
+    dual_cone,
     member_of,
     polygon_model,
     ratio_r,
@@ -31,12 +33,10 @@ from gptdisc.lp import LpProblem
 from gptdisc.model import check_tol
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
-from conftest import (
+from conftest import counted_dual_cones, effect_cone, evaluate
+from families import (
     boxworld_model,
-    counted_dual_cones,
     cross_polytope_model,
-    effect_cone,
-    evaluate,
     hypercube_model,
     random_polygon_ensemble,
     random_polytope_model,
@@ -460,6 +460,18 @@ REPORT_CASES = [
 def test_empty_and_rank_deficient_models_keep_their_reports(model, issues, warnings, unrestricted):
     report = validate_model(model)
     assert (report.issues, report.warnings, report.unrestricted_effects) == (issues, warnings, unrestricted)
+
+
+def test_normalization_alone_reports_a_unit_effect_outside_unrestricted_effects():
+    # With w3 negated, u[w3] = -1 puts u outside the dual of the state cone, which the effects generate;
+    # the normalization line says so, and no second line repeats it.
+    states = SQUARE.state_gens * np.array([[1.0], [1.0], [1.0], [-1.0]])
+    effects = dual_cone(PolyhedralCone(3, states)).generators
+    report = validate_model(GptModel(dim=3, state_gens=states, effect_gens=effects, unit_effect=SQUARE.unit_effect))
+    assert report.unrestricted_effects is True and report.warnings == []
+    assert report.issues[0] == "u[w]=1 violated for state generator 3, residual 2"
+    assert len(report.issues) == 4 and U_OUTSIDE not in report.issues
+    assert all(re.fullmatch(r"effect generator \d exceeds 1 on state generator \d, value 1\.\d+", i) for i in report.issues[1:])
 
 
 def test_certified_pipeline_runs_no_svd_and_builds_no_effect_cone(monkeypatch):

@@ -16,8 +16,8 @@ from gptdisc import (
 )
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
-from conftest import (
-    all_subsets_vertex_enumeration,
+from conftest import all_subsets_vertex_enumeration
+from families import (
     boxworld_model,
     cross_polytope_model,
     hypercube_model,

@@ -23,7 +23,8 @@ from gptdisc.polygon import (
     no_measurement_ensemble,
 )
 
-from conftest import counted_dual_cones, effects_of, random_polygon_ensemble
+from conftest import counted_dual_cones, effects_of
+from families import random_polygon_ensemble
 
 SQRT2 = np.sqrt(2.0)
 SQRT6 = np.sqrt(6.0)

@@ -24,7 +24,7 @@ from gptdisc import (
 from gptdisc.discrimination import _build_primal, _reward_matrix
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
 
-from conftest import random_polygon_ensemble
+from families import random_polygon_ensemble
 
 
 def _assert_same_record(built, checked):
