@@ -210,7 +210,9 @@ def verify_kkt(ensemble: Ensemble, solution: DiscriminationSolution) -> KktRepor
     :meth:`KktReport.passes` applies one.  The solution checked its numbers
     when it was built, so only its fit to ``ensemble`` is checked here:
     :class:`InvalidInputError` when the number of states, of effect
-    generators or the dimension differ.
+    generators or the dimension differ.  A solution holds one row of
+    ``stated_d`` per stated pair, so comparing lengths tells whether every pair
+    is stated; if so, the stability rows are formed on whole arrays, unmasked.
     """
     model = ensemble.model
     k, coefficients = solution.symmetry_operator, solution.coefficients
@@ -224,9 +226,12 @@ def verify_kkt(ensemble: Ensemble, solution: DiscriminationSolution) -> KktRepor
     measurement_residual = math.sqrt(completeness @ completeness)  # np.linalg.norm's own formula
     primal_value = float(np.add.reduce(ensemble.priors * np.einsum("xd,xd->x", effects, ensemble.states)))
     value = float(model.unit_effect @ k)  # u[K]
-    weights, stated = value - ensemble.priors, solution.stated  # r_x
-    stability = np.abs(weights)  # a null d claims only r_x d_x = 0
-    stability[stated] = row_norms(margins[stated] - weights[stated, None] * solution.stated_d)
+    weights, stated, d = value - ensemble.priors, solution.stated, solution.stated_d  # r_x
+    if len(d) == len(stated):  # every pair stated: one row of d per state
+        stability = row_norms(margins - weights[:, None] * d)
+    else:
+        stability = np.abs(weights)  # a null d claims only r_x d_x = 0
+        stability[stated] = row_norms(margins[stated] - weights[stated, None] * d)
     return KktReport(
         stability_residuals=stability,
         positivity_residuals=0.0 - np.minimum.reduce(margins @ model.effect_gens.T, axis=1, initial=0.0),  # K >= q_x w_x

@@ -43,18 +43,22 @@ def congruence_check(solution: DiscriminationSolution, tol: float = DEFAULT_TOL)
     ``max_residual`` is the bound ``2 max_x |s_x|`` over the stated pairs, 0 when none is stated; the ratios
     are those of the edges between consecutive stated pairs whose ``d`` differ by more than ``tol``.
     Degenerate complementary pairs cannot contribute a vertex and are skipped; their indices are reported.
+    When every pair is stated (``stated_d`` has one row per stated pair, so its length decides this), the
+    weighted states and the weights are read whole, with no masked copy.
     """
     tol = check_tol(tol)
     weights, stated, d = solution.weights, solution.stated, solution.stated_d
-    weighted = solution.ensemble.weighted_states[stated]
-    stability = solution.symmetry_operator - weighted - weights[stated, None] * d  # s_x, as verify_kkt forms it
+    weighted, skipped = solution.ensemble.weighted_states, ()
+    if len(d) != len(stated):  # a degenerate pair: keep the stated rows only
+        weighted, weights = weighted[stated], weights[stated]
+        skipped = tuple(np.flatnonzero(~stated).tolist())
+    stability = solution.symmetry_operator - weighted - weights[:, None] * d  # s_x, as verify_kkt forms it
     max_residual = 2.0 * float(np.maximum.reduce(row_norms(stability), initial=0.0))
     d_edges = row_norms(d[1:] - d[:-1])
     keep = d_edges > tol
     ratios = row_norms((weighted[1:] - weighted[:-1])[keep]) / d_edges[keep]
     ratio = float(np.add.reduce(ratios) / ratios.size) if ratios.size else None
     spread = float(np.maximum.reduce(ratios) - np.minimum.reduce(ratios)) if ratios.size else 0.0
-    skipped = tuple(np.flatnonzero(~stated).tolist())
     return CongruenceReport(max_residual=max_residual, ratio=ratio, ratio_spread=spread, skipped=skipped)
 
 

@@ -237,10 +237,32 @@ def _rank_deficient_or_line_cone(seed: int) -> PolyhedralCone:
     return PolyhedralCone(d, np.vstack([generators, -generators[0]]))
 
 
+def _involution_failure(seed: int, cone: PolyhedralCone, twice: PolyhedralCone) -> str:
+    """The cone's seed, dim, rank and lineality, and the worst ``inside`` margin of each cone on the other's facets."""
+    margins = [
+        float(np.minimum.reduce(points @ normals.T, axis=None, initial=0.0))
+        for points, normals in ((twice.generators, cone.facets), (cone.generators, twice.facets))
+    ]
+    return (
+        f"seed {seed}: dim {cone.dim}, rank {cone.rank}, lineality {cone.dim - cone.dual.rank}; worst margin of the "
+        f"double dual's generators on the cone's facets {margins[0]:.3g}, of the cone's generators on the double "
+        f"dual's facets {margins[1]:.3g}"
+    )
+
+
 @pytest.mark.parametrize("seed", range(150))
 def test_involution_of_rank_deficient_and_line_cones(seed):
     cone = _rank_deficient_or_line_cone(seed)
-    assert cones_equal(dual_cone(dual_cone(cone)), cone, 1e-7)
+    twice = dual_cone(dual_cone(cone))
+    assert cones_equal(twice, cone, 1e-7), _involution_failure(seed, cone, twice)  # formed only on failure
+
+
+def test_the_involution_failure_message_names_the_cone_and_both_margins():
+    cone = _rank_deficient_or_line_cone(9)
+    message = _involution_failure(9, cone, dual_cone(dual_cone(cone)))
+    assert message.startswith(f"seed 9: dim 6, rank {cone.rank}, lineality {cone.dim - cone.dual.rank}; ")
+    margins = [float(text.split()[-1]) for text in message.split(", of ")]
+    assert len(margins) == 2 and all(-1e-7 <= m <= 0.0 for m in margins)
 
 
 def test_rank_from_the_dual_lines_matches_the_svd_rank():

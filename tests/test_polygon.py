@@ -165,6 +165,26 @@ def test_the_dominance_certificate_is_the_solvers_flag_on_random_polygon_ensembl
     assert 0 < sum(flags) < 300
 
 
+POINT_I_FAMILIES = {
+    "random-seeds-0-399": lambda: [(seed, random_polygon_ensemble(np.random.default_rng(seed))) for seed in range(400)],
+    "grid-21": lambda: [(p, no_measurement_ensemble(p)) for p in (round(0.05 * k, 2) for k in range(21))],
+}
+
+
+@pytest.mark.parametrize("family", POINT_I_FAMILIES)
+def test_a_pair_is_unstated_exactly_when_guessing_without_measuring_is_optimal(family):
+    # Point (i): r_x = p_guess - q_x vanishes for some x only where p_guess is the largest prior, which is where
+    # the dominance certificate holds.  This is the property that sends a check down its masked or whole-array path.
+    degenerate = []
+    for label, ensemble in POINT_I_FAMILIES[family]():
+        solution = solve_discrimination(ensemble)
+        degenerate.append(not solution.stated.all())
+        assert degenerate[-1] == _guessing_is_optimal(ensemble), label
+        if degenerate[-1]:
+            assert abs(solution.p_guess - ensemble.priors.max()) <= 1e-9, label
+    assert 0 < sum(degenerate) < len(degenerate)
+
+
 def test_the_threshold_is_the_closed_form_one_third():
     assert threshold_scan([]).p_star == AXIS_FEASIBILITY_THRESHOLD == 1.0 / 3.0
 
