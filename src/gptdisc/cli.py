@@ -39,6 +39,7 @@ from .serialize import (
     model_to_dict,
     solution_from_dict,
     solution_to_dict,
+    support_to_list,
 )
 
 ORACLE_AGREEMENT_TOL = 1e-6
@@ -134,10 +135,10 @@ def cmd_demo(args) -> None:
         payload["alternates"] = [
             {
                 "name": alt_name,
-                "coefficients": coefficients,
+                "support": support_to_list(support),
                 "kkt": {**dataclasses.asdict(report), "passed": report.passes()},
             }
-            for alt_name, coefficients, report in result.alternates
+            for alt_name, support, report in result.alternates
         ]
     _write_out(args.out, dumps(payload))
 

@@ -16,9 +16,10 @@ normalized complementary state ``d_x = v_x / r_x``, so that
 A solution states each number once: ``K``, the mask of the stated ``d_x``
 and those ``d_x`` as rows; every ``r_x`` is read off ``K``.
 ``d_x`` is a state only when effects are unrestricted (a restricted
-effect cone has a larger dual).  Measurements are stated as coefficients
-``C >= 0`` on the effect generators, by a private LP formed only from
-inputs that :func:`solve_discrimination` has validated.  A
+effect cone has a larger dual).  A measurement is stated by its support,
+rows ``(x, j, c)`` of its coefficients ``c = C[x, j]`` on the effect
+generators: the solver's are the at most d basic ``C_j > 0`` of a private
+LP formed only from inputs that :func:`solve_discrimination` validated.  A
 :class:`DiscriminationSolution` checks the numbers handed to its
 constructor and stores no LP objective values; :func:`verify_kkt`
 recomputes the duality gap and the residual of every optimality
@@ -40,20 +41,22 @@ from .model import DEFAULT_TOL, Ensemble, GptModel, check_tol, validate_ensemble
 
 @dataclass(frozen=True, eq=False)
 class DiscriminationSolution:
-    """Optimal discrimination data: value, measurement coefficients ``C``, symmetry operator ``K``, pairs.
+    """Optimal discrimination data: value, measurement support, symmetry operator ``K``, pairs.
 
-    Outcome x has effect ``e_x = sum_j C[x, j] g_j`` on the effect generators, in file order.  The pairs
+    Each ``support`` row ``(x, j, c)`` adds ``c g_j`` to the effect ``e_x`` of outcome x, with the effect generators in
+    file order; a pair ``(x, j)`` left out has ``C[x, j] = 0``, and a repeated one adds up.  The pairs
     ``(r_x, d_x)`` are read off ``K``: the :attr:`weights` ``r_x = u[K] - q_x``, the N booleans ``stated`` that
     mark which ``d_x`` are given, and those ``d_x`` as the rows of ``stated_d``, in outcome order.  An unstated
     ``d_x`` (``r_x`` within tolerance of zero) makes a degenerate pair, which claims only ``r_x d_x = 0``, not
     ``K = q_x w_x``.  The constructor is the one reader of numbers handed in; the solver's record skips it.  It
-    raises :class:`InvalidInputError` unless ``p_guess`` is a finite scalar, ``C`` is N x g, ``K`` has d entries,
-    ``stated`` is N booleans and ``stated_d`` is a finite array of one d-vector per stated pair.
+    raises :class:`InvalidInputError` unless ``p_guess`` is a finite scalar, ``support`` is a finite (k, 3) array
+    with integer x in [0, N) and j in [0, g), ``K`` has d entries, ``stated`` is N booleans and ``stated_d`` is a
+    finite array of one d-vector per stated pair.
     """
 
     ensemble: Ensemble
     p_guess: float
-    coefficients: np.ndarray
+    support: np.ndarray
     symmetry_operator: np.ndarray
     stated: np.ndarray
     stated_d: np.ndarray
@@ -61,7 +64,11 @@ class DiscriminationSolution:
     def __post_init__(self):
         n, (g, dim) = self.ensemble.n_states, self.ensemble.model.effect_gens.shape
         object.__setattr__(self, "p_guess", float(finite_array(self.p_guess, "p_guess", ())))
-        object.__setattr__(self, "coefficients", finite_array(self.coefficients, "solution coefficients", (n, g)))
+        support = finite_array(self.support, "solution support", (None, 3))
+        for index, name, bound in ((support[:, 0], "outcome", n), (support[:, 1], "generator", g)):
+            if not np.all((index == np.floor(index)) & (index >= 0.0) & (index < bound)):
+                raise InvalidInputError(f"solution support {name} indices must be integers in [0, {bound})")
+        object.__setattr__(self, "support", support)
         object.__setattr__(self, "symmetry_operator", finite_array(self.symmetry_operator, "solution K", (dim,)))
         try:
             stated = np.array(self.stated)
@@ -83,12 +90,11 @@ class DiscriminationSolution:
 class KktReport:
     """Residuals of every optimality condition and every claimed value, recomputed from scratch.
 
-    With ``v_x = K - q_x w_x``: ``stability_residuals[x]`` is ``|v_x - r_x d_x|``
-    (``|r_x|`` for a null ``d``), ``positivity_residuals[x]`` is ``max_j -g_j[v_x]``
-    over the effect generators as given, and 0 when every ``g_j[v_x] >= 0``,
-    ``orthogonality_residuals[x]`` is ``|e_x[v_x]|``, ``effect_residuals[x]`` is
-    ``max_j -C[x, j]``, and 0 when the row is nonnegative, ``value_residual`` is
-    ``|p_guess - u[K]|``, with ``r_x = u[K] - q_x`` throughout.
+    With ``v_x = K - q_x w_x``: ``stability_residuals[x]`` is ``|v_x - r_x d_x|`` (``|r_x|`` for a null ``d``),
+    ``positivity_residuals[x]`` is ``max_j -g_j[v_x]`` over the effect generators as given, and 0 when every
+    ``g_j[v_x] >= 0``; for support row i, ``(x, j, c)``, ``orthogonality_residuals[i]`` is ``|c g_j[v_x]|``, the
+    LP's complementary slackness of that coefficient, and ``effect_residuals[i]`` is ``max(0, -c)``;
+    ``value_residual`` is ``|p_guess - u[K]|``, with ``r_x = u[K] - q_x`` throughout.
     No field is a verdict: :meth:`passes` is the one place a tolerance is applied.
     """
 
@@ -135,16 +141,10 @@ def _build_primal(model: GptModel, rewards: np.ndarray) -> LpProblem:
     return owned(LpProblem, objective=-rewards.max(axis=0), eq_matrix=model.effect_gens.T, eq_rhs=model.unit_effect)
 
 
-def _measurement_from_primal(rewards: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Coefficients ``C[x, j] = max(C_j, 0)`` where outcome x attains ``t_j``, ties to the lowest x, and 0 elsewhere.
-
-    Only the positive ``C_j`` are placed, each in the row of its owner, so a basic ``C_j`` a rounding error below
-    zero is clipped and ``C`` holds no negative entry and no ``-0.0``.
-    """
+def _support_from_primal(rewards: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows ``(x, j, C_j)`` of the ``C_j > 0`` (so none is ``-0.0``), owned by the lowest x attaining ``t_j``."""
     basic = np.flatnonzero(x > 0.0)
-    c = np.zeros(rewards.shape)
-    c[rewards[:, basic].argmax(axis=0), basic] = x[basic]
-    return c
+    return np.array((rewards[:, basic].argmax(axis=0), basic, x[basic]), order="F").T  # C-ordered, as a file's rows
 
 
 def no_measurement_value(ensemble: Ensemble) -> float:
@@ -189,7 +189,7 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
         DiscriminationSolution,
         ensemble=ensemble,
         p_guess=p_guess,
-        coefficients=_measurement_from_primal(rewards, primal.x),
+        support=_support_from_primal(rewards, primal.x),
         symmetry_operator=k,
         stated=stated,
         stated_d=(k - ensemble.weighted_states[stated]) / weights[stated, None],  # d_x = v_x / r_x
@@ -199,32 +199,29 @@ def solve_discrimination(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> Discri
 def verify_kkt(ensemble: Ensemble, solution: DiscriminationSolution) -> KktReport:
     """Recompute every optimality residual of ``solution`` from scratch.
 
-    Works on untrusted solutions: nothing from the solver is assumed, and
-    all quantities are derived from the ensemble, the coefficients ``C``,
-    ``K`` and the complementary pairs.  A passing report certifies optimality
-    (KKT conditions are sufficient here because strong duality holds) and
-    every number the solution states, ``p_guess`` included.
-    Positivity, ``K >= q_x w_x``, is measured as the most negative
-    ``g[K - q_x w_x]`` over the supplied effect generators ``g`` as given,
-    unnormalized.  Every field is a residual, so no tolerance is taken here:
-    :meth:`KktReport.passes` applies one.  The solution checked its numbers
-    when it was built, so only its fit to ``ensemble`` is checked here:
-    :class:`InvalidInputError` when the number of states, of effect
-    generators or the dimension differ.  A solution holds one row of
-    ``stated_d`` per stated pair, so comparing lengths tells whether every pair
-    is stated; if so, the stability rows are formed on whole arrays, unmasked.
+    Works on untrusted solutions: nothing from the solver is assumed, and all quantities are derived from the
+    ensemble, the support rows ``(x, j, c)``, ``K`` and the complementary pairs.  A passing report certifies
+    optimality (KKT conditions are sufficient here because strong duality holds) and every number the solution
+    states, ``p_guess`` included.  Positivity, ``K >= q_x w_x``, is measured as the most negative ``g[K - q_x w_x]``
+    over the supplied effect generators ``g`` as given, unnormalized; each row's slackness ``c g_j[v_x]`` is read off
+    the same products, and its completeness and value terms are gathered by row.  Every field is a residual, so no
+    tolerance is taken here: :meth:`KktReport.passes` applies one.  The solution checked its numbers when it was
+    built, so only its fit to ``ensemble`` is checked here: :class:`InvalidInputError` when the number of states,
+    of effect generators or the dimension differ.  A solution holds one row of ``stated_d`` per stated pair, so
+    comparing lengths tells whether every pair is stated; if so, the stability rows are formed on whole arrays.
     """
-    model = ensemble.model
-    k, coefficients = solution.symmetry_operator, solution.coefficients
-    if coefficients.shape != (ensemble.n_states, len(model.effect_gens)) or k.shape != (model.dim,):
+    model, k, support, theirs = ensemble.model, solution.symmetry_operator, solution.support, solution.ensemble
+    if (theirs.n_states, theirs.model.effect_gens.shape) != (ensemble.n_states, model.effect_gens.shape):
         raise InvalidInputError("solution shapes do not match the ensemble")
-    effects = coefficients @ model.effect_gens
+    rows, gens, c = support[:, 0].astype(np.intp), support[:, 1].astype(np.intp), support[:, 2]
+    used = model.effect_gens[gens]  # g_j of each support row
 
     weighted = ensemble.weighted_states
     margins = k - weighted  # v_x
-    completeness = np.add.reduce(effects) - model.unit_effect
+    slack = margins @ model.effect_gens.T  # g_j[v_x]
+    completeness = c @ used - model.unit_effect
     measurement_residual = math.sqrt(completeness @ completeness)  # np.linalg.norm's own formula
-    primal_value = float(np.add.reduce(ensemble.priors * np.einsum("xd,xd->x", effects, ensemble.states)))
+    primal_value = float(c @ _row_dots(weighted[rows], used))  # sum of c g_j[q_x w_x]
     value = float(model.unit_effect @ k)  # u[K]
     weights, stated, d = value - ensemble.priors, solution.stated, solution.stated_d  # r_x
     if len(d) == len(stated):  # every pair stated: one row of d per state
@@ -234,10 +231,10 @@ def verify_kkt(ensemble: Ensemble, solution: DiscriminationSolution) -> KktRepor
         stability[stated] = row_norms(margins[stated] - weights[stated, None] * d)
     return KktReport(
         stability_residuals=stability,
-        positivity_residuals=0.0 - np.minimum.reduce(margins @ model.effect_gens.T, axis=1, initial=0.0),  # K >= q_x w_x
-        orthogonality_residuals=np.abs(_row_dots(effects, margins)),
+        positivity_residuals=0.0 - np.minimum.reduce(slack, axis=1, initial=0.0),  # K >= q_x w_x
+        orthogonality_residuals=np.abs(c * slack[rows, gens]),
         measurement_residual=measurement_residual,
         gap=abs(primal_value - value),
-        effect_residuals=0.0 - np.minimum.reduce(coefficients, axis=1, initial=0.0),  # 0.0 - m, not -m, writes no -0.0
+        effect_residuals=0.0 - np.minimum(c, 0.0),  # 0.0 - m, not -m, writes no -0.0
         value_residual=abs(solution.p_guess - value),
     )

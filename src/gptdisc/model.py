@@ -3,8 +3,8 @@
 A model is an ambient dimension ``d``, a finite set of extremal
 normalized states, a finite set of extremal effects, and the unit
 effect ``u``.  States pair with effects through the Euclidean inner
-product; valid effects map every state into ``[0, 1]`` and measurements
-are coefficients on the effect generators whose effects sum to ``u``.
+product; valid effects map every state into ``[0, 1]``, and a measurement's
+effects, stated by their coefficients on the effect generators, sum to ``u``.
 
 States are stored normalized (``u[w] = 1``); validation reports
 unnormalized inputs as errors instead of silently rescaling them.  The

@@ -96,19 +96,15 @@ def demo_n4() -> DemoN4Result:
     """
     ensemble = uniform_vertex_ensemble(4)
     solution = solve_discrimination(ensemble)
-    halves = np.eye(4) / 2.0  # row j: half of effect generator f_j
-    candidates = [
-        ("halved-effects", halves),
+    candidates = [  # the generator j of each outcome's effect f_j / 2
+        ("halved-effects", [0, 1, 2, 3]),
         # f0 leaves {w0, w3} possible, f2 leaves {w1, w2}; guess uniformly.
-        ("f0-f2-randomized", halves[[0, 2, 2, 0]]),
+        ("f0-f2-randomized", [0, 2, 2, 0]),
         # f1 leaves {w0, w1} possible, f3 leaves {w2, w3}.
-        ("f1-f3-randomized", halves[[1, 1, 3, 3]]),
+        ("f1-f3-randomized", [1, 1, 3, 3]),
     ]
-    alternates = tuple(
-        (name, coefficients, verify_kkt(ensemble, replace(solution, coefficients=coefficients)))
-        for name, coefficients in candidates
-    )
-    return DemoN4Result(solution=solution, alternates=alternates)
+    alternates = [(name, replace(solution, support=np.column_stack((range(4), j, [0.5] * 4)))) for name, j in candidates]
+    return DemoN4Result(solution, tuple((name, alt.support, verify_kkt(ensemble, alt)) for name, alt in alternates))
 
 
 def no_measurement_ensemble(p: float) -> Ensemble:

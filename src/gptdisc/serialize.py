@@ -134,6 +134,11 @@ def oracle_to_dict(result: OracleResult) -> dict:
     }
 
 
+def support_to_list(support: np.ndarray) -> list:
+    """Support rows ``[x, j, c]`` with the outcome x and the generator j as JSON integers."""
+    return [[int(x), int(j), c] for x, j, c in support.tolist()]
+
+
 def solution_to_dict(
     solution: DiscriminationSolution,
     kkt: KktReport,
@@ -143,7 +148,7 @@ def solution_to_dict(
     d = iter(solution.stated_d.tolist())
     payload = {
         "p_guess": solution.p_guess,
-        "coefficients": solution.coefficients,
+        "support": support_to_list(solution.support),
         "K": solution.symmetry_operator,
         "complementary_states": [next(d) if stated else None for stated in solution.stated.tolist()],
         "kkt": kkt,
@@ -160,12 +165,12 @@ def solution_from_dict(data, ensemble: Ensemble) -> DiscriminationSolution:
     The :class:`DiscriminationSolution` constructor checks every number;
     :func:`verify_kkt` checks ``p_guess`` and each ``d`` against ``K`` and
     recomputes the duality gap, so a tampered certificate cannot vouch for
-    itself.  ``complementary_states`` holds one ``d`` per state, ``null``
-    where the pair is degenerate; other keys, such as the reports, are ignored.
+    itself.  ``support`` holds rows ``[x, j, c]``, ``complementary_states`` one
+    ``d`` per state, ``null`` where the pair is degenerate; other keys are ignored.
     """
     if not isinstance(data, dict):
         raise InvalidInputError("solution must be a JSON object")
-    coefficients = _require(data, "coefficients", "solution")
+    support = _require(data, "support", "solution")
     k = _require(data, "K", "solution")
     d = _require(data, "complementary_states", "solution")
     if not isinstance(d, list):
@@ -174,7 +179,7 @@ def solution_from_dict(data, ensemble: Ensemble) -> DiscriminationSolution:
     return DiscriminationSolution(
         ensemble=ensemble,
         p_guess=_require(data, "p_guess", "solution"),
-        coefficients=coefficients,
+        support=support,
         symmetry_operator=k,
         stated=np.array([row is not None for row in d], dtype=bool),
         stated_d=stated_d if stated_d else np.zeros((0, ensemble.model.dim)),

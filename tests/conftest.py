@@ -123,9 +123,28 @@ def all_subsets_vertex_enumeration(ensemble: Ensemble) -> tuple[OracleResult, in
     return OracleResult(p_guess=best, k=np.array(k), vertices_examined=int(vertices.shape[0])), len(generator_subsets)
 
 
+def scatter_support(support, n_states: int, n_gens: int) -> np.ndarray:
+    """The N x g coefficients ``C[x, j]`` that support rows ``(x, j, c)`` state, where a repeated ``(x, j)`` adds up."""
+    support = np.asarray(support, dtype=float).reshape(-1, 3)
+    dense = np.zeros((n_states, n_gens))
+    np.add.at(dense, (support[:, 0].astype(int), support[:, 1].astype(int)), support[:, 2])
+    return dense
+
+
+def support_of(coefficients) -> np.ndarray:
+    """Support rows ``(x, j, C[x, j])`` of every nonzero entry of an N x g coefficient matrix, in row-major order."""
+    x, j = np.nonzero(coefficients)
+    return np.column_stack((x, j, coefficients[x, j]))
+
+
+def dense_coefficients(solution) -> np.ndarray:
+    """A solution's measurement as the N x g coefficient matrix ``C``, scattered from its support rows."""
+    return scatter_support(solution.support, solution.ensemble.n_states, len(solution.ensemble.model.effect_gens))
+
+
 def effects_of(solution) -> np.ndarray:
     """The effects ``e_x = sum_j C[x, j] g_j`` of a solution's measurement, as rows."""
-    return solution.coefficients @ solution.ensemble.model.effect_gens
+    return dense_coefficients(solution) @ solution.ensemble.model.effect_gens
 
 
 def evaluate(effect, state) -> float:

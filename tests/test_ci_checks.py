@@ -5,8 +5,9 @@ The module fixture writes the input files, then runs both demos and every
 where the outputs must be byte-identical across hash seeds.  Each test then
 checks one property of what was written: that byte identity, the p = 0.7
 mixture's ``null`` complementary state, the library's warm and owned
-solutions against the command's, the oracle blocks and strict JSON, or the
-exit code and error line of an altered or invalid file.
+solutions against the command's, the oracle blocks, strict JSON and the
+support's size, or the exit code and error line of an altered or invalid
+file.  One test solves and verifies an order-1,024 polygon of its own.
 """
 
 import json
@@ -144,10 +145,11 @@ def test_an_oracle_solution_carries_its_oracle_block(out, case):
 
 
 def altered_pentagon_solution(out: Path, name: str, alter) -> Path:
-    """The pentagon's seed-0 solution after ``alter(data)``, written as ``pentagon-<name>.solution.json``."""
+    """The pentagon's seed-0 solution after ``alter(data)``, written as ``altered/pentagon-<name>.solution.json``."""
     data = json.loads((out / "pentagon-0.solution.json").read_text())
     alter(data)
-    path = out / f"pentagon-{name}.solution.json"
+    (out / "altered").mkdir(exist_ok=True)
+    path = out / "altered" / f"pentagon-{name}.solution.json"
     path.write_text(json.dumps(data))
     return path
 
@@ -172,23 +174,66 @@ def test_swapped_complementary_states_fail_verification_on_both_checks(out):
 
 
 def test_a_solution_in_the_previous_schema_exits_one_on_the_missing_field(out):
-    # A file in the previous schema, with {"r", "d"} pairs under "complementary", exits 1 on the one missing field.
-    def downgrade(s):
+    # Files in the previous schemas state no support: N x g "coefficients", N x d effects under "measurement", and
+    # N x g "coefficients" with {"r", "d"} pairs under "complementary".  Each exits 1 on the one missing field.
+    gens = np.array(json.loads((out / "pentagon.json").read_text())["effect_generators"])
+
+    def dense(s):
+        coefficients = np.zeros((5, len(gens)))
+        for x, j, c in s.pop("support"):
+            coefficients[x, j] += c
+        return coefficients
+
+    def coefficients(s):
+        s["coefficients"] = dense(s).tolist()
+
+    def measurement(s):
+        s["measurement"] = (dense(s) @ gens).tolist()
+
+    def pairs(s):
+        coefficients(s)
         s["complementary"] = [{"r": s["p_guess"] - 0.2, "d": d} for d in s.pop("complementary_states")]
 
-    err = run("verify", out / "pentagon-uniform.json", altered_pentagon_solution(out, "previous", downgrade), code=1)
-    assert err.rstrip("\n") == "error: solution is missing required field 'complementary_states'"
+    for downgrade in (coefficients, measurement, pairs):
+        path = altered_pentagon_solution(out, downgrade.__name__, downgrade)
+        err = run("verify", out / "pentagon-uniform.json", path, code=1)
+        assert err.rstrip("\n") == "error: solution is missing required field 'support'", downgrade.__name__
 
 
 def test_every_written_file_is_strict_json_with_no_negative_coefficient(out):
-    # NaN and Infinity are not JSON tokens, and no solution states a negative or -0.0 coefficient.
+    # NaN and Infinity are not JSON tokens.  Every solution, and every alternate of the n4 demo, states a nonempty
+    # support of [x, j, c] rows with x and j JSON integers and no negative or -0.0 coefficient c.
     def refuse(token):
         raise AssertionError(f"{token} is not JSON")
 
+    supports = []
     for path in sorted(out.glob("*.json")):
         data = json.loads(path.read_text(), parse_constant=refuse)
-        coefficients = data.get("coefficients", []) if isinstance(data, dict) else []
-        assert all(math.copysign(1.0, c) > 0 for row in coefficients for c in row), path.name
+        if isinstance(data, dict) and "p_guess" in data:
+            supports += [(path.name, data["support"])]
+            supports += [(f"{path.name} {alt['name']}", alt["support"]) for alt in data.get("alternates", [])]
+    assert len(supports) >= 20  # the fixture's 14 solution files, 2 of them n4 demos with 3 alternates each
+    for name, support in supports:
+        assert support, name
+        for x, j, c in support:
+            assert type(x) is int and type(j) is int, name
+            assert type(c) is float and math.copysign(1.0, c) > 0, name
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_an_order_256_solution_states_at_most_three_rows_in_under_40_kb(out, seed):
+    # The measurement LP has d = 3 rows, so a basic optimum states at most 3 positive coefficients.
+    path = out / f"uniform256-{seed}.solution.json"
+    assert len(json.loads(path.read_text())["support"]) <= 3
+    assert path.stat().st_size < 40_000
+
+
+def test_an_order_1024_polygon_solves_and_verifies_in_under_150_kb(tmp_path):
+    run("polygon", "--n", 1024, "--out", tmp_path / "polygon1024.json")
+    write_uniform(tmp_path / "polygon1024.json", tmp_path / "uniform1024.json")
+    run("solve", tmp_path / "uniform1024.json", "--out", tmp_path / "uniform1024.solution.json")
+    run("verify", tmp_path / "uniform1024.json", tmp_path / "uniform1024.solution.json")
+    assert (tmp_path / "uniform1024.solution.json").stat().st_size < 150_000
 
 
 def test_a_scaled_effect_generator_is_rejected_by_the_command_and_the_library(tmp_path):

@@ -342,7 +342,8 @@ def test_verify_rejects_complementary_state_of_wrong_length(square_files, tmp_pa
         pytest.param(uniform_vertex_ensemble(4), lambda data: data.update(p_guess=float("nan")), id="nan-p-guess"),
         pytest.param(uniform_vertex_ensemble(4), lambda data: data.update(complementary_states=5),
                      id="complementary-not-list"),
-        pytest.param(uniform_vertex_ensemble(4), lambda data: data["coefficients"].pop(), id="measurement-missing-row"),
+        pytest.param(uniform_vertex_ensemble(4), lambda data: [row.pop() for row in data["support"]],
+                     id="measurement-missing-row"),
     ],
 )
 def test_verify_rejects_malformed_solution_numbers(ensemble, tamper, tmp_path):
@@ -433,7 +434,7 @@ def test_solution_residuals_hold_no_negative_zero(tmp_path, order):
 
 def test_verify_accepts_two_outcome_alternative(square_files, tmp_path):
     ensemble_path, _, data = _square_solution(square_files, tmp_path)
-    data["coefficients"] = [[1.0, 0.0, 0.0, 0.0], [0.0] * 4, [0.0, 0.0, 1.0, 0.0], [0.0] * 4]  # effects f0, 0, f2, 0
+    data["support"] = [[0, 0, 1.0], [2, 2, 1.0]]  # effects f0, 0, f2, 0
     alt_path = tmp_path / "alternative.json"
     alt_path.write_text(json.dumps(data))
     assert main(["verify", str(ensemble_path), str(alt_path)]) == 0
@@ -441,32 +442,45 @@ def test_verify_accepts_two_outcome_alternative(square_files, tmp_path):
 
 def test_verify_fails_on_a_negative_coefficient(square_files, tmp_path, capsys):
     ensemble_path, solution_path, data = _square_solution(square_files, tmp_path)
-    # f0 + f2 = f1 + f3 = u: the shift keeps every effect, but its coefficients are no longer a certificate.
-    data["coefficients"][1] = [c + 2.0 * s for c, s in zip(data["coefficients"][1], [1.0, -1.0, 1.0, -1.0])]
+    # f0 pays w0 and w3 alike, so moving 2 f0 from outcome 3 to outcome 0 keeps the completeness sum, the value and
+    # every row's slackness, but its coefficient -2 is no certificate.  Outcome 0 already states (0, 0, c), so the
+    # move repeats that pair: each row is checked on its own.
+    assert [0, 0] in [row[:2] for row in data["support"]]
+    data["support"] += [[0, 0, 2.0], [3, 0, -2.0]]
     solution_path.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", str(ensemble_path), str(solution_path)]) == 4
     assert capsys.readouterr().err == "verification failed: KKT check failed: effect_residuals 2\n"
 
 
-@pytest.mark.parametrize("effects_as", ["coefficients", "measurement"])
+@pytest.mark.parametrize("effects_as", ["coefficients", "measurement", "support"])
 def test_verify_rejects_a_measurement_stated_as_effects(effects_as, square_files, tmp_path, capsys):
-    # The square has g = 4 effect generators in d = 3.  Files that state effects, not coefficients, exit 1.
+    # The square has g = 4 effect generators in d = 3.  Files of the older schemas, N x g coefficients under
+    # "coefficients" or N x d effects under "measurement", exit 1 on the missing support; effects stated as
+    # support rows, which are 3 wide here, exit 1 on their outcome indices.
     ensemble_path, solution_path, data = _square_solution(square_files, tmp_path)
-    effects = np.array(data.pop("coefficients")) @ polygon_model(4).effect_gens
-    data[effects_as] = effects.tolist()
+    coefficients = np.zeros((4, 4))
+    for x, j, c in data.pop("support"):
+        coefficients[x, j] += c
+    effects = coefficients @ polygon_model(4).effect_gens
+    data[effects_as] = (coefficients if effects_as == "coefficients" else effects).tolist()
     solution_path.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", str(ensemble_path), str(solution_path)]) == 1
     expected = {
-        "coefficients": "error: solution coefficients has shape (4, 3), expected (4, 4)",
-        "measurement": "error: solution is missing required field 'coefficients'",
+        "coefficients": "error: solution is missing required field 'support'",
+        "measurement": "error: solution is missing required field 'support'",
+        "support": "error: solution support outcome indices must be integers in [0, 4)",
     }
     assert capsys.readouterr().err.splitlines() == [expected[effects_as]]
 
 
 def _set_first_state(value):
     return lambda data: data["complementary_states"].__setitem__(0, value)
+
+
+def _set_support(row, column, value):
+    return lambda data: data["support"][row].__setitem__(column, value)
 
 
 @pytest.mark.parametrize(
@@ -488,10 +502,19 @@ def _set_first_state(value):
         pytest.param(lambda data: data["complementary_states"].pop(), "complementary pair", id="three-pairs"),
         pytest.param(lambda data: data["complementary_states"].append(data["complementary_states"][0]),
                      "complementary pair", id="five-pairs"),
-        pytest.param(lambda data: data["coefficients"][0].pop(), "solution coefficients", id="coefficients-ragged"),
-        pytest.param(lambda data: data["coefficients"][0].__setitem__(0, float("nan")), "solution coefficients",
-                     id="coefficients-nan"),
-        pytest.param(lambda data: data["coefficients"].pop(), "solution coefficients", id="coefficients-3x4"),
+        pytest.param(lambda data: data["support"][0].pop(), "solution support", id="support-ragged"),
+        pytest.param(_set_support(0, 2, float("nan")), "solution support", id="support-nan"),
+        pytest.param(_set_support(0, 2, True), "solution support", id="support-true"),
+        pytest.param(_set_support(0, 2, "0.5"), "solution support", id="support-string"),
+        pytest.param(lambda data: data.update(support=[row[:2] for row in data["support"]]), "solution support",
+                     id="support-pairs"),
+        pytest.param(_set_support(0, 0, 0.5), "solution support outcome", id="support-x-half"),
+        pytest.param(_set_support(0, 0, -1), "solution support outcome", id="support-x-negative"),
+        pytest.param(_set_support(0, 0, 4), "solution support outcome", id="support-x-past-n"),
+        pytest.param(_set_support(0, 1, 1.5), "solution support generator", id="support-j-half"),
+        pytest.param(_set_support(0, 1, -1), "solution support generator", id="support-j-negative"),
+        pytest.param(_set_support(0, 1, 4), "solution support generator", id="support-j-past-g"),
+        pytest.param(lambda data: data.update(support=[]), "solution support", id="support-empty"),
     ],
 )
 def test_verify_names_the_malformed_solution_field(tamper, field, square_files, tmp_path, capsys):

@@ -23,7 +23,7 @@ from gptdisc import (
 )
 from gptdisc.cli import main
 from gptdisc.cone import inside
-from gptdisc.discrimination import _build_primal, _measurement_from_primal, _reward_matrix, _row_dots, row_norms
+from gptdisc.discrimination import _build_primal, _reward_matrix, _row_dots, _support_from_primal, row_norms
 from gptdisc.lp import OPTIMAL, LpSolution, certificate_residual
 from gptdisc.oracle import MAX_ORACLE_CONSTRAINTS, dual_vertex_enumeration
 from gptdisc.polygon import no_measurement_ensemble, uniform_vertex_ensemble
@@ -33,10 +33,13 @@ from conftest import (
     check_certificate,
     cone_ge,
     counted_dual_cones,
+    dense_coefficients,
     effect_cone,
     effects_of,
     full_measurement_lp,
     measurement_lp,
+    scatter_support,
+    support_of,
 )
 from families import (
     boxworld_model,
@@ -207,22 +210,25 @@ def test_kkt_array_pass_matches_per_outcome_reference():
     # The residuals are computed for all outcomes at once; each must equal,
     # bit for bit, the per-outcome formula on the solver's output and on a
     # solution with K shifted off the optimum.  A null d claims only r d = 0.
+    # Slackness is stated per support row (x, j, c): |c g_j[K - q_x w_x]|.
     for ensemble in kkt_reference_ensembles():
         sol = solve_discrimination(ensemble)
         shifted = dataclasses.replace(sol, symmetry_operator=sol.symmetry_operator + 1e-3)
         for candidate in (sol, shifted):
             report = verify_kkt(ensemble, candidate)
             stated_d = iter(candidate.stated_d)
+            margins = []
             for x, (r, stated) in enumerate(zip(candidate.weights, candidate.stated)):
                 q, w = float(ensemble.priors[x]), ensemble.states[x]
-                margin = candidate.symmetry_operator - q * w
+                margins.append(candidate.symmetry_operator - q * w)
                 if stated:
-                    stability = float(np.linalg.norm(margin - r * next(stated_d)))
+                    stability = float(np.linalg.norm(margins[x] - r * next(stated_d)))
                 else:
                     stability = abs(r)
-                orthogonality = abs(float(effects_of(candidate)[x] @ margin))
                 assert report.stability_residuals[x] == stability
-                assert report.orthogonality_residuals[x] == orthogonality
+            slack = np.array(margins) @ ensemble.model.effect_gens.T
+            for i, (x, j, c) in enumerate(candidate.support.tolist()):
+                assert report.orthogonality_residuals[i] == abs(c * float(slack[int(x), int(j)]))
 
 
 def test_kkt_accepts_two_outcome_alternative():
@@ -231,7 +237,7 @@ def test_kkt_accepts_two_outcome_alternative():
     ensemble = uniform_vertex_ensemble(4)
     sol = solve_discrimination(ensemble)
     f = ensemble.model.effect_gens
-    alt = dataclasses.replace(sol, coefficients=np.diag([1.0, 0.0, 1.0, 0.0]))  # effects f0, 0, f2, 0
+    alt = dataclasses.replace(sol, support=[[0, 0, 1.0], [2, 2, 1.0]])  # effects f0, 0, f2, 0
     report = verify_kkt(ensemble, alt)
     assert report.passes(1e-9)
     d0 = sol.stated_d[0]
@@ -314,20 +320,20 @@ def test_batched_kkt_cone_checks_match_per_row_checks():
         sol = solve_discrimination(ensemble)
         # Shrinking K and moving half of the effects along -u (whose coefficients are C summed over x)
         # makes some entries False.
-        coefficients = sol.coefficients
+        coefficients = dense_coefficients(sol)
         tampered = dataclasses.replace(
             sol,
             symmetry_operator=sol.symmetry_operator * rng.uniform(0.5, 1.0),
-            coefficients=coefficients - 0.3 * (np.arange(k) % 2)[:, None] * coefficients.sum(axis=0),
+            support=support_of(coefficients - 0.3 * (np.arange(k) % 2)[:, None] * coefficients.sum(axis=0)),
         )
         for candidate in (sol, tampered):
             report = verify_kkt(ensemble, candidate)
             margins = [(candidate.symmetry_operator, q * w) for q, w in zip(ensemble.priors, ensemble.states)]
             positive = report.positivity_residuals <= 1e-9
             assert positive.tolist() == [cone_ge(a, b, effects) for a, b in margins]
-            rows = candidate.coefficients
-            accepted = report.effect_residuals <= 1e-9
-            assert accepted.tolist() == [all(c >= -1e-9 for c in row) for row in rows]
+            outcomes = candidate.support[:, 0]
+            assert (report.effect_residuals <= 1e-9).tolist() == (candidate.support[:, 2] >= -1e-9).tolist()
+            accepted = np.array([np.all(report.effect_residuals[outcomes == x] <= 1e-9) for x in range(k)])
             # Nonnegative coefficients are a membership certificate: every accepted effect is in the cone.
             for ok, e in zip(accepted, effects_of(candidate)):
                 assert not ok or member_of(effects, e)
@@ -345,12 +351,11 @@ def test_one_tolerance_decides_the_kkt_verdict():
     # verify_kkt decided effect membership at a tol of its own, the report it built at 1e-3 passed at 1e-9.
     ensemble = uniform_vertex_ensemble(4)
     sol = solve_discrimination(ensemble)
-    coefficients = sol.coefficients.copy()
-    coefficients[0, 0] += 1e-6
-    coefficients[3, 0] -= 1e-6
-    assert coefficients[3, 0] == -1e-6
-    report = verify_kkt(ensemble, dataclasses.replace(sol, coefficients=coefficients))
-    assert report.effect_residuals[3] == 1e-6
+    assert sol.support[0, :2].tolist() == [0.0, 0.0]
+    support = np.vstack([sol.support, [3, 0, -1e-6]])
+    support[0, 2] += 1e-6
+    report = verify_kkt(ensemble, dataclasses.replace(sol, support=support))
+    assert report.effect_residuals[-1] == 1e-6
     assert report.worst_residuals()["effect_residuals"] == 1e-6
     assert not report.passes(1e-9)
     assert report.passes(1e-3)
@@ -367,14 +372,15 @@ def test_residuals_decide_as_the_boolean_checks_did():
     seen = {}
     for ensemble in ensembles:
         sol = solve_discrimination(ensemble)
-        n, g = sol.coefficients.shape
+        coefficients = dense_coefficients(sol)
+        n, g = coefficients.shape
         # Shifts of 1e-10, 1e-6 and 1e-1 straddle both tolerances; one outcome in four keeps its row.
         sizes = np.array([0.0, 1e-10, 1e-6, 1e-1])[np.arange(n) % 4]
         candidates = [sol] + [
             dataclasses.replace(
                 sol,
                 symmetry_operator=sol.symmetry_operator * (1.0 - shrink),
-                coefficients=sol.coefficients - sizes[:, None] * (np.arange(g) == (n + 1) % g),
+                support=support_of(coefficients - sizes[:, None] * (np.arange(g) == (n + 1) % g)),
             )
             for shrink in (1e-10, 1e-6, 1e-2)
         ]
@@ -383,7 +389,7 @@ def test_residuals_decide_as_the_boolean_checks_did():
             margins = candidate.symmetry_operator - ensemble.weighted_states
             for tol in (1e-9, 1e-3):
                 positive = inside(ensemble.model.effect_gens, margins, tol)
-                in_cone = candidate.coefficients.min(axis=1, initial=0.0) >= -tol
+                in_cone = candidate.support[:, 2] >= -tol
                 assert (report.positivity_residuals <= tol).tolist() == positive.tolist()
                 assert (report.effect_residuals <= tol).tolist() == in_cone.tolist()
                 seen.setdefault(("positivity", tol), set()).update(positive.tolist())
@@ -499,9 +505,9 @@ def test_repeated_states_kept_as_distinct_outcomes():
         priors=np.array([0.5, 0.5]),
     )
     sol = solve_discrimination(ensemble)
-    assert sol.coefficients.shape == (2, 4)
+    assert dense_coefficients(sol).shape == (2, 4)
     # Every generator earns the same on both outcomes; ties go to the lowest label.
-    assert np.all(sol.coefficients[1] == 0.0)
+    assert np.all(dense_coefficients(sol)[1] == 0.0) and np.all(sol.support[:, 0] == 0.0)
     assert sol.p_guess == pytest.approx(0.5, abs=1e-9)
 
 
@@ -536,7 +542,8 @@ def test_measurement_reconstruction_matches_generators():
     ensemble = uniform_vertex_ensemble(3)
     problem = measurement_lp(ensemble)
     sol = solve_lp(problem)
-    total = (_measurement_from_primal(_reward_matrix(ensemble), sol.x) @ ensemble.model.effect_gens).sum(axis=0)
+    support = _support_from_primal(_reward_matrix(ensemble), sol.x)
+    total = (scatter_support(support, 3, 3) @ ensemble.model.effect_gens).sum(axis=0)
     assert_allclose(total, ensemble.model.unit_effect, atol=1e-12)
 
 
@@ -566,13 +573,13 @@ def test_collapsed_lp_certifies_the_full_measurement_lp():
         scattered[owner, np.arange(g)] = np.maximum(sol.x, 0.0)  # the solver clips rounding below zero
         lifted = LpSolution(OPTIMAL, x=scattered.reshape(-1), objective=sol.objective, y=sol.y)
         assert check_certificate(full, lifted), (ensemble.model.dim, ensemble.n_states)
-        coefficients = _measurement_from_primal(_reward_matrix(ensemble), sol.x)
+        coefficients = scatter_support(_support_from_primal(_reward_matrix(ensemble), sol.x), ensemble.n_states, g)
         assert_allclose(coefficients, scattered, atol=0.0)
         assert not np.signbit(coefficients).any()  # no negative entry and no -0.0
 
 
 def _dense_measurement(rewards, x):
-    """The N x g owner mask that measurement_from_primal replaced, kept as its reference."""
+    """The N x g owner mask of the measurement, kept as the reference for its support rows."""
     owners = rewards.argmax(axis=0)
     return (owners == np.arange(len(rewards))[:, None]) * (np.maximum(x, 0.0) + 0.0)
 
@@ -589,12 +596,14 @@ def _measurement_inputs():
 
 
 def test_measurement_from_the_basic_columns_matches_the_dense_owner_mask():
-    # Placing only the positive C_j must give the dense expression's bytes: the lowest-x tie rule,
-    # clipping below zero and no -0.0.  The square's primal has a basic C_j a rounding error below zero.
+    # Stating only the positive C_j, scattered to N x g, must give the dense expression's bytes: the lowest-x
+    # tie rule, clipping below zero and no -0.0.  The square's primal has a basic C_j a rounding error below zero.
     inputs = list(_measurement_inputs())
     assert any((x < 0.0).any() for _, x in inputs[:-1])
     for rewards, x in inputs:
-        coefficients = _measurement_from_primal(rewards, x)
+        support = _support_from_primal(rewards, x)
+        assert (support[:, 2] > 0.0).all() and len(set(support[:, 1].tolist())) == len(support)
+        coefficients = scatter_support(support, *rewards.shape)
         expected = _dense_measurement(rewards, x)
         assert coefficients.shape == expected.shape and coefficients.tobytes() == expected.tobytes()
 
@@ -748,21 +757,27 @@ def test_kkt_reads_effect_membership_off_the_coefficients():
     assert verify_kkt(ensemble, sol).effect_residuals.max() == 0.0
     shift = np.zeros((4, 4))
     shift[1] = 2.0 * np.array([1.0, -1.0, 1.0, -1.0])
-    tampered = dataclasses.replace(sol, coefficients=sol.coefficients + shift)
+    tampered = dataclasses.replace(sol, support=support_of(dense_coefficients(sol) + shift))
     assert_allclose(effects_of(tampered), effects_of(sol), atol=1e-15)
-    assert tampered.coefficients.min() < 0.0
+    assert tampered.support[:, 2].min() < 0.0
     report = verify_kkt(ensemble, tampered)
-    assert (report.effect_residuals <= 1e-9).tolist() == [True, False, True, True]
-    assert report.effect_residuals[1] == 2.0
+    outcomes = tampered.support[:, 0]
+    assert [bool(np.all(report.effect_residuals[outcomes == x] <= 1e-9)) for x in range(4)] == [True, False, True, True]
+    assert report.effect_residuals.max() == 2.0
     assert report.measurement_residual <= 1e-9 and report.gap <= 1e-9 and not report.passes()
 
 
 def test_kkt_rejects_coefficients_of_the_wrong_shape():
     ensemble = uniform_vertex_ensemble(4)  # d = 3, g = 4
     sol = solve_discrimination(ensemble)
-    for coefficients in (effects_of(sol), sol.coefficients[:3]):
-        with pytest.raises(InvalidInputError, match="solution coefficients has shape"):
-            verify_kkt(ensemble, dataclasses.replace(sol, coefficients=coefficients))
+    # The N x g matrix and the N x d effects are no support: their rows are no (x, j, c) triples.
+    for coefficients, error in (
+        (dense_coefficients(sol), "solution support has shape"),
+        (sol.support[:, :2], "solution support has shape"),
+        (effects_of(sol), "solution support outcome indices must be integers in"),
+    ):
+        with pytest.raises(InvalidInputError, match=error):
+            verify_kkt(ensemble, dataclasses.replace(sol, support=coefficients))
 
 
 @pytest.mark.parametrize(
@@ -795,6 +810,9 @@ def test_kkt_rejects_a_solution_of_another_ensemble(other):
             "complementary states d",
             id="nan-d",
         ),
+        pytest.param(lambda sol: {"support": [[0, 0, np.nan]]}, "solution support", id="nan-support"),
+        pytest.param(lambda sol: {"support": [[4, 0, 1.0]]}, r"solution support outcome .* \[0, 4\)", id="x-past-n"),
+        pytest.param(lambda sol: {"support": [[0, 0.5, 1.0]]}, r"solution support generator .* \[0, 4\)", id="j-half"),
     ],
 )
 def test_solution_checks_its_numbers_when_built(tamper, name):
@@ -908,7 +926,7 @@ def test_nine_dimensional_simplex_validates_with_one_dual(monkeypatch):
 
 def _solution_bits(sol):
     """Every number a solution states, as bytes, so that ``-0.0`` and ``0.0`` differ."""
-    arrays = (sol.p_guess, sol.coefficients, sol.symmetry_operator, sol.stated, sol.stated_d)
+    arrays = (sol.p_guess, sol.support, sol.symmetry_operator, sol.stated, sol.stated_d)
     return [np.asarray(a).tobytes() for a in arrays]
 
 
@@ -925,6 +943,48 @@ WARM_AND_COLD_CASES = {
     "boxworld": lambda: _uniform_ensemble(boxworld_model()),
     "no-measurement-0.7": lambda: no_measurement_ensemble(0.7),
 }
+
+
+SUPPORT_CASES = {
+    **{f"polygon{n}": lambda n=n: uniform_vertex_ensemble(n) for n in range(3, 65)},
+    **{f"cube{n}": lambda n=n: _uniform_ensemble(hypercube_model(n)) for n in range(2, 6)},
+    **{f"cross{n}": lambda n=n: _uniform_ensemble(cross_polytope_model(n)) for n in range(2, 6)},
+    "boxworld": lambda: _uniform_ensemble(boxworld_model()),
+    **{
+        f"polytope{seed}": lambda seed=seed: _uniform_ensemble(
+            random_polytope_model(np.random.default_rng(seed), 3 + seed % 4, 6 + seed % 5)
+        )
+        for seed in range(8)
+    },
+    "restricted-square": _restricted_square_ensemble,
+    "square-effect-0-halved": lambda: _uniform_ensemble(square_with_effect_zero_scaled(0.5)),
+    **{f"mixed{seed}": lambda seed=seed: random_polygon_ensemble(np.random.default_rng(seed)) for seed in range(40)},
+    **{f"no-measurement-{0.05 * k:.2f}": lambda k=k: no_measurement_ensemble(round(0.05 * k, 2)) for k in range(21)},
+}
+
+
+@pytest.mark.parametrize("name", SUPPORT_CASES)
+def test_the_solvers_support_is_basic_positive_and_owned_by_the_lowest_best_outcome(name):
+    ensemble = SUPPORT_CASES[name]()
+    model = ensemble.model
+    sol = solve_discrimination(ensemble)
+    outcomes, gens, c = sol.support[:, 0].astype(int), sol.support[:, 1].astype(int), sol.support[:, 2]
+    # A basic optimum of an LP with d rows: at most d positive coefficients, on distinct generators.
+    assert len(sol.support) <= model.dim and len(set(gens.tolist())) == len(gens)
+    assert (c > 0.0).all() and not np.signbit(c).any()
+    rewards = ensemble.priors[:, None] * (ensemble.states @ model.effect_gens.T)  # q_x g_j[w_x]
+    assert outcomes.tolist() == [int(np.flatnonzero(rewards[:, j] == rewards[:, j].max())[0]) for j in gens]
+    # Per outcome, the rows' slackness |c g_j[v_x]| adds up to the paper's |e_x[K - q_x w_x]| on the dense C.
+    report = verify_kkt(ensemble, sol)
+    per_outcome = np.zeros(ensemble.n_states)
+    np.add.at(per_outcome, outcomes, report.orthogonality_residuals)
+    margins = sol.symmetry_operator - ensemble.weighted_states
+    paper = np.abs(np.einsum("xd,xd->x", dense_coefficients(sol) @ model.effect_gens, margins))
+    assert np.abs(per_outcome - paper).max() <= 1e-15
+    assert report.passes()
+    # The same rows from a caller or a file, as lists, check to the same bits.
+    rebuilt = verify_kkt(ensemble, dataclasses.replace(sol, support=sol.support.tolist()))
+    assert all(_bits(getattr(rebuilt, f.name)) == _bits(getattr(report, f.name)) for f in dataclasses.fields(report))
 
 
 @pytest.mark.parametrize("name", WARM_AND_COLD_CASES)
@@ -998,23 +1058,29 @@ def test_an_infeasible_start_names_the_unit_effect_on_every_solve(n_effects):
 
 
 def _parent_kkt_fields(ensemble: Ensemble, solution) -> dict:
-    """``verify_kkt``'s fields by the reference expressions: ``np.linalg.norm``, ``np.sum`` and ``.min(initial=...)``."""
+    """``verify_kkt``'s fields by the reference expressions: ``np.linalg.norm``, ``np.sum`` and ``.min(initial=...)``.
+
+    Per support row ``(x, j, c)``: ``c g_j`` adds to the completeness sum, ``c g_j[q_x w_x]`` to the primal value,
+    and ``|c g_j[v_x]|`` is the row's slackness.
+    """
     model = ensemble.model
-    k, coefficients = solution.symmetry_operator, solution.coefficients
-    effects = coefficients @ model.effect_gens
+    k, support = solution.symmetry_operator, solution.support
+    rows, gens, c = support[:, 0].astype(int), support[:, 1].astype(int), support[:, 2]
     margins = k - ensemble.priors[:, None] * ensemble.states
+    slack = margins @ model.effect_gens.T
     value = float(model.unit_effect @ k)
     weights, stated = value - ensemble.priors, solution.stated  # r_x = u[K] - q_x
     stability = np.abs(weights)
     stability[stated] = row_norms(margins[stated] - weights[stated, None] * solution.stated_d)
-    primal_value = float(np.sum(ensemble.priors * np.einsum("xd,xd->x", effects, ensemble.states)))
+    targets = _row_dots(ensemble.priors[rows, None] * ensemble.states[rows], model.effect_gens[gens])  # g_j[q_x w_x]
+    primal_value = float(c @ targets)
     return {
         "stability_residuals": stability,
-        "positivity_residuals": 0.0 - (margins @ model.effect_gens.T).min(axis=1, initial=0.0),
-        "orthogonality_residuals": np.abs(_row_dots(effects, margins)),
-        "measurement_residual": float(np.linalg.norm(effects.sum(axis=0) - model.unit_effect)),
+        "positivity_residuals": 0.0 - slack.min(axis=1, initial=0.0),
+        "orthogonality_residuals": np.abs(c * slack[rows, gens]),
+        "measurement_residual": float(np.linalg.norm(c @ model.effect_gens[gens] - model.unit_effect)),
         "gap": abs(primal_value - value),
-        "effect_residuals": 0.0 - coefficients.min(axis=1, initial=0.0),
+        "effect_residuals": 0.0 - np.minimum(c, 0.0),
         "value_residual": abs(solution.p_guess - value),
     }
 

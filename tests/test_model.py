@@ -247,7 +247,7 @@ def test_array_dataclasses_compare_and_hash_by_identity(pair):
             id="Ensemble",
         ),
         pytest.param(
-            lambda: dataclasses.replace(solve_discrimination(uniform_vertex_ensemble(4)), coefficients=[[0.0, 1.0], [1.0]]),
+            lambda: dataclasses.replace(solve_discrimination(uniform_vertex_ensemble(4)), support=[[0, 1, 0.5], [1, 2]]),
             id="DiscriminationSolution",
         ),
         pytest.param(lambda: PolyhedralCone(3, [[1.0, 2.0, 3.0], [1.0]]), id="PolyhedralCone"),

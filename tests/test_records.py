@@ -126,7 +126,7 @@ def test_a_callers_arrays_stay_writeable_and_unshared(monkeypatch):
     _assert_unshared([rewards], _build_primal(model, rewards))
 
     solved = solve_discrimination(ensemble)
-    numbers = [np.array(a) for a in (solved.coefficients, solved.symmetry_operator, solved.stated, solved.stated_d)]
+    numbers = [np.array(a) for a in (solved.support, solved.symmetry_operator, solved.stated, solved.stated_d)]
     _assert_unshared(numbers, DiscriminationSolution(ensemble, solved.p_guess, *numbers))
 
     problems = []
