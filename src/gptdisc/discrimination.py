@@ -44,14 +44,14 @@ class DiscriminationSolution:
     """Optimal discrimination data: value, measurement support, symmetry operator ``K``, pairs.
 
     Each ``support`` row ``(x, j, c)`` adds ``c g_j`` to the effect ``e_x`` of outcome x, with the effect generators in
-    file order; a pair ``(x, j)`` left out has ``C[x, j] = 0``, and a repeated one adds up.  The pairs
+    file order; a pair ``(x, j)`` left out has ``C[x, j] = 0``, and no pair is stated twice.  The pairs
     ``(r_x, d_x)`` are read off ``K``: the :attr:`weights` ``r_x = u[K] - q_x``, the N booleans ``stated`` that
     mark which ``d_x`` are given, and those ``d_x`` as the rows of ``stated_d``, in outcome order.  An unstated
     ``d_x`` (``r_x`` within tolerance of zero) makes a degenerate pair, which claims only ``r_x d_x = 0``, not
     ``K = q_x w_x``.  The constructor is the one reader of numbers handed in; the solver's record skips it.  It
     raises :class:`InvalidInputError` unless ``p_guess`` is a finite scalar, ``support`` is a finite (k, 3) array
-    with integer x in [0, N) and j in [0, g), ``K`` has d entries, ``stated`` is N booleans and ``stated_d`` is a
-    finite array of one d-vector per stated pair.
+    whose pairs ``(x, j)`` are distinct integers in [0, N) x [0, g), ``K`` has d entries, ``stated`` is N booleans
+    and ``stated_d`` is a finite array of one d-vector per stated pair.
     """
 
     ensemble: Ensemble
@@ -68,6 +68,8 @@ class DiscriminationSolution:
         for index, name, bound in ((support[:, 0], "outcome", n), (support[:, 1], "generator", g)):
             if not np.all((index == np.floor(index)) & (index >= 0.0) & (index < bound)):
                 raise InvalidInputError(f"solution support {name} indices must be integers in [0, {bound})")
+        if len(np.unique(support[:, 0] * g + support[:, 1])) < len(support):  # repeats within tol could sum below it
+            raise InvalidInputError("solution support must state each (outcome, generator) pair once")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "symmetry_operator", finite_array(self.symmetry_operator, "solution K", (dim,)))
         try:
@@ -204,11 +206,11 @@ def verify_kkt(ensemble: Ensemble, solution: DiscriminationSolution) -> KktRepor
     optimality (KKT conditions are sufficient here because strong duality holds) and every number the solution
     states, ``p_guess`` included.  Positivity, ``K >= q_x w_x``, is measured as the most negative ``g[K - q_x w_x]``
     over the supplied effect generators ``g`` as given, unnormalized; each row's slackness ``c g_j[v_x]`` is read off
-    the same products, and its completeness and value terms are gathered by row.  Every field is a residual, so no
-    tolerance is taken here: :meth:`KktReport.passes` applies one.  The solution checked its numbers when it was
-    built, so only its fit to ``ensemble`` is checked here: :class:`InvalidInputError` when the number of states,
-    of effect generators or the dimension differ.  A solution holds one row of ``stated_d`` per stated pair, so
-    comparing lengths tells whether every pair is stated; if so, the stability rows are formed on whole arrays.
+    the same products, and its completeness and value terms are gathered by row; each pair has one row, so ``c`` is
+    ``C[x, j]`` itself.  Every field is a residual: :meth:`KktReport.passes` applies the one tolerance.  The solution
+    checked its numbers when it was built, so only its fit to ``ensemble`` is checked: :class:`InvalidInputError`
+    when the number of states, of effect generators or the dimension differ.  With one row of ``stated_d`` per
+    stated pair, equal lengths mean every pair is stated; then the stability rows are formed on whole arrays.
     """
     model, k, support, theirs = ensemble.model, solution.symmetry_operator, solution.support, solution.ensemble
     if (theirs.n_states, theirs.model.effect_gens.shape) != (ensemble.n_states, model.effect_gens.shape):
@@ -216,12 +218,11 @@ def verify_kkt(ensemble: Ensemble, solution: DiscriminationSolution) -> KktRepor
     rows, gens, c = support[:, 0].astype(np.intp), support[:, 1].astype(np.intp), support[:, 2]
     used = model.effect_gens[gens]  # g_j of each support row
 
-    weighted = ensemble.weighted_states
-    margins = k - weighted  # v_x
+    margins = k - ensemble.weighted_states  # v_x
     slack = margins @ model.effect_gens.T  # g_j[v_x]
     completeness = c @ used - model.unit_effect
     measurement_residual = math.sqrt(completeness @ completeness)  # np.linalg.norm's own formula
-    primal_value = float(c @ _row_dots(weighted[rows], used))  # sum of c g_j[q_x w_x]
+    primal_value = float(c @ _row_dots(ensemble.weighted_states[rows], used))  # sum of c g_j[q_x w_x]
     value = float(model.unit_effect @ k)  # u[K]
     weights, stated, d = value - ensemble.priors, solution.stated, solution.stated_d  # r_x
     if len(d) == len(stated):  # every pair stated: one row of d per state

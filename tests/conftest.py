@@ -124,10 +124,10 @@ def all_subsets_vertex_enumeration(ensemble: Ensemble) -> tuple[OracleResult, in
 
 
 def scatter_support(support, n_states: int, n_gens: int) -> np.ndarray:
-    """The N x g coefficients ``C[x, j]`` that support rows ``(x, j, c)`` state, where a repeated ``(x, j)`` adds up."""
+    """The N x g coefficients ``C[x, j]`` that support rows ``(x, j, c)`` state, each ``(x, j)`` once."""
     support = np.asarray(support, dtype=float).reshape(-1, 3)
     dense = np.zeros((n_states, n_gens))
-    np.add.at(dense, (support[:, 0].astype(int), support[:, 1].astype(int)), support[:, 2])
+    dense[support[:, 0].astype(int), support[:, 1].astype(int)] = support[:, 2]
     return dense
 
 

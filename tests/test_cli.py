@@ -443,14 +443,31 @@ def test_verify_accepts_two_outcome_alternative(square_files, tmp_path):
 def test_verify_fails_on_a_negative_coefficient(square_files, tmp_path, capsys):
     ensemble_path, solution_path, data = _square_solution(square_files, tmp_path)
     # f0 pays w0 and w3 alike, so moving 2 f0 from outcome 3 to outcome 0 keeps the completeness sum, the value and
-    # every row's slackness, but its coefficient -2 is no certificate.  Outcome 0 already states (0, 0, c), so the
-    # move repeats that pair: each row is checked on its own.
-    assert [0, 0] in [row[:2] for row in data["support"]]
-    data["support"] += [[0, 0, 2.0], [3, 0, -2.0]]
+    # every row's slackness, but its coefficient -2 is no certificate.  Outcome 0 already states (0, 0, c), which
+    # takes the 2; outcome 3 gains the row (3, 0, -2).
+    pairs = [row[:2] for row in data["support"]]
+    assert [0, 0] in pairs and [3, 0] not in pairs
+    data["support"][pairs.index([0, 0])][2] += 2.0
+    data["support"].append([3, 0, -2.0])
     solution_path.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", str(ensemble_path), str(solution_path)]) == 4
     assert capsys.readouterr().err == "verification failed: KKT check failed: effect_residuals 2\n"
+
+
+def test_verify_rejects_a_negative_coefficient_split_over_repeated_rows(square_files, tmp_path, capsys):
+    # Stated as 2,000 rows of -1e-3, the -2 of the move above would leave every row's effect residual within
+    # --tol 1e-3, so a pair may be stated only once.
+    ensemble_path, solution_path, data = _square_solution(square_files, tmp_path)
+    pairs = [row[:2] for row in data["support"]]
+    data["support"][pairs.index([0, 0])][2] += 2.0
+    data["support"] += [[3, 0, -1e-3]] * 2_000
+    solution_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(ensemble_path), str(solution_path), "--tol", "1e-3"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: solution support must state each (outcome, generator) pair once"
+    ]
 
 
 @pytest.mark.parametrize("effects_as", ["coefficients", "measurement", "support"])
@@ -515,6 +532,7 @@ def _set_support(row, column, value):
         pytest.param(_set_support(0, 1, -1), "solution support generator", id="support-j-negative"),
         pytest.param(_set_support(0, 1, 4), "solution support generator", id="support-j-past-g"),
         pytest.param(lambda data: data.update(support=[]), "solution support", id="support-empty"),
+        pytest.param(lambda data: data["support"].append(data["support"][-1]), "solution support", id="support-repeat"),
     ],
 )
 def test_verify_names_the_malformed_solution_field(tamper, field, square_files, tmp_path, capsys):

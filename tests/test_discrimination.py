@@ -229,6 +229,13 @@ def test_kkt_array_pass_matches_per_outcome_reference():
             slack = np.array(margins) @ ensemble.model.effect_gens.T
             for i, (x, j, c) in enumerate(candidate.support.tolist()):
                 assert report.orthogonality_residuals[i] == abs(c * float(slack[int(x), int(j)]))
+            # Independently, per outcome on the dense C and a per-outcome product: the rows add up to the
+            # per-variable slackness sum_j |C[x, j] g_j[v_x]|, which bounds the paper's |e_x[v_x]| from above.
+            dense, effects = dense_coefficients(candidate), effects_of(candidate)
+            for x, margin in enumerate(margins):
+                rows = report.orthogonality_residuals[candidate.support[:, 0] == x].sum()
+                assert abs(rows - np.abs(dense[x] * (ensemble.model.effect_gens @ margin)).sum()) <= 1e-15
+                assert rows >= abs(effects[x] @ margin) - 1e-15
 
 
 def test_kkt_accepts_two_outcome_alternative():
@@ -813,6 +820,9 @@ def test_kkt_rejects_a_solution_of_another_ensemble(other):
         pytest.param(lambda sol: {"support": [[0, 0, np.nan]]}, "solution support", id="nan-support"),
         pytest.param(lambda sol: {"support": [[4, 0, 1.0]]}, r"solution support outcome .* \[0, 4\)", id="x-past-n"),
         pytest.param(lambda sol: {"support": [[0, 0.5, 1.0]]}, r"solution support generator .* \[0, 4\)", id="j-half"),
+        pytest.param(
+            lambda sol: {"support": [[0, 0, 1.0], [1, 1, 1.0], [0, 0, 0.0]]}, "solution support .* pair once", id="repeat"
+        ),
     ],
 )
 def test_solution_checks_its_numbers_when_built(tamper, name):
